@@ -48,6 +48,7 @@ from .core import (
     enumerate_product,
     enumerate_signs,
     gaussian_sampler,
+    product_orbits,
     sphere_sampler,
     uniform_box_sampler,
 )

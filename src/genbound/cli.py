@@ -266,14 +266,7 @@ def _rademacher_for_instance(inst: DiscreteInstance, n, seed, config, threads, s
                 values[start + j] = complexity.empirical_rademacher_mc(
                     cls, inner_draws, derive_seed(rn_seed, f"inner:{start + j}"), threads=threads
                 ).value
-    from .core import deterministic_sum
-
-    value = deterministic_sum(values) / draws
-    centered = values - value
-    std_error = float(np.sqrt(deterministic_sum(centered * centered) / (draws - 1) / draws))
-    return complexity.ComplexityResult(
-        value, complexity.Method.MONTE_CARLO, draws, std_error, rn_seed
-    )
+    return complexity._mc_result(values, draws, rn_seed)
 
 
 def _cmd_tail(config: dict, threads: int):

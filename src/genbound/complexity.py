@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     DEFAULT_PRODUCT_CAP,
     DEFAULT_SIGN_CAP,
+    Builder,
     DiscreteDistribution,
     EvaluatedClass,
     ExactEnumerationLimit,
@@ -31,7 +32,7 @@ from .core import (
     Sample,
     deterministic_sum,
     draw_words,
-    enumerate_product,
+    product_orbits,
     sign_block,
     words_to_signs,
 )
@@ -147,8 +148,30 @@ def empirical_rademacher_mc(
     return _mc_result(values, draws, seed)
 
 
+def _capped_orbits(
+    dist: DiscreteDistribution, n: int, product_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the n-fold product of ``dist``; the cap counts its s**n tuples."""
+    total = dist.size**n
+    if total > product_cap:
+        raise ExactEnumerationLimit(
+            f"product enumeration needs {total} tuples, above the cap of {product_cap}"
+        )
+    return product_orbits(dist.probs, n)
+
+
+def _orbit_rademacher(
+    table: np.ndarray, reps: np.ndarray, weights: np.ndarray, sign_cap: int
+) -> float:
+    """Weighted sum over orbits of the exact complexity of table[:, rep]."""
+    values = np.array(
+        [_sign_average(table[:, rep], absolute=True, sign_cap=sign_cap) for rep in reps]
+    )
+    return deterministic_sum(weights * values)
+
+
 def expected_rademacher(
-    class_builder: Callable[[tuple[int, ...]], EvaluatedClass],
+    class_builder: Builder,
     dist: DiscreteDistribution,
     n: int,
     *,
@@ -158,25 +181,18 @@ def expected_rademacher(
     """Exact expectation of the empirical complexity under the product measure.
 
     ``class_builder`` maps a tuple of support indices to the class restricted
-    to that realized sample (one pointwise function family evaluated there).
+    to that realized sample.  It must be pointwise (see ``core.Builder``): it
+    is called once, on the whole support, and every sample's class is read off
+    that table.  The empirical complexity does not change when the sample is
+    permuted, so the expectation is summed over permutation orbits with
+    multinomial weights (``core.product_orbits``); ``product_cap`` still
+    counts the s**n tuples.
     """
-    total = dist.size**n
-    if total > product_cap:
-        raise ExactEnumerationLimit(
-            f"product enumeration needs {total} tuples, above the cap of {product_cap}"
-        )
-    values = np.empty(total, dtype=np.float64)
-    weights = np.empty(total, dtype=np.float64)
-    m = None
-    for t, (indices, weight) in enumerate(enumerate_product(dist, n, cap=product_cap)):
-        cls = class_builder(indices)
-        if m is None:
-            m = cls.m
-        elif cls.m != m:
-            raise InvariantViolation("class_builder must keep the class size m fixed")
-        values[t] = _sign_average(cls.evals, absolute=True, sign_cap=sign_cap)
-        weights[t] = weight
-    return ComplexityResult(deterministic_sum(weights * values), Method.EXACT_ENUMERATION)
+    reps, weights = _capped_orbits(dist, n, product_cap)
+    table = class_builder(tuple(range(dist.size))).evals
+    return ComplexityResult(
+        _orbit_rademacher(table, reps, weights, sign_cap), Method.EXACT_ENUMERATION
+    )
 
 
 def expected_rademacher_mc(

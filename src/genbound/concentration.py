@@ -29,7 +29,7 @@ from .core import (
     MissingPopulationMeans,
     PointSampler,
 )
-from .deviation import uniform_deviation
+from .deviation import _sample_deviations, uniform_deviation
 
 _TRIAL_CHUNK = 1 << 13
 
@@ -135,15 +135,11 @@ def simulate_tail(
         base = class_builder(tuple(range(source.size)))
         if base.population_means is None:
             raise MissingPopulationMeans("tail simulation needs population means")
-        table = base.evals
-        means = base.population_means[:, None]
         envelope = base.envelope_b
 
         def fill(c: int, start: int, stop: int) -> None:
             idx = source.draw_index_trials(seed, start, stop - start, n)
-            empirical = table[:, idx].mean(axis=2)  # (m, chunk)
-            ud = np.abs(empirical - means).max(axis=0)
-            counts[c] = int(np.count_nonzero(ud >= threshold))
+            counts[c] = int(np.count_nonzero(_sample_deviations(base, idx) >= threshold))
 
     else:
 

@@ -11,6 +11,8 @@ how work is chunked across threads.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import InitVar, dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -248,6 +250,16 @@ class EvaluatedClass:
         return payload
 
 
+Builder = Callable[[tuple[int, ...]], EvaluatedClass]
+"""Maps a tuple of support indices to the class restricted to that sample.
+
+Builders are pointwise: ``builder(idx).evals`` equals
+``builder(tuple(range(s))).evals[:, idx]`` with the same envelope and
+population means, so one call on the whole support yields the value table
+from which every product-measure expectation is computed.
+"""
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive enumerators
 # ---------------------------------------------------------------------------
@@ -299,11 +311,30 @@ def enumerate_product(
             return
 
 
-def product_index_grid(size: int, n: int) -> np.ndarray:
-    """(size**n, n) array of support indices in the enumerate_product order."""
-    t = np.arange(size**n, dtype=np.int64)
-    strides = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((t[:, None] // strides[None, :]) % size).astype(np.intp)
+def product_orbits(probs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation orbits of the n-fold product of a probability vector.
+
+    Returns ``(reps, weights)``.  Row j of the (K, n) index array ``reps`` is
+    the sorted representative of orbit j, rows in lexicographic order, and
+    ``weights[j] = n! / prod_a c_a! * prod_a p_a**c_a`` is the orbit's
+    probability, where ``c`` counts each index in the row.  There are
+    K = C(n + s - 1, s - 1) orbits for s = len(probs).  The expectation of any
+    function of a sample that is invariant under permuting its coordinates is
+    ``sum_j weights[j] * f(reps[j])``.
+    """
+    if n < 1:
+        raise InvariantViolation("n must be at least 1")
+    p = np.asarray(probs, dtype=np.float64)
+    rows = list(itertools.combinations_with_replacement(range(p.shape[0]), n))
+    factorial = [math.factorial(k) for k in range(n + 1)]
+
+    def multinomial(row: tuple[int, ...]) -> float:
+        runs = (len(list(run)) for _, run in itertools.groupby(row))
+        return float(factorial[n] // math.prod(factorial[c] for c in runs))
+
+    reps = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+    weights = np.array([multinomial(row) for row in rows]) * p[reps].prod(axis=1)
+    return reps, weights
 
 
 # ---------------------------------------------------------------------------

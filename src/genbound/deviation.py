@@ -8,32 +8,34 @@ empirical mean and the matching population mean:
 On finite data models three of its properties can be certified by sheer
 enumeration: the sign-symmetrization identity for paired samples, the bound
 E[deviation] <= 2 * expected complexity, and the 2b/n bounded-differences
-property under single-coordinate replacement.
+property under single-coordinate replacement.  Every quantity involved is
+invariant under permuting the sample, so each is enumerated over permutation
+orbits of the product measure, with caps still counted in tuples.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .complexity import expected_rademacher
+from .complexity import _capped_orbits, _orbit_rademacher
 from .core import (
     DEFAULT_PRODUCT_CAP,
     DEFAULT_SIGN_CAP,
+    Builder,
     DiscreteDistribution,
     EvaluatedClass,
     ExactEnumerationLimit,
     InequalityViolation,
     MissingPopulationMeans,
     deterministic_sum,
-    enumerate_product,
-    product_index_grid,
+    product_orbits,
     sign_block,
 )
 
-Builder = Callable[[tuple[int, ...]], EvaluatedClass]
+_ORBIT_CHUNK = 1 << 14  # orbits times sign vectors per symmetrization block
 
 
 def uniform_deviation(cls: EvaluatedClass) -> float:
@@ -44,6 +46,42 @@ def uniform_deviation(cls: EvaluatedClass) -> float:
         )
     gaps = np.abs(cls.evals.mean(axis=1) - cls.population_means)
     return float(gaps.max())
+
+
+def _sample_deviations(cls: EvaluatedClass, samples: np.ndarray) -> np.ndarray:
+    """Uniform deviation on each row of a (K, n) array of support indices.
+
+    ``cls`` is the class built on the whole support, so a sample's class is
+    the column gather ``cls.evals[:, row]``.
+    """
+    if cls.population_means is None:
+        raise MissingPopulationMeans(
+            "uniform deviation needs population means on the evaluated class"
+        )
+    empirical = cls.evals[:, samples].mean(axis=2)  # (m, K)
+    return np.abs(empirical - cls.population_means[:, None]).max(axis=0)
+
+
+def _replacement_pairs(reps: np.ndarray, s: int) -> tuple[list[int], list[int]]:
+    """Orbit pairs (j, j') linked by a single-coordinate replacement.
+
+    Replacing one coordinate of value a by r takes orbit c to c - e_a + e_r,
+    so for sorted representatives (``product_orbits``) the pairs are: each
+    orbit, each distinct value in it, each replacement value r in range(s).
+    """
+    rows = [tuple(row) for row in reps.tolist()]
+    orbit = {row: j for j, row in enumerate(rows)}
+    source, neighbour = [], []
+    for j, row in enumerate(rows):
+        for k in range(len(row)):
+            if k and row[k] == row[k - 1]:
+                continue  # another copy of the same value reaches the same orbits
+            rest = row[:k] + row[k + 1 :]
+            for r in range(s):
+                at = bisect.bisect(rest, r)
+                source.append(j)
+                neighbour.append(orbit[rest[:at] + (r,) + rest[at:]])
+    return source, neighbour
 
 
 @dataclass(frozen=True)
@@ -66,8 +104,10 @@ def audit_bounded_difference(
     """Check |UD(S) - UD(S with one coordinate replaced)| <= 2b/n exhaustively.
 
     Every sample in the n-fold support, every coordinate, and every replacement
-    value is visited.  A violation is reported, not raised: it is exactly how
-    an understated envelope surfaces.
+    value is covered: each permutation orbit is compared with the orbits one
+    replacement away.  The cap and ``perturbations_checked`` count the
+    s**n * n * s replacements.  A violation is reported, not raised: it is
+    exactly how an understated envelope surfaces.
     """
     s = dist.size
     budget = (s**n) * n * s
@@ -75,31 +115,17 @@ def audit_bounded_difference(
         raise ExactEnumerationLimit(
             f"bounded-difference audit needs {budget} perturbations, above the cap of {cap}"
         )
-    total = s**n
-    deviations = np.empty(total, dtype=np.float64)
-    envelope = None
-    for t, (indices, _w) in enumerate(enumerate_product(dist, n, cap=cap)):
-        cls = class_builder(indices)
-        if envelope is None:
-            envelope = cls.envelope_b
-        deviations[t] = uniform_deviation(cls)
-    theoretical_cap = 2.0 * envelope / n
+    reps, _weights = product_orbits(dist.probs, n)
+    base = class_builder(tuple(range(s)))
+    deviations = _sample_deviations(base, reps)
+    theoretical_cap = 2.0 * base.envelope_b / n
 
-    t_arr = np.arange(total, dtype=np.int64)
-    max_delta = 0.0
-    checked = 0
-    for k in range(n):
-        stride = s ** (n - 1 - k)
-        digit = (t_arr // stride) % s
-        for r in range(s):
-            replaced = t_arr + (r - digit) * stride
-            delta = float(np.abs(deviations - deviations[replaced]).max())
-            max_delta = max(max_delta, delta)
-            checked += total
+    source, neighbour = _replacement_pairs(reps, s)
+    max_delta = float(np.abs(deviations[source] - deviations[neighbour]).max())
     return DeviationAudit(
         max_observed_delta=max_delta,
         theoretical_cap=theoretical_cap,
-        perturbations_checked=checked,
+        perturbations_checked=budget,
         violated=max_delta > theoretical_cap + 1e-12,
     )
 
@@ -127,7 +153,10 @@ def check_symmetrization_identity(
         E max_i |sum_k (f_i(S_k) - f_i(S'_k))|
           == E (1/2**n) sum_sigma max_i |sum_k sigma_k (f_i(S_k) - f_i(S'_k))|
 
-    Both sides are computed term by term and must agree within ``tol``.
+    Both sides depend only on the multiset of pairs (S_k, S'_k), so they are
+    summed over permutation orbits of the pair sequence, whose values range
+    over the s**2 pairs.  The cap counts the s**(2n) * 2**n terms of the
+    tuple enumeration.  Both sides must agree within ``tol``.
     """
     s = dist.size
     budget = s ** (2 * n) * (1 << n)
@@ -135,27 +164,23 @@ def check_symmetrization_identity(
         raise ExactEnumerationLimit(
             f"symmetrization check needs {budget} enumerated terms, above the cap of {cap}"
         )
-    rows = []
-    weights = []
-    for indices, weight in enumerate_product(dist, n, cap=cap):
-        rows.append(class_builder(indices).evals)
-        weights.append(weight)
-    evals = np.stack(rows)  # (T, m, n)
-    w = np.asarray(weights)
-    total = evals.shape[0]
-    signs = sign_block(n, 0, 1 << n)  # (2**n, n)
+    table = class_builder(tuple(range(s))).evals
+    # pair value a * s + b stands for (S_k, S'_k) = (a, b)
+    pair_diffs = (table[:, :, None] - table[:, None, :]).reshape(table.shape[0], s * s)
+    reps, weights = product_orbits(np.outer(dist.probs, dist.probs).ravel(), n)
+    signs = sign_block(n, 0, 1 << n).T  # (n, 2**n)
 
-    lhs_terms = np.empty((total, total), dtype=np.float64)
-    rhs_terms = np.empty((total, total), dtype=np.float64)
-    for t in range(total):
-        diff = evals[t][None, :, :] - evals  # (T, m, n): S fixed, S' varies
-        lhs_terms[t] = np.abs(diff.sum(axis=2)).max(axis=1)
-        corr = np.tensordot(diff, signs, axes=([2], [1]))  # (T, m, 2**n)
-        rhs_terms[t] = np.abs(corr).max(axis=1).mean(axis=1)
+    lhs_terms = np.empty(reps.shape[0], dtype=np.float64)
+    rhs_terms = np.empty(reps.shape[0], dtype=np.float64)
+    step = max(1, _ORBIT_CHUNK >> n)
+    for start in range(0, reps.shape[0], step):
+        block = slice(start, start + step)
+        diff = pair_diffs[:, reps[block]].transpose(1, 0, 2)  # (orbits, m, n)
+        lhs_terms[block] = np.abs(diff.sum(axis=2)).max(axis=1)
+        rhs_terms[block] = np.abs(diff @ signs).max(axis=1).mean(axis=1)
 
-    pair_weights = w[:, None] * w[None, :]
-    lhs = deterministic_sum((pair_weights * lhs_terms).ravel())
-    rhs = deterministic_sum((pair_weights * rhs_terms).ravel())
+    lhs = deterministic_sum(weights * lhs_terms)
+    rhs = deterministic_sum(weights * rhs_terms)
     gap = abs(lhs - rhs)
     if gap > tol:
         raise InequalityViolation(
@@ -181,16 +206,15 @@ def verify_expectation_bound(
     product_cap: int = DEFAULT_PRODUCT_CAP,
     sign_cap: int = DEFAULT_SIGN_CAP,
 ) -> ExpectationBoundReport:
-    """Certify E[uniform deviation] <= 2 * expected complexity, both sides exact."""
-    deviations = []
-    weights = []
-    for indices, weight in enumerate_product(dist, n, cap=product_cap):
-        deviations.append(uniform_deviation(class_builder(indices)))
-        weights.append(weight)
-    lhs = deterministic_sum(np.asarray(weights) * np.asarray(deviations))
-    rhs = 2.0 * expected_rademacher(
-        class_builder, dist, n, product_cap=product_cap, sign_cap=sign_cap
-    ).value
+    """Certify E[uniform deviation] <= 2 * expected complexity, both sides exact.
+
+    Both expectations are summed over the same permutation orbits, from one
+    call of the pointwise ``class_builder`` on the whole support.
+    """
+    reps, weights = _capped_orbits(dist, n, product_cap)
+    base = class_builder(tuple(range(dist.size)))
+    lhs = deterministic_sum(weights * _sample_deviations(base, reps))
+    rhs = 2.0 * _orbit_rademacher(base.evals, reps, weights, sign_cap)
     if lhs > rhs + tol:
         raise InequalityViolation(
             f"expected deviation {lhs!r} exceeds twice the complexity {rhs!r}",

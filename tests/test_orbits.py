@@ -1,0 +1,191 @@
+"""Orbit sums against the tuple-by-tuple enumeration they replace.
+
+Every product-measure expectation is summed over permutation orbits with
+multinomial weights.  These tests recompute each quantity over all s**n tuples
+of ``enumerate_product`` (fsum accumulation) and require agreement to 1e-12.
+"""
+
+import itertools
+import math
+from collections import defaultdict
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from genbound.complexity import empirical_rademacher, expected_rademacher
+from genbound.core import (
+    DiscreteDistribution,
+    EvaluatedClass,
+    ExactEnumerationLimit,
+    MissingPopulationMeans,
+    enumerate_product,
+    product_orbits,
+)
+from genbound.deviation import (
+    _replacement_pairs,
+    audit_bounded_difference,
+    check_symmetrization_identity,
+    uniform_deviation,
+    verify_expectation_bound,
+)
+from genbound.instances import random_discrete_instance
+
+# largest n per support size whose symmetrization stays within the default cap
+_SYM_MAX_N = {2: 6, 3: 4, 4: 3}
+
+
+def _probs(seed: int, s: int) -> np.ndarray:
+    probs = np.random.default_rng(seed).uniform(0.05, 1.0, s)
+    return probs / probs.sum()
+
+
+def tuple_reference(inst, n: int) -> dict:
+    """E[UD], the expected complexity and the audit's max delta, tuple by tuple."""
+    builder = inst.builder()
+    s = inst.dist.size
+    ud, ud_terms, rn_terms = {}, [], []
+    for idx, weight in enumerate_product(inst.dist, n):
+        cls = builder(idx)
+        ud[idx] = uniform_deviation(cls)
+        ud_terms.append(weight * ud[idx])
+        rn_terms.append(weight * empirical_rademacher(cls).value)
+    max_delta = 0.0
+    for idx, value in ud.items():
+        for k, r in itertools.product(range(n), range(s)):
+            replaced = idx[:k] + (r,) + idx[k + 1 :]
+            max_delta = max(max_delta, abs(value - ud[replaced]))
+    return {
+        "expected_deviation": math.fsum(ud_terms),
+        "expected_rademacher": math.fsum(rn_terms),
+        "max_delta": max_delta,
+    }
+
+
+def tuple_symmetrization(inst, n: int) -> tuple[float, float]:
+    """Both sides of the symmetrization identity over all pairs of tuples."""
+    builder = inst.builder()
+    items = list(enumerate_product(inst.dist, n))
+    evals = np.stack([builder(idx).evals for idx, _w in items])  # (T, m, n)
+    weights = [w for _idx, w in items]
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    lhs_terms, rhs_terms = [], []
+    for t, w in enumerate(weights):
+        diff = evals[t][None] - evals  # S fixed, S' varies
+        lhs = np.abs(diff.sum(axis=2)).max(axis=1)
+        rhs = np.abs(np.einsum("tmk,qk->tqm", diff, signs)).max(axis=2).mean(axis=1)
+        lhs_terms.extend(w * w2 * v for w2, v in zip(weights, lhs))
+        rhs_terms.extend(w * w2 * v for w2, v in zip(weights, rhs))
+    return math.fsum(lhs_terms), math.fsum(rhs_terms)
+
+
+class TestProductOrbits:
+    @given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 10**6))
+    def test_count_and_total_weight(self, s, n, seed):
+        reps, weights = product_orbits(_probs(seed, s), n)
+        assert reps.shape == (math.comb(n + s - 1, s - 1), n)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12
+
+    @given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 10**6))
+    def test_orbit_weight_is_sum_of_its_tuples(self, s, n, seed):
+        dist = DiscreteDistribution(np.arange(s, dtype=float), _probs(seed, s))
+        by_orbit = defaultdict(list)
+        for idx, weight in enumerate_product(dist, n):
+            by_orbit[tuple(sorted(idx))].append(weight)
+        reps, weights = product_orbits(dist.probs, n)
+        rows = [tuple(row) for row in reps.tolist()]
+        assert rows == sorted(by_orbit)
+        for row, weight in zip(rows, weights):
+            assert weight == pytest.approx(math.fsum(by_orbit[row]), rel=1e-13, abs=0.0)
+
+    @given(st.integers(1, 4), st.integers(1, 6))
+    def test_replacement_pairs_are_single_coordinate_replacements(self, s, n):
+        reps, _weights = product_orbits(np.full(s, 1.0 / s), n)
+        orbit = {tuple(row): j for j, row in enumerate(reps.tolist())}
+        expected = set()
+        for idx in itertools.product(range(s), repeat=n):
+            for k, r in itertools.product(range(n), range(s)):
+                replaced = idx[:k] + (r,) + idx[k + 1 :]
+                expected.add((orbit[tuple(sorted(idx))], orbit[tuple(sorted(replaced))]))
+        assert set(zip(*_replacement_pairs(reps, s))) == expected
+
+    def test_single_point_support(self):
+        reps, weights = product_orbits([1.0], 5)
+        assert reps.tolist() == [[0, 0, 0, 0, 0]]
+        assert weights.tolist() == [1.0]
+
+
+class TestOrbitsMatchTuples:
+    @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(2, 4), st.integers(1, 6))
+    def test_expectations_and_audit(self, seed, m, s, n):
+        inst = random_discrete_instance(seed, m=m, support_size=s)
+        ref = tuple_reference(inst, n)
+        rn = expected_rademacher(inst.builder(), inst.dist, n).value
+        bound = verify_expectation_bound(inst.builder(), inst.dist, n)
+        audit = audit_bounded_difference(inst.builder(), inst.dist, n)
+        assert rn == pytest.approx(ref["expected_rademacher"], abs=1e-12)
+        assert bound.twice_rademacher == pytest.approx(2.0 * ref["expected_rademacher"], abs=1e-12)
+        assert bound.expected_deviation == pytest.approx(ref["expected_deviation"], abs=1e-12)
+        assert audit.max_observed_delta == pytest.approx(ref["max_delta"], abs=1e-12)
+        assert audit.perturbations_checked == s**n * n * s
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 5),
+        st.integers(2, 4).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, _SYM_MAX_N[s]))),
+    )
+    def test_symmetrization(self, seed, m, shape):
+        s, n = shape
+        inst = random_discrete_instance(seed, m=m, support_size=s)
+        report = check_symmetrization_identity(inst.builder(), inst.dist, n)
+        lhs, rhs = tuple_symmetrization(inst, n)
+        assert report.lhs == pytest.approx(lhs, abs=1e-12)
+        assert report.rhs == pytest.approx(rhs, abs=1e-12)
+
+
+class TestContracts:
+    def test_caps_count_tuples(self):
+        inst = random_discrete_instance(5, m=2, support_size=2)
+        args = (inst.builder(), inst.dist, 4)
+        calls = (
+            (lambda cap: expected_rademacher(*args, product_cap=cap), 2**4),
+            (lambda cap: verify_expectation_bound(*args, product_cap=cap), 2**4),
+            (lambda cap: audit_bounded_difference(*args, cap=cap), 2**4 * 4 * 2),
+            (lambda cap: check_symmetrization_identity(*args, cap=cap), 2**8 * 2**4),
+        )
+        for run, tuples in calls:
+            run(tuples)
+            with pytest.raises(ExactEnumerationLimit):
+                run(tuples - 1)
+        with pytest.raises(ExactEnumerationLimit):
+            verify_expectation_bound(*args, product_cap=10)
+
+    @pytest.mark.parametrize("check", [verify_expectation_bound, audit_bounded_difference])
+    def test_missing_population_means(self, check):
+        dist = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+        table = np.array([[0.2, -0.4]])
+
+        def builder(indices):
+            return EvaluatedClass(table[:, list(indices)], 1.0)
+
+        with pytest.raises(MissingPopulationMeans):
+            check(builder, dist, 3)
+
+    def test_builder_called_once_per_expectation(self):
+        inst = random_discrete_instance(8, m=3, support_size=3)
+        calls = []
+
+        def builder(indices):
+            calls.append(tuple(indices))
+            return inst.builder()(indices)
+
+        for check in (
+            expected_rademacher,
+            verify_expectation_bound,
+            audit_bounded_difference,
+            check_symmetrization_identity,
+        ):
+            calls.clear()
+            check(builder, inst.dist, 2)
+            assert calls == [(0, 1, 2)]
