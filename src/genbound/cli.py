@@ -31,6 +31,7 @@ from .core import (
     EvaluatedClass,
     GenboundError,
     InequalityViolation,
+    InvariantViolation,
     Sample,
     derive_seed,
 )
@@ -129,43 +130,33 @@ def _cmd_rademacher(config: dict, threads: int):
     method = config.get("method", "auto")
     if method == "auto":
         method = "exact" if cls.n <= sign_cap else "mc"
-    results, violations = [], []
+    row, violations = {}, []
     if method == "exact":
-        value = complexity.empirical_rademacher(cls, sign_cap=sign_cap)
-        row = {
-            "kind": "rademacher",
-            "x": cls.n,
-            "value": value.value,
-            "method": value.method.value,
-            "seed": value.seed,
-            "draws": value.draws,
-            "std_error": value.std_error,
-        }
         try:
             comparison = complexity.check_without_abs_le_abs(cls, sign_cap=sign_cap)
-            row["without_abs"] = comparison.without_abs
-            row["comparison_slack"] = comparison.slack
-        except GenboundError as exc:  # InvariantViolation carries the class
+            exact = comparison.with_abs
+            row = {"without_abs": comparison.without_abs, "comparison_slack": comparison.slack}
+        except InvariantViolation as exc:  # its payload carries the whole class
             violations.append({"check": "without_abs_le_abs", "message": str(exc), "payload": {}})
-        results.append(row)
+            exact = complexity.empirical_rademacher(cls, sign_cap=sign_cap).value
+        value = complexity.ComplexityResult(exact, complexity.Method.EXACT_ENUMERATION)
     elif method == "mc":
         seed = _require_seed(config, "rademacher")
         draws = int(config.get("draws", 100_000))
         value = complexity.empirical_rademacher_mc(cls, draws, seed, threads=threads)
-        results.append(
-            {
-                "kind": "rademacher",
-                "x": cls.n,
-                "value": value.value,
-                "method": value.method.value,
-                "seed": value.seed,
-                "draws": value.draws,
-                "std_error": value.std_error,
-            }
-        )
     else:
         raise UsageError(f"unknown rademacher method {method!r}")
-    return results, violations
+    result = {
+        "kind": "rademacher",
+        "x": cls.n,
+        "value": value.value,
+        "method": value.method.value,
+        "seed": value.seed,
+        "draws": value.draws,
+        "std_error": value.std_error,
+        **row,
+    }
+    return [result], violations
 
 
 def _cmd_deviation(config: dict, threads: int):
@@ -258,14 +249,15 @@ def _rademacher_for_instance(inst: DiscreteInstance, n, seed, config, threads, s
     for start in range(0, draws, 4096):
         stop = min(start + 4096, draws)
         idx = inst.dist.draw_index_trials(rn_seed, start, stop - start, n)
+        if n <= sign_cap:
+            stack = inst.table[:, idx].transpose(1, 0, 2)
+            values[start:stop] = complexity._sign_averages(stack, sign_cap)[0]
+            continue
         for j in range(stop - start):
             cls = EvaluatedClass(inst.table[:, idx[j]], inst.envelope_b, validate=False)
-            if n <= sign_cap:
-                values[start + j] = complexity.empirical_rademacher(cls, sign_cap=sign_cap).value
-            else:
-                values[start + j] = complexity.empirical_rademacher_mc(
-                    cls, inner_draws, derive_seed(rn_seed, f"inner:{start + j}"), threads=threads
-                ).value
+            values[start + j] = complexity.empirical_rademacher_mc(
+                cls, inner_draws, derive_seed(rn_seed, f"inner:{start + j}"), threads=threads
+            ).value
     return complexity._mc_result(values, draws, rn_seed)
 
 
@@ -582,6 +574,8 @@ _HANDLERS = {
 
 
 def _jsonable(obj):
+    if obj is None or type(obj) in (str, float, int, bool):
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, Enum):
@@ -602,23 +596,28 @@ def _jsonable(obj):
 
 
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
+    return _plain_hash(_jsonable(config))
+
+
+def _plain_hash(plain: dict) -> str:
+    canonical = json.dumps(plain, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def run_experiment(config: dict, *, threads: int = 1) -> dict:
-    """Run one effective config and assemble its report."""
+    """Run one effective config and assemble its report, already JSON-ready."""
     command = config.get("command")
     if command not in _HANDLERS:
         raise UsageError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     started = time.perf_counter()
     results, violations = _HANDLERS[command](config, threads)
     wall_ms = (time.perf_counter() - started) * 1000.0
+    plain = _jsonable(config)
     return {
         "command": command,
-        "config_hash": config_hash(config),
-        "seed": config.get("seed"),
-        "config": _jsonable(config),
+        "config_hash": _plain_hash(plain),
+        "seed": plain.get("seed"),
+        "config": plain,
         "results": _jsonable(results),
         "violations": _jsonable(violations),
         "wall_ms": wall_ms,
@@ -722,8 +721,7 @@ def main(argv=None) -> int:
             emit_curve(report["results"], out)
         else:
             with open(out, "w") as handle:
-                json.dump(_jsonable(report), handle, sort_keys=True, indent=2)
-                handle.write("\n")
+                handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     except UsageError as exc:
         print(f"genbound: {exc}", file=sys.stderr)
         return 1

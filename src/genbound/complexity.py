@@ -30,6 +30,7 @@ from .core import (
     InvariantViolation,
     PointSampler,
     Sample,
+    _tree_sums,
     deterministic_sum,
     draw_words,
     product_orbits,
@@ -63,29 +64,51 @@ class ComplexityResult:
             raise InvariantViolation("exact results carry no draws, std_error, or seed")
 
 
-def _sign_average(evals: np.ndarray, absolute: bool, sign_cap: int) -> float:
-    m, n = evals.shape
+def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
+    """Exact sign averages of every class in a (K, m, n) stack: rows (absolute, signed).
+
+    One GEMM per block gives the (classes * m, sign rows) correlations; the max
+    and min over each class's m rows give both variants, as max_i |c_i| =
+    max(max_i c_i, -min_i c_i).  Max and abs are exact and rounding is
+    monotone, so maximizing before dividing by n changes no bit.  A block
+    holds at most _SIGN_CHUNK sign rows times classes; tree sums of aligned
+    power-of-two blocks combine into the tree sum over all 2**n rows.
+    """
+    K, m, n = stack.shape
     if n > sign_cap:
         raise ExactEnumerationLimit(
             f"exact sign averaging for n={n} exceeds the exact-enumeration cap of {sign_cap}"
         )
     total = 1 << n
-    sup = np.empty(total, dtype=np.float64)
-    for start in range(0, total, _SIGN_CHUNK):
-        stop = min(start + _SIGN_CHUNK, total)
-        corr = sign_block(n, start, stop) @ evals.T
-        corr /= n
-        if absolute:
-            np.abs(corr, out=corr)
-        sup[start:stop] = corr.max(axis=1)
-    return deterministic_sum(sup) / total
+    rows = min(total, _SIGN_CHUNK)
+    low = rows.bit_length() - 1  # bits that vary within a block
+    per = _SIGN_CHUNK // rows  # classes per block
+    flat = np.ascontiguousarray(stack, dtype=np.float64).reshape(K * m, n)
+    sums = np.empty((2, K, total // rows))
+    signs = np.empty((n, rows))
+    signs[:low] = sign_block(low, 0, rows).T
+    for b in range(total // rows):
+        if n > low:  # the high bits are constant within a block: those of b
+            signs[low:] = sign_block(n - low, b, b + 1).T
+        for k in range(0, K, per):
+            block = flat[k * m : (k + per) * m]
+            # numpy sends a one-row product to GEMV, which sums in another order than GEMM
+            corr = (np.vstack([block, block]) @ signs)[:1] if len(block) == 1 else block @ signs
+            corr = corr.reshape(-1, m, rows)
+            absolute, hi = both = np.empty((2, corr.shape[0], rows))
+            np.negative(corr.min(axis=1, out=absolute), out=absolute)
+            np.maximum(absolute, corr.max(axis=1, out=hi), out=absolute)
+            np.abs(absolute, out=absolute)  # a -0.0 maximum becomes +0.0, as with abs first
+            both /= n
+            sums[:, k : k + per, b] = _tree_sums(both)
+    return _tree_sums(sums) / total
 
 
 def empirical_rademacher(
     cls: EvaluatedClass, *, sign_cap: int = DEFAULT_SIGN_CAP
 ) -> ComplexityResult:
     """Exact average over all sign vectors of max_i |(1/n) sum_k sigma_k f_i(S_k)|."""
-    value = _sign_average(cls.evals, absolute=True, sign_cap=sign_cap)
+    value = float(_sign_averages(cls.evals[None], sign_cap)[0, 0])
     return ComplexityResult(value, Method.EXACT_ENUMERATION)
 
 
@@ -93,20 +116,18 @@ def empirical_rademacher_without_abs(
     cls: EvaluatedClass, *, sign_cap: int = DEFAULT_SIGN_CAP
 ) -> ComplexityResult:
     """Same average with the absolute value dropped inside the maximum."""
-    value = _sign_average(cls.evals, absolute=False, sign_cap=sign_cap)
+    value = float(_sign_averages(cls.evals[None], sign_cap)[1, 0])
     return ComplexityResult(value, Method.EXACT_ENUMERATION)
 
 
-def _run_chunks(fill: Callable[[int, int], None], total: int, threads: int) -> None:
-    """Apply fill over fixed-size index chunks; the chunking never depends on
-    the worker count, so outputs are identical for any ``threads``."""
+def _run_chunks(fill: Callable[[int, int], object], total: int, threads: int) -> list:
+    """fill(start, stop) over fixed-size index chunks, results in chunk order; the
+    chunking never depends on the worker count, so outputs are identical for any ``threads``."""
     ranges = [(s, min(s + _MC_CHUNK, total)) for s in range(0, total, _MC_CHUNK)]
     if threads <= 1 or len(ranges) == 1:
-        for start, stop in ranges:
-            fill(start, stop)
-        return
+        return [fill(start, stop) for start, stop in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda r: fill(*r), ranges))
+        return list(pool.map(lambda r: fill(*r), ranges))
 
 
 def _mc_result(values: np.ndarray, draws: int, seed: int) -> ComplexityResult:
@@ -164,9 +185,7 @@ def _orbit_rademacher(
     table: np.ndarray, reps: np.ndarray, weights: np.ndarray, sign_cap: int
 ) -> float:
     """Weighted sum over orbits of the exact complexity of table[:, rep]."""
-    values = np.array(
-        [_sign_average(table[:, rep], absolute=True, sign_cap=sign_cap) for rep in reps]
-    )
+    values = _sign_averages(table[:, reps].transpose(1, 0, 2), sign_cap)[0]
     return deterministic_sum(weights * values)
 
 
@@ -217,9 +236,8 @@ def expected_rademacher_mc(
     def fill(start: int, stop: int) -> None:
         pts = sampler.draw(seed, start * n, (stop - start) * n)
         pts = pts.reshape(stop - start, n, -1) if pts.ndim == 2 else pts.reshape(stop - start, n)
-        for j in range(stop - start):
-            cls = class_builder(pts[j])
-            values[start + j] = _sign_average(cls.evals, absolute=True, sign_cap=sign_cap)
+        stack = np.stack([class_builder(p).evals for p in pts])
+        values[start:stop] = _sign_averages(stack, sign_cap)[0]
 
     _run_chunks(fill, draws, threads)
     return _mc_result(values, draws, seed)
@@ -336,8 +354,7 @@ def check_without_abs_le_abs(
     cls: EvaluatedClass, *, tol: float = 1e-12, sign_cap: int = DEFAULT_SIGN_CAP
 ) -> WithoutAbsComparison:
     """Certify that dropping the absolute value never increases the complexity."""
-    with_abs = empirical_rademacher(cls, sign_cap=sign_cap).value
-    without = empirical_rademacher_without_abs(cls, sign_cap=sign_cap).value
+    with_abs, without = _sign_averages(cls.evals[None], sign_cap)[:, 0].tolist()
     if without > with_abs + tol:
         raise InvariantViolation(
             f"without-abs value {without!r} exceeds absolute value {with_abs!r}",

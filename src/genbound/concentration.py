@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import beta
 
-from .complexity import ComplexityResult
+from .complexity import ComplexityResult, _run_chunks
 from .core import (
     DiscreteDistribution,
     EvaluatedClass,
@@ -30,8 +30,6 @@ from .core import (
     PointSampler,
 )
 from .deviation import _sample_deviations, uniform_deviation
-
-_TRIAL_CHUNK = 1 << 13
 
 
 def mcdiarmid_bound(epsilon: float, n: int, b: float) -> float:
@@ -128,8 +126,6 @@ def simulate_tail(
     if trials < 1000:
         raise InvariantViolation("tail simulation needs at least 1000 trials")
     threshold = 2.0 * rademacher_value + epsilon
-    chunks = [(s, min(s + _TRIAL_CHUNK, trials)) for s in range(0, trials, _TRIAL_CHUNK)]
-    counts = np.zeros(len(chunks), dtype=np.int64)
 
     if isinstance(source, DiscreteDistribution):
         base = class_builder(tuple(range(source.size)))
@@ -137,33 +133,20 @@ def simulate_tail(
             raise MissingPopulationMeans("tail simulation needs population means")
         envelope = base.envelope_b
 
-        def fill(c: int, start: int, stop: int) -> None:
+        def fill(start: int, stop: int) -> int:
             idx = source.draw_index_trials(seed, start, stop - start, n)
-            counts[c] = int(np.count_nonzero(_sample_deviations(base, idx) >= threshold))
+            return int(np.count_nonzero(_sample_deviations(base, idx) >= threshold))
 
     else:
 
-        def fill(c: int, start: int, stop: int) -> None:
+        def fill(start: int, stop: int) -> int:
             pts = source.draw(seed, start * n, (stop - start) * n)
             pts = pts.reshape(stop - start, n, -1) if pts.ndim == 2 else pts.reshape(stop - start, n)
-            hits = 0
-            for j in range(stop - start):
-                if uniform_deviation(class_builder(pts[j])) >= threshold:
-                    hits += 1
-            counts[c] = hits
+            return sum(uniform_deviation(class_builder(p)) >= threshold for p in pts)
 
         envelope = class_builder(source.draw(seed, 0, n)).envelope_b
 
-    if threads <= 1 or len(chunks) == 1:
-        for c, (start, stop) in enumerate(chunks):
-            fill(c, start, stop)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda job: fill(*job), [(c, *r) for c, r in enumerate(chunks)]))
-
-    exceed = int(counts.sum())
+    exceed = sum(_run_chunks(fill, trials, threads))
     return TailExperiment(
         n=n,
         b=envelope,

@@ -146,10 +146,8 @@ class DiscreteDistribution:
 
     def expectation(self, values) -> float | np.ndarray:
         """Exact expectation of values given on the support (last axis)."""
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim == 1:
-            return deterministic_sum(self.probs * vals)
-        return np.array([deterministic_sum(self.probs * row) for row in vals])
+        sums = _tree_sums(self.probs * np.asarray(values, dtype=np.float64))
+        return float(sums) if sums.ndim == 0 else sums
 
     def draw_index_trials(self, seed: int, first_trial: int, count: int, n: int) -> np.ndarray:
         """(count, n) support indices; trial j consumes a fixed word window."""
@@ -342,23 +340,25 @@ def product_orbits(probs, n: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _tree_sums(arr: np.ndarray) -> np.ndarray:
+    """Fixed-order pairwise (tree) sums along the last axis, one per row."""
+    while arr.shape[-1] > 1:
+        pairs = arr[..., :-1:2] + arr[..., 1::2]
+        arr = np.concatenate([pairs, arr[..., -1:]], axis=-1) if arr.shape[-1] % 2 else pairs
+    return arr[..., 0] if arr.shape[-1] else np.zeros(arr.shape[:-1])
+
+
 def deterministic_sum(values) -> float:
     """Fixed-order pairwise (tree) summation.
 
     The tree shape depends only on the element count, so splitting the same
-    ordered input into chunks, computing them anywhere, and reducing in index
-    order reproduces the identical result bit for bit.  Reordering the input
-    may change the result; chunk boundaries never do.
+    ordered input into chunks, computing them anywhere, and re-joining them in
+    index order before the sum reproduces the identical result bit for bit;
+    reordering the input may change it.  Combining per-chunk tree sums by a
+    further tree sum reproduces it only when every chunk is an aligned block
+    of the same power-of-two length.
     """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0.0
-    while arr.size > 1:
-        if arr.size % 2:
-            arr = np.concatenate([arr[:-1:2] + arr[1::2], arr[-1:]])
-        else:
-            arr = arr[::2] + arr[1::2]
-    return float(arr[0])
+    return float(_tree_sums(np.asarray(values, dtype=np.float64).ravel()))
 
 
 # ---------------------------------------------------------------------------

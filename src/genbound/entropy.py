@@ -68,12 +68,13 @@ def _distance_matrix(evals: np.ndarray) -> np.ndarray:
 
 
 def _dedup(dm: np.ndarray) -> np.ndarray:
-    """Representatives (lowest index first) of the distance-zero classes."""
-    reps: list[int] = []
-    for i in range(dm.shape[0]):
-        if not any(dm[i, r] == 0.0 for r in reps):
-            reps.append(i)
-    return np.asarray(reps, dtype=np.intp)
+    """Representatives (lowest index first) of the distance-zero classes: a row
+    is kept unless it lies at distance zero from an earlier kept row."""
+    earlier_zero = np.tril(dm == 0.0, -1)
+    keep = ~earlier_zero.any(axis=1)
+    for i in np.flatnonzero(~keep):
+        keep[i] = not np.any(earlier_zero[i] & keep)
+    return np.flatnonzero(keep)
 
 
 @dataclass(frozen=True)
