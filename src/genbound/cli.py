@@ -244,14 +244,18 @@ def _rademacher_for_instance(inst: DiscreteInstance, n, seed, config, threads, s
         return complexity.expected_rademacher(
             inst.builder(), inst.dist, n, product_cap=product_cap, sign_cap=sign_cap
         )
+    if draws < 100:
+        raise InvariantViolation("Monte Carlo estimation needs at least 100 draws")
     rn_seed = derive_seed(seed, "rn")
     values = np.empty(draws, dtype=np.float64)
     for start in range(0, draws, 4096):
         stop = min(start + 4096, draws)
         idx = inst.dist.draw_index_trials(rn_seed, start, stop - start, n)
         if n <= sign_cap:
-            stack = inst.table[:, idx].transpose(1, 0, 2)
-            values[start:stop] = complexity._sign_averages(stack, sign_cap)[0]
+            # the sign average is permutation invariant: one per drawn orbit
+            orbits, which = np.unique(np.sort(idx, axis=1), axis=0, return_inverse=True)
+            stack = inst.table[:, orbits].transpose(1, 0, 2)
+            values[start:stop] = complexity._sign_averages(stack, sign_cap)[0][which.ravel()]
             continue
         for j in range(stop - start):
             cls = EvaluatedClass(inst.table[:, idx[j]], inst.envelope_b, validate=False)

@@ -11,6 +11,7 @@ how work is chunked across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import InitVar, dataclass
@@ -26,6 +27,7 @@ DEFAULT_PRODUCT_CAP = 10**6  # exact product-measure enumeration budget, in tupl
 _U64 = np.uint64
 _MAX_SEED = (1 << 64) - 1
 _ENVELOPE_TOL = 1e-12
+_GUIDE_BITS = 12  # a word's top bits index the guide table of DiscreteDistribution
 
 
 class GenboundError(Exception):
@@ -151,23 +153,45 @@ class DiscreteDistribution:
 
     def draw_index_trials(self, seed: int, first_trial: int, count: int, n: int) -> np.ndarray:
         """(count, n) support indices; trial j consumes a fixed word window."""
-        words = draw_words(seed, first_trial, count, n)
-        u = words_to_uniforms(words)
-        idx = np.searchsorted(self._cumulative, u, side="right")
-        return np.minimum(idx, self.size - 1).astype(np.intp)
+        return self._indices(draw_words(seed, first_trial, count, n))
 
     def sampler(self) -> "PointSampler":
-        cumulative = self._cumulative
         support = self.support
-        size = self.size
 
         def build(words: np.ndarray) -> np.ndarray:
-            u = words_to_uniforms(words[:, 0])
-            idx = np.minimum(np.searchsorted(cumulative, u, side="right"), size - 1)
-            return support[idx]
+            return support[self._indices(words[:, 0])]
 
         dim = 0 if support.ndim == 1 else support.shape[1]
         return PointSampler("discrete", dim, 1, build)
+
+    def _indices(self, words: np.ndarray) -> np.ndarray:
+        """Support index of each word: the inverse CDF at ``words_to_uniforms(words)``.
+
+        A guide table over the top _GUIDE_BITS bits of a word (indexed search,
+        Chen & Asau 1974) holds the index every uniform in that bucket maps to;
+        only words in a bucket that contains a cumulative threshold are searched.
+        The result equals the plain search bit for bit.
+        """
+        idx = self._guide.take((words >> _U64(64 - _GUIDE_BITS)).astype(np.intp))
+        split = idx < 0
+        if split.any():
+            idx[split] = self._search(words_to_uniforms(words[split]))
+        return idx
+
+    def _search(self, u: np.ndarray) -> np.ndarray:
+        return np.minimum(np.searchsorted(self._cumulative, u, side="right"), self.size - 1)
+
+    @functools.cached_property
+    def _guide(self) -> np.ndarray:
+        """Per top-bits bucket, its one support index, or -1 where a threshold splits it.
+
+        The search is monotone in the uniform, so a bucket maps to one index
+        exactly when its smallest and largest uniforms do.
+        """
+        buckets = np.arange(1 << _GUIDE_BITS, dtype=_U64) << _U64(64 - _GUIDE_BITS)
+        low = self._search(words_to_uniforms(buckets))
+        high = self._search(words_to_uniforms(buckets | _U64((1 << (64 - _GUIDE_BITS)) - 1)))
+        return np.where(low == high, low, -1)
 
 
 @dataclass(frozen=True)

@@ -51,15 +51,30 @@ def uniform_deviation(cls: EvaluatedClass) -> float:
 def _sample_deviations(cls: EvaluatedClass, samples: np.ndarray) -> np.ndarray:
     """Uniform deviation on each row of a (K, n) array of support indices.
 
-    ``cls`` is the class built on the whole support, so a sample's class is
-    the column gather ``cls.evals[:, row]``.
+    ``cls`` is the class built on the whole support.  A sample's empirical
+    means depend only on how often it holds each support point, so they are
+    summed from its count vector in support order, elementwise: the result
+    is the same for every permutation of a sample and for any position of it
+    in ``samples``.  This costs K * s * m against the K * n * m of gathering
+    the columns, a saving while the support size s is below n.
     """
     if cls.population_means is None:
         raise MissingPopulationMeans(
             "uniform deviation needs population means on the evaluated class"
         )
-    empirical = cls.evals[:, samples].mean(axis=2)  # (m, K)
-    return np.abs(empirical - cls.population_means[:, None]).max(axis=0)
+    K, n = samples.shape
+    s = cls.n
+    # counts[a, k]: how often sample k holds support point a
+    cells = samples * K
+    cells += np.arange(K, dtype=np.intp)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=s * K).reshape(s, K).astype(np.float64)
+    means = np.multiply.outer(cls.evals[:, 0], counts[0])  # (m, K)
+    term = np.empty_like(means)
+    for a in range(1, s):
+        means += np.multiply.outer(cls.evals[:, a], counts[a], out=term)
+    means /= n
+    means -= cls.population_means[:, None]
+    return np.abs(means, out=means).max(axis=0)
 
 
 def _replacement_pairs(reps: np.ndarray, s: int) -> tuple[list[int], list[int]]:

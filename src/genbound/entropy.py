@@ -17,6 +17,7 @@ without approximating the covering numbers themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,8 +64,12 @@ def empirical_dist(row_a, row_b) -> float:
 
 
 def _distance_matrix(evals: np.ndarray) -> np.ndarray:
+    """Pairwise empirical distances; the same bits as sqrt(mean(diff**2)), in place."""
     diff = evals[:, None, :] - evals[None, :, :]
-    return np.sqrt(np.mean(diff * diff, axis=2))
+    np.multiply(diff, diff, out=diff)
+    dm = np.add.reduce(diff, axis=2)
+    dm /= evals.shape[1]
+    return np.sqrt(dm, out=dm)
 
 
 def _dedup(dm: np.ndarray) -> np.ndarray:
@@ -75,6 +80,20 @@ def _dedup(dm: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~keep):
         keep[i] = not np.any(earlier_zero[i] & keep)
     return np.flatnonzero(keep)
+
+
+def _distinct(cls: EvaluatedClass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distance matrix, representative rows, their distance submatrix)."""
+    dm = _distance_matrix(cls.evals)
+    reps = _dedup(dm)
+    return dm, reps, dm[np.ix_(reps, reps)]
+
+
+def _check_cover_cap(reps: np.ndarray, cap: int) -> None:
+    if reps.size > cap:
+        raise ExactEnumerationLimit(
+            f"{reps.size} distinct rows exceed the exact-cover cap of {cap}; use the greedy cover"
+        )
 
 
 @dataclass(frozen=True)
@@ -113,15 +132,13 @@ def covering_number_exact(
     """
     if epsilon <= 0.0:
         raise InvalidRadius("cover radius must be positive")
-    dm = _distance_matrix(cls.evals)
-    reps = _dedup(dm)
-    if reps.size > cap:
-        raise ExactEnumerationLimit(
-            f"{reps.size} distinct rows exceed the exact-cover cap of {cap}; use the greedy cover"
-        )
-    sub = dm[np.ix_(reps, reps)]
-    combo = _exact_cover_positions(sub, epsilon)
-    centers = tuple(int(reps[c]) for c in combo)
+    _dm, reps, sub = _distinct(cls)
+    _check_cover_cap(reps, cap)
+    return _exact_cover(reps, sub, epsilon)
+
+
+def _exact_cover(reps: np.ndarray, sub: np.ndarray, epsilon: float) -> CoverResult:
+    centers = tuple(int(reps[c]) for c in _exact_cover_positions(sub, epsilon))
     return CoverResult(float(epsilon), len(centers), centers, CoverMethod.EXACT_MINIMAL)
 
 
@@ -150,10 +167,13 @@ def covering_number_greedy(cls: EvaluatedClass, epsilon: float) -> CoverResult:
     """Farthest-point-first cover; always valid, size at least the minimum."""
     if epsilon <= 0.0:
         raise InvalidRadius("cover radius must be positive")
-    dm = _distance_matrix(cls.evals)
-    reps = _dedup(dm)
-    sub = dm[np.ix_(reps, reps)]
-    order, radii = _greedy_sequence(sub)
+    _dm, reps, sub = _distinct(cls)
+    return _greedy_cover(reps, *_greedy_sequence(sub), epsilon)
+
+
+def _greedy_cover(
+    reps: np.ndarray, order: list[int], radii: np.ndarray, epsilon: float
+) -> CoverResult:
     size = int(np.argmax(radii <= epsilon)) + 1
     centers = tuple(int(reps[p]) for p in order[:size])
     return CoverResult(float(epsilon), size, centers, CoverMethod.GREEDY)
@@ -172,14 +192,9 @@ class _CoverProfile:
 
 
 def _cover_profile(cls: EvaluatedClass, method: CoverMethod, cap: int) -> _CoverProfile:
-    dm = _distance_matrix(cls.evals)
-    reps = _dedup(dm)
-    sub = dm[np.ix_(reps, reps)]
+    _dm, reps, sub = _distinct(cls)
     if method is CoverMethod.EXACT_MINIMAL:
-        if reps.size > cap:
-            raise ExactEnumerationLimit(
-                f"{reps.size} distinct rows exceed the exact-cover cap of {cap}; use the greedy cover"
-            )
+        _check_cover_cap(reps, cap)
         thresholds = np.unique(sub)
         sizes = np.empty(thresholds.size, dtype=np.int64)
         for j, value in enumerate(thresholds):
@@ -239,21 +254,22 @@ def build_chaining(
         raise DegenerateClass("all rows vanish on the sample")
     if not 0.0 < target_epsilon < c / 2.0:
         raise InvalidRadius(f"target epsilon must lie in (0, {c / 2.0}), got {target_epsilon}")
-    dm = _distance_matrix(cls.evals)
-    reps = _dedup(dm)
+    dm, reps, sub = _distinct(cls)
     if method is None:
         method = CoverMethod.EXACT_MINIMAL if reps.size <= cover_cap else CoverMethod.GREEDY
     else:
         method = _as_method(method)
+    if method is CoverMethod.EXACT_MINIMAL:
+        _check_cover_cap(reps, cover_cap)
+        cover_at = functools.partial(_exact_cover, reps, sub)
+    else:
+        cover_at = functools.partial(_greedy_cover, reps, *_greedy_sequence(sub))
     levels = []
     depth = 0
     while True:
         depth += 1
         eps_j = c / (1 << depth)
-        if method is CoverMethod.EXACT_MINIMAL:
-            cover = covering_number_exact(cls, eps_j, cap=cover_cap)
-        else:
-            cover = covering_number_greedy(cls, eps_j)
+        cover = cover_at(eps_j)
         centers = np.asarray(sorted(cover.center_indices), dtype=np.intp)
         nearest = centers[np.argmin(dm[:, centers], axis=1)]
         levels.append(ChainLevel(depth, eps_j, cover, tuple(int(i) for i in nearest)))

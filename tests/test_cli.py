@@ -111,6 +111,24 @@ class TestCommands:
         assert row["method"] == "monte_carlo"
         assert row["rademacher_std_error"] > 0.0
 
+    @pytest.mark.parametrize("draws", [0, 1, 99])
+    def test_tail_mc_fallback_needs_a_hundred_draws(self, tmp_path, capsys, draws):
+        cfg = write_config(
+            tmp_path,
+            "tail.json",
+            {
+                "instance": {"random": {"m": 2, "support_size": 2, "seed": 3}},
+                "n": 4,
+                "trials": 2000,
+                "seed": 5,
+                "caps": {"product": 10},
+                "rademacher_draws": draws,
+            },
+        )
+        assert main(["tail", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err == "genbound: Monte Carlo estimation needs at least 100 draws\n"
+
     def test_suite(self, tmp_path):
         cfg = write_config(tmp_path, "suite.json", {"seed": 2026})
         out = str(tmp_path / "report.json")

@@ -73,6 +73,13 @@ class TestPseudometric:
         evals = rng.uniform(-1, 1, (5, 4))
         assert np.allclose(_distance_matrix(evals), oracle_distance_matrix(evals), atol=1e-12)
 
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 10**6))
+    def test_distance_matrix_equals_mean_form_bitwise(self, rows, n, seed):
+        evals = np.random.default_rng(seed).uniform(-1, 1, (rows, n))
+        diff = evals[:, None, :] - evals[None, :, :]
+        reference = np.sqrt(np.mean(diff * diff, axis=2))
+        np.testing.assert_array_equal(_distance_matrix(evals), reference)
+
 
 class TestCoveringExact:
     def test_singleton(self):
@@ -188,6 +195,19 @@ class TestChaining:
         for level in trace.levels:
             for row, center in enumerate(level.assignment):
                 assert dm[row, center] <= level.epsilon + 1e-12
+
+    @given(st.integers(0, 10**6), st.sampled_from([None, "exact", "greedy"]))
+    def test_levels_equal_direct_covers(self, seed, method):
+        rng = np.random.default_rng(seed)
+        base = np.round(rng.uniform(-1, 1, (8, 4)), 1)
+        evals = base[rng.integers(0, 8, 12)]  # duplicate rows and distance ties
+        cls = EvaluatedClass(evals, 1.0)
+        trace = build_chaining(cls, 0.05, method=method)
+        for level in trace.levels:
+            if level.cover.method is CoverMethod.EXACT_MINIMAL:
+                assert level.cover == covering_number_exact(cls, level.epsilon)
+            else:
+                assert level.cover == covering_number_greedy(cls, level.epsilon)
 
     def test_residual_bound_bulk(self):
         for seed in range(500):
