@@ -84,4 +84,4 @@ from .linear import (
     verify_linear_bound,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -232,6 +232,20 @@ def _cmd_symmetrize(config: dict, threads: int):
     return results, violations
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` of a 2-D integer array.
+
+    Rows come out in lexicographic order, and ``distinct[inverse]`` is ``rows``.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _rademacher_for_instance(inst: DiscreteInstance, n, seed, config, threads, sign_cap, product_cap):
     """Exact product-measure complexity when within caps, else a seeded MC fallback.
 
@@ -253,9 +267,9 @@ def _rademacher_for_instance(inst: DiscreteInstance, n, seed, config, threads, s
         idx = inst.dist.draw_index_trials(rn_seed, start, stop - start, n)
         if n <= sign_cap:
             # the sign average is permutation invariant: one per drawn orbit
-            orbits, which = np.unique(np.sort(idx, axis=1), axis=0, return_inverse=True)
+            orbits, which = _distinct_rows(np.sort(idx, axis=1))
             stack = inst.table[:, orbits].transpose(1, 0, 2)
-            values[start:stop] = complexity._sign_averages(stack, sign_cap)[0][which.ravel()]
+            values[start:stop] = complexity._sign_averages(stack, sign_cap)[0][which]
             continue
         for j in range(stop - start):
             cls = EvaluatedClass(inst.table[:, idx[j]], inst.envelope_b, validate=False)

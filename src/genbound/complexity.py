@@ -12,6 +12,7 @@ boxes by suprema over nested finite grids, with a convergence trace.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -32,10 +33,9 @@ from .core import (
     Sample,
     _tree_sums,
     deterministic_sum,
-    draw_words,
+    draw_signs,
     product_orbits,
     sign_block,
-    words_to_signs,
 )
 
 _SIGN_CHUNK = 1 << 14
@@ -120,14 +120,25 @@ def empirical_rademacher_without_abs(
     return ComplexityResult(value, Method.EXACT_ENUMERATION)
 
 
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """One long-lived pool per worker count; its threads start on first use."""
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="genbound")
+
+
 def _run_chunks(fill: Callable[[int, int], object], total: int, threads: int) -> list:
     """fill(start, stop) over fixed-size index chunks, results in chunk order; the
-    chunking never depends on the worker count, so outputs are identical for any ``threads``."""
+    chunking never depends on the worker count, so outputs are identical for any ``threads``.
+
+    Chunks run on a pool shared by every call with the same ``threads``, so
+    consecutive calls reuse its worker threads.  The pool is not re-entrant:
+    ``fill`` must not call ``_run_chunks`` itself, since a worker waiting on
+    chunks queued behind it in its own pool can deadlock.
+    """
     ranges = [(s, min(s + _MC_CHUNK, total)) for s in range(0, total, _MC_CHUNK)]
     if threads <= 1 or len(ranges) == 1:
         return [fill(start, stop) for start, stop in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: fill(*r), ranges))
+    return list(_pool(threads).map(lambda r: fill(*r), ranges))
 
 
 def _mc_result(values: np.ndarray, draws: int, seed: int) -> ComplexityResult:
@@ -147,9 +158,10 @@ def empirical_rademacher_mc(
 ) -> ComplexityResult:
     """Unbiased sample mean over uniform sign draws, with its standard error.
 
-    Draw j's signs come from a fixed RNG word window, and per-draw values are
-    reduced by the fixed-order tree sum, so the result is bit-identical for a
-    given (seed, draws) at any thread count.
+    Draw j's signs are the packed bits of a fixed RNG word window
+    (``core.draw_signs``), and per-draw values are reduced by the fixed-order
+    tree sum, so the result is bit-identical for a given (seed, draws) at any
+    thread count.
     """
     if draws < 100:
         raise InvariantViolation("Monte Carlo estimation needs at least 100 draws")
@@ -158,7 +170,7 @@ def empirical_rademacher_mc(
     values = np.empty(draws, dtype=np.float64)
 
     def fill(start: int, stop: int) -> None:
-        signs = words_to_signs(draw_words(seed, start, stop - start, n))
+        signs = draw_signs(seed, start, stop - start, n)
         corr = signs @ evals.T
         corr /= n
         if absolute:

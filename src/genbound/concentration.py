@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .complexity import ComplexityResult, _run_chunks
 from .core import (
@@ -62,7 +62,7 @@ def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.99)
     _check_counts(successes, trials, confidence)
     if successes >= trials:
         return 1.0
-    return float(beta.ppf(confidence, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, confidence))
 
 
 def clopper_pearson_lower(successes: int, trials: int, confidence: float = 0.99) -> float:
@@ -70,7 +70,7 @@ def clopper_pearson_lower(successes: int, trials: int, confidence: float = 0.99)
     _check_counts(successes, trials, confidence)
     if successes <= 0:
         return 0.0
-    return float(beta.ppf(1.0 - confidence, successes, trials - successes + 1))
+    return float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
 
 
 def _check_counts(successes: int, trials: int, confidence: float) -> None:

@@ -424,8 +424,21 @@ def words_to_open_uniforms(words: np.ndarray) -> np.ndarray:
 
 
 def words_to_signs(words: np.ndarray) -> np.ndarray:
-    """Fair signs in {-1.0, +1.0} from the top bit."""
+    """Fair signs in {-1.0, +1.0} from the top bit, one sign per word."""
     return (words >> _U64(63)).astype(np.float64) * 2.0 - 1.0
+
+
+def draw_signs(seed: int, first_draw: int, count: int, n: int) -> np.ndarray:
+    """(count, n) fair signs in {-1.0, +1.0} for draws [first_draw, first_draw + count).
+
+    Draw j owns ceil(n / 64) words of ``draw_words``, and each word serves 64
+    signs: sign k of draw j is +1 when bit k % 64 of word k // 64 is set,
+    least significant bit first.  The words are unpacked as little-endian
+    bytes, so the stream does not depend on the platform.
+    """
+    words = draw_words(seed, first_draw, count, -(-n // 64))
+    octets = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little") * 2.0 - 1.0
 
 
 def words_to_normals(words: np.ndarray) -> np.ndarray:

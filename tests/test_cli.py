@@ -1,8 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from genbound.cli import UsageError, canonical_report, config_hash, emit_curve, main, run_experiment
+import genbound
+from genbound.cli import (
+    UsageError,
+    _distinct_rows,
+    canonical_report,
+    config_hash,
+    emit_curve,
+    main,
+    run_experiment,
+)
 
 
 def write_config(tmp_path, name, config):
@@ -271,3 +288,21 @@ class TestEmitCurve:
         )
         out = str(tmp_path / "dev.csv")
         assert main(["deviation", "--config", cfg, "--format", "csv", "--out", out]) == 1
+
+
+class TestInternals:
+    @given(arrays(np.intp, st.tuples(st.integers(1, 60), st.integers(1, 6)), elements=st.integers(0, 3)))
+    @example(np.zeros((5, 3), dtype=np.intp))  # all rows equal
+    @example(np.array([[2, 0, 1]], dtype=np.intp))  # a single row
+    def test_distinct_rows_equal_unique(self, rows):
+        distinct, inverse = _distinct_rows(rows)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(distinct, expected)
+        np.testing.assert_array_equal(inverse, expected_inverse.ravel())
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(genbound.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, genbound.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from genbound.complexity import expected_rademacher
 from genbound.concentration import (
@@ -102,6 +102,15 @@ class TestClopperPearson:
         assert binom.cdf(k, trials, upper) == pytest.approx(1.0 - conf, rel=1e-9)
         lower = clopper_pearson_lower(k, trials, conf)
         assert binom.sf(k - 1, trials, lower) == pytest.approx(1.0 - conf, rel=1e-9)
+
+    def test_equals_beta_quantiles_bit_for_bit(self):
+        for trials in (1, 2, 9, 100, 1000, 2999, 30_000, 100_000):
+            for k in {min(k, trials) for k in (0, 1, 2, trials // 7, trials // 2, trials - 1, trials)}:
+                for conf in (0.9, 0.95, 0.99, 0.999):
+                    upper = 1.0 if k == trials else beta.ppf(conf, k + 1, trials - k)
+                    lower = 0.0 if k == 0 else beta.ppf(1.0 - conf, k, trials - k + 1)
+                    assert clopper_pearson_upper(k, trials, conf) == upper
+                    assert clopper_pearson_lower(k, trials, conf) == lower
 
 
 class TestSimulateTail:
