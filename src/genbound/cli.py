@@ -5,10 +5,11 @@ Usage:
                        [--format json|csv] [--threads N]
 
 Commands: rademacher, deviation, symmetrize, tail, linear, dudley, suite.
-Configs are JSON; the effective config (seed resolved) is embedded in every
-report together with its hash, so any report can be re-run bit-for-bit.  Exit
-codes: 0 all checks passed, 2 at least one certified inequality failed (the
-report is still written), 1 usage or config errors.
+Configs are JSON objects checked against the command's schema before any work.
+The effective config (seed resolved) is embedded in every report together with
+its hash, so any report can be re-run bit-for-bit.  Exit codes: 0 all checks
+passed, 2 at least one certified inequality failed (the report is still
+written), 1 usage or config errors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import reprlib
 import sys
 import time
 from enum import Enum
@@ -42,8 +44,6 @@ from .instances import (
     random_evaluated_class,
 )
 
-COMMANDS = ("rademacher", "deviation", "symmetrize", "tail", "linear", "dudley", "suite")
-
 
 class UsageError(GenboundError):
     """Bad command line or config; maps to exit code 1."""
@@ -51,72 +51,225 @@ class UsageError(GenboundError):
 
 # ---------------------------------------------------------------------------
 # Config parsing
+#
+# A schema maps each key to (converter, default); _REQUIRED marks a key that
+# must be given.  A converter takes the value and its dotted path, e.g.
+# "tail.instance.random.m", and returns the converted value or raises a
+# UsageError naming that path.  Defaults pass through the converter too.
 # ---------------------------------------------------------------------------
 
-
-def _require(config: dict, key: str, command: str):
-    if key not in config:
-        raise UsageError(f"command {command!r} needs config key {key!r}")
-    return config[key]
+_REQUIRED = object()
 
 
-def _require_seed(config: dict, command: str) -> int:
-    seed = config.get("seed")
-    if seed is None:
-        raise UsageError(f"command {command!r} is randomized and needs an explicit seed")
-    return int(seed)
+def _typed(kind):
+    def convert(value, path):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"{path} must be {kind.__name__}, got {reprlib.repr(value)}") from None
+
+    return convert
 
 
-def _parse_class(spec: dict, default_seed) -> EvaluatedClass:
-    if "random" in spec:
-        r = spec["random"]
-        seed = r.get("seed", default_seed)
-        if seed is None:
-            raise UsageError("random class spec needs a seed")
-        return random_evaluated_class(
-            int(seed), m=int(r["m"]), n=int(r["n"]), envelope_b=float(r.get("envelope_b", 1.0))
-        )
-    if "evals" in spec:
-        evals = np.asarray(spec["evals"], dtype=np.float64)
-        envelope = spec.get("envelope_b")
-        if envelope is None:
-            envelope = float(np.abs(evals).max(initial=0.0))
-        return EvaluatedClass(evals, float(envelope), spec.get("population_means"))
-    raise UsageError("class spec needs either 'evals' or 'random'")
+_int, _float = _typed(int), _typed(float)
 
 
-def _parse_instance(spec: dict, default_seed) -> DiscreteInstance:
-    if "random" in spec:
-        r = spec["random"]
-        seed = r.get("seed", default_seed)
-        if seed is None:
-            raise UsageError("random instance spec needs a seed")
-        return random_discrete_instance(
-            int(seed),
-            m=int(r["m"]),
-            support_size=int(r["support_size"]),
-            envelope_b=float(r.get("envelope_b", 1.0)),
-        )
-    if spec.get("family") == "identity":
-        dist = DiscreteDistribution(spec["support"], spec["probs"])
+def _text(value, path):
+    if not isinstance(value, str):
+        raise UsageError(f"{path} must be a string, got {reprlib.repr(value)}")
+    return value
+
+
+def _array(value, path):
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path} must be a rectangular array of numbers: {exc}") from None
+
+
+def _floats(value, path) -> list[float]:
+    values = _array(value, path)
+    if values.ndim != 1:
+        raise UsageError(f"{path} must be a list of numbers, got {reprlib.repr(value)}")
+    return values.tolist()
+
+
+def _optional(convert):
+    return lambda value, path: None if value is None else convert(value, path)
+
+
+def _choice(*options):
+    def convert(value, path):
+        if value not in options:
+            raise UsageError(f"{path} must be one of {', '.join(options)}, got {reprlib.repr(value)}")
+        return value
+
+    return convert
+
+
+def _fields(schema: dict, value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise UsageError(f"{path} must be an object, got {reprlib.repr(value)}")
+    for key in value:
+        if key not in schema:
+            raise UsageError(f"unknown key {path}.{key}")
+    parsed = {}
+    for key, (convert, default) in schema.items():
+        if key not in value and default is _REQUIRED:
+            raise UsageError(f"missing required key {path}.{key}")
+        parsed[key] = convert(value.get(key, default), f"{path}.{key}")
+    return parsed
+
+
+def _object(schema: dict):
+    return lambda value, path: _fields(schema, value, path)
+
+
+def _one_of(forms: dict):
+    """An object in one of several forms, told apart by the first form key it has.
+
+    Converts to ``(form key, fields)``; ``_parse`` builds the library object.
+    """
+
+    def convert(value, path):
+        if not isinstance(value, dict):
+            raise UsageError(f"{path} must be an object, got {reprlib.repr(value)}")
+        for form, schema in forms.items():
+            if form in value:
+                return form, _fields(schema, value, path)
+        raise UsageError(f"{path} needs one of the keys {', '.join(forms)}")
+
+    return convert
+
+
+_SEED = (_optional(_int), None)
+_RANDOM = {"m": (_int, _REQUIRED), "envelope_b": (_float, 1.0), "seed": _SEED}
+_MEASURE = {"support": (_array, _REQUIRED), "probs": (_array, _REQUIRED)}
+_CLASS_FORMS = {
+    "random": {"random": (_object({**_RANDOM, "n": (_int, _REQUIRED)}), _REQUIRED)},
+    "evals": {
+        "evals": (_array, _REQUIRED),
+        "envelope_b": (_optional(_float), None),
+        "population_means": (_optional(_array), None),
+    },
+}
+_INSTANCE_FORMS = {
+    "random": {"random": (_object({**_RANDOM, "support_size": (_int, _REQUIRED)}), _REQUIRED)},
+    "family": {"family": (_choice("identity"), _REQUIRED), **_MEASURE},
+    "table": {"table": (_array, _REQUIRED), **_MEASURE, "envelope_b": (_float, _REQUIRED)},
+}
+_CAPS = {
+    "sign": (_int, DEFAULT_SIGN_CAP),
+    "product": (_int, DEFAULT_PRODUCT_CAP),
+    "cover": (_int, entropy.DEFAULT_COVER_CAP),
+}
+_COMMON = {
+    "command": (_text, _REQUIRED),
+    "seed": _SEED,
+    "out": (_optional(_text), None),
+    "tol": (_float, 1e-10),
+    "caps": (_object(_CAPS), {}),
+}
+_SEEDED = {"seed": (_int, _REQUIRED)}
+_CLASS = {"class": (_one_of(_CLASS_FORMS), _REQUIRED)}
+_INSTANCE = {"instance": (_one_of(_INSTANCE_FORMS), _REQUIRED), "n": (_int, _REQUIRED)}
+_REGIMES = {"l2": linear.L2Ball, "l1": linear.L1Linf}
+_SCHEMA = {
+    "rademacher": {
+        **_COMMON,
+        **_CLASS,
+        "method": (_choice("auto", "exact", "mc"), "auto"),
+        "draws": (_int, 100_000),
+    },
+    "deviation": {**_COMMON, **_INSTANCE},
+    "symmetrize": {**_COMMON, **_INSTANCE},
+    "tail": {
+        **_COMMON,
+        **_SEEDED,
+        **_INSTANCE,
+        "trials": (_int, 10_000),
+        "epsilon": (_float, 0.5),
+        "epsilons": (_optional(_floats), None),
+        "rademacher_draws": (_int, 2000),
+    },
+    "linear": {
+        **_COMMON,
+        **_SEEDED,
+        "regime": (_choice(*_REGIMES), "l2"),
+        "weight_radius": (_float, 1.0),
+        "input_radius": (_float, 1.0),
+        "d": (_int, 4),
+        "n": (_int, 6),
+        "m": (_int, 5),
+        "count": (_int, 50),
+    },
+    "dudley": {
+        **_COMMON,
+        **_CLASS,
+        "cover": (_choice("exact", "greedy"), "exact"),
+        "grid_points": (_optional(_int), 256),
+        "epsilons": (_optional(_floats), None),
+        "epsilon_count": (_int, 16),
+    },
+    "suite": {**_COMMON, **_SEEDED},
+}
+COMMANDS = tuple(_SCHEMA)
+# keys that choose the same thing; a config gives at most one of each pair
+_EXCLUSIVE = (("epsilons", "epsilon"), ("epsilons", "epsilon_count"))
+
+
+def _random_args(spec: dict, seed, path: str) -> tuple[int, dict]:
+    """The seed and keyword arguments of a ``random`` spec; its own seed wins."""
+    kwargs = dict(spec["random"])
+    own = kwargs.pop("seed")
+    if own is None and seed is None:
+        raise UsageError(f"{path}.random.seed is required when the config has no seed")
+    return (seed if own is None else own), kwargs
+
+
+def _build_class(form: str, spec: dict, seed, path: str) -> EvaluatedClass:
+    if form == "random":
+        seed, kwargs = _random_args(spec, seed, path)
+        return random_evaluated_class(seed, **kwargs)
+    envelope = spec["envelope_b"]
+    if envelope is None:
+        envelope = float(np.abs(spec["evals"]).max(initial=0.0))
+    return EvaluatedClass(spec["evals"], envelope, spec["population_means"])
+
+
+def _build_instance(form: str, spec: dict, seed, path: str) -> DiscreteInstance:
+    if form == "random":
+        seed, kwargs = _random_args(spec, seed, path)
+        return random_discrete_instance(seed, **kwargs)
+    dist = DiscreteDistribution(spec["support"], spec["probs"])
+    if form == "family":
         return identity_instance(dist)
-    if "table" in spec:
-        dist = DiscreteDistribution(spec["support"], spec["probs"])
-        # envelope semantics belong to the bounded-difference audit, so an
-        # understated value must reach it rather than fail at construction
-        return DiscreteInstance.from_table(
-            spec["table"], float(spec["envelope_b"]), dist, check_envelope=False
-        )
-    raise UsageError("instance spec needs 'table', 'random', or a known 'family'")
+    # envelope semantics belong to the bounded-difference audit, so an
+    # understated value must reach it rather than fail at construction
+    return DiscreteInstance.from_table(spec["table"], spec["envelope_b"], dist, check_envelope=False)
 
 
-def _caps(config: dict) -> tuple[int, int]:
-    caps = config.get("caps", {})
-    return int(caps.get("sign", DEFAULT_SIGN_CAP)), int(caps.get("product", DEFAULT_PRODUCT_CAP))
+def _parse(config: dict) -> dict:
+    """The config converted by its command's schema, with its class or instance built.
+
+    Raises UsageError, naming the key, on anything the schema rejects.
+    """
+    command = config.get("command")
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
+    cfg = _fields(_SCHEMA[command], config, command)
+    for first, second in _EXCLUSIVE:
+        if cfg.get(first) is not None and second in config:
+            raise UsageError(f"{command}.{first} and {command}.{second} cannot both be given")
+    if "class" in cfg:
+        cfg["class"] = _build_class(*cfg["class"], cfg["seed"], f"{command}.class")
+    if "instance" in cfg:
+        cfg["instance"] = _build_instance(*cfg["instance"], cfg["seed"], f"{command}.instance")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (results, violations)
+# Command handlers: each takes a parsed config and returns (results, violations)
 # ---------------------------------------------------------------------------
 
 
@@ -124,10 +277,9 @@ def _violation(check: str, exc: InequalityViolation) -> dict:
     return {"check": check, "message": str(exc), "payload": exc.payload}
 
 
-def _cmd_rademacher(config: dict, threads: int):
-    sign_cap, _ = _caps(config)
-    cls = _parse_class(_require(config, "class", "rademacher"), config.get("seed"))
-    method = config.get("method", "auto")
+def _cmd_rademacher(cfg: dict, threads: int):
+    cls, sign_cap = cfg["class"], cfg["caps"]["sign"]
+    method = cfg["method"]
     if method == "auto":
         method = "exact" if cls.n <= sign_cap else "mc"
     row, violations = {}, []
@@ -140,12 +292,10 @@ def _cmd_rademacher(config: dict, threads: int):
             violations.append({"check": "without_abs_le_abs", "message": str(exc), "payload": {}})
             exact = complexity.empirical_rademacher(cls, sign_cap=sign_cap).value
         value = complexity.ComplexityResult(exact, complexity.Method.EXACT_ENUMERATION)
-    elif method == "mc":
-        seed = _require_seed(config, "rademacher")
-        draws = int(config.get("draws", 100_000))
-        value = complexity.empirical_rademacher_mc(cls, draws, seed, threads=threads)
     else:
-        raise UsageError(f"unknown rademacher method {method!r}")
+        if cfg["seed"] is None:
+            raise UsageError("rademacher.seed is required by the Monte Carlo method")
+        value = complexity.empirical_rademacher_mc(cls, cfg["draws"], cfg["seed"], threads=threads)
     result = {
         "kind": "rademacher",
         "x": cls.n,
@@ -159,16 +309,13 @@ def _cmd_rademacher(config: dict, threads: int):
     return [result], violations
 
 
-def _cmd_deviation(config: dict, threads: int):
-    sign_cap, product_cap = _caps(config)
-    inst = _parse_instance(_require(config, "instance", "deviation"), config.get("seed"))
-    n = int(_require(config, "n", "deviation"))
-    tol = float(config.get("tol", 1e-10))
+def _cmd_deviation(cfg: dict, threads: int):
+    inst, n, caps = cfg["instance"], cfg["n"], cfg["caps"]
     builder = inst.builder()
     results, violations = [], []
     try:
         bound = deviation.verify_expectation_bound(
-            builder, inst.dist, n, tol=tol, product_cap=product_cap, sign_cap=sign_cap
+            builder, inst.dist, n, tol=cfg["tol"], product_cap=caps["product"], sign_cap=caps["sign"]
         )
         results.append(
             {
@@ -181,7 +328,7 @@ def _cmd_deviation(config: dict, threads: int):
         )
     except InequalityViolation as exc:
         violations.append(_violation("expectation_bound", exc))
-    audit = deviation.audit_bounded_difference(builder, inst.dist, n, cap=product_cap)
+    audit = deviation.audit_bounded_difference(builder, inst.dist, n, cap=caps["product"])
     results.append(
         {
             "kind": "bounded_difference_audit",
@@ -209,14 +356,12 @@ def _cmd_deviation(config: dict, threads: int):
     return results, violations
 
 
-def _cmd_symmetrize(config: dict, threads: int):
-    _, product_cap = _caps(config)
-    inst = _parse_instance(_require(config, "instance", "symmetrize"), config.get("seed"))
-    n = int(_require(config, "n", "symmetrize"))
+def _cmd_symmetrize(cfg: dict, threads: int):
+    inst = cfg["instance"]
     results, violations = [], []
     try:
         report = deviation.check_symmetrization_identity(
-            inst.builder(), inst.dist, n, tol=float(config.get("tol", 1e-10)), cap=product_cap
+            inst.builder(), inst.dist, cfg["n"], tol=cfg["tol"], cap=cfg["caps"]["product"]
         )
         results.append(
             {
@@ -246,21 +391,24 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], inverse
 
 
-def _rademacher_for_instance(inst: DiscreteInstance, n, seed, config, threads, sign_cap, product_cap):
+_INNER_DRAWS = 2000  # sign draws per sampled tuple above the sign cap
+
+
+def _rademacher_for_instance(cfg: dict, threads: int):
     """Exact product-measure complexity when within caps, else a seeded MC fallback.
 
     Above the sign cap the per-sample average is itself estimated by inner sign
     draws (still unbiased); the report flags the Monte Carlo provenance either way.
     """
-    draws = int(config.get("rademacher_draws", 2000))
-    inner_draws = int(config.get("rademacher_inner_draws", 2000))
+    inst, n, draws = cfg["instance"], cfg["n"], cfg["rademacher_draws"]
+    sign_cap, product_cap = cfg["caps"]["sign"], cfg["caps"]["product"]
     if inst.dist.size**n <= product_cap and n <= sign_cap:
         return complexity.expected_rademacher(
             inst.builder(), inst.dist, n, product_cap=product_cap, sign_cap=sign_cap
         )
     if draws < 100:
         raise InvariantViolation("Monte Carlo estimation needs at least 100 draws")
-    rn_seed = derive_seed(seed, "rn")
+    rn_seed = derive_seed(cfg["seed"], "rn")
     values = np.empty(draws, dtype=np.float64)
     for start in range(0, draws, 4096):
         stop = min(start + 4096, draws)
@@ -274,39 +422,26 @@ def _rademacher_for_instance(inst: DiscreteInstance, n, seed, config, threads, s
         for j in range(stop - start):
             cls = EvaluatedClass(inst.table[:, idx[j]], inst.envelope_b, validate=False)
             values[start + j] = complexity.empirical_rademacher_mc(
-                cls, inner_draws, derive_seed(rn_seed, f"inner:{start + j}"), threads=threads
+                cls, _INNER_DRAWS, derive_seed(rn_seed, f"inner:{start + j}"), threads=threads
             ).value
     return complexity._mc_result(values, draws, rn_seed)
 
 
-def _cmd_tail(config: dict, threads: int):
-    sign_cap, product_cap = _caps(config)
-    inst = _parse_instance(_require(config, "instance", "tail"), config.get("seed"))
-    n = int(_require(config, "n", "tail"))
-    seed = _require_seed(config, "tail")
-    trials = int(config.get("trials", 10_000))
-    epsilons = config.get("epsilons")
-    if epsilons is None:
-        epsilons = [config.get("epsilon", 0.5)]
-    rn = _rademacher_for_instance(inst, n, seed, config, threads, sign_cap, product_cap)
+def _cmd_tail(cfg: dict, threads: int):
+    inst, n, seed, trials = cfg["instance"], cfg["n"], cfg["seed"], cfg["trials"]
+    epsilons = cfg["epsilons"] if cfg["epsilons"] is not None else [cfg["epsilon"]]
+    rn = _rademacher_for_instance(cfg, threads)
     results, violations = [], []
     for i, eps in enumerate(epsilons):
         experiment = concentration.simulate_tail(
-            inst.builder(),
-            inst.dist,
-            n,
-            float(eps),
-            trials,
-            derive_seed(seed, f"tail:{i}"),
-            rn.value,
-            rademacher=rn,
-            threads=threads,
+            inst.builder(), inst.dist, n, eps, trials, derive_seed(seed, f"tail:{i}"), rn.value,
+            rademacher=rn, threads=threads,
         )
         verdict = concentration.verify_tail_bound(experiment)
         results.append(
             {
                 "kind": "tail",
-                "x": float(eps),
+                "x": eps,
                 "value": experiment.empirical_freq,
                 "theoretical": experiment.theoretical,
                 "ci_upper": experiment.ci_upper,
@@ -328,35 +463,22 @@ def _cmd_tail(config: dict, threads: int):
                         f"simulated exceedance {experiment.empirical_freq!r} significantly "
                         f"exceeds the bound {experiment.theoretical!r} at epsilon {eps!r}"
                     ),
-                    "payload": {"epsilon": float(eps)},
+                    "payload": {"epsilon": eps},
                 }
             )
     return results, violations
 
 
-def _cmd_linear(config: dict, threads: int):
-    sign_cap, _ = _caps(config)
-    seed = _require_seed(config, "linear")
-    regime_name = config.get("regime", "l2")
-    W = float(config.get("weight_radius", 1.0))
-    X = float(config.get("input_radius", 1.0))
-    if regime_name == "l2":
-        regime = linear.L2Ball(W, X)
-    elif regime_name == "l1":
-        regime = linear.L1Linf(W, X)
-    else:
-        raise UsageError(f"unknown linear regime {regime_name!r}")
-    d = int(config.get("d", 4))
-    n = int(config.get("n", 6))
-    m = int(config.get("m", 5))
-    count = int(config.get("count", 50))
+def _cmd_linear(cfg: dict, threads: int):
+    seed = cfg["seed"]
+    regime = _REGIMES[cfg["regime"]](cfg["weight_radius"], cfg["input_radius"])
     results, violations = [], []
-    for i in range(count):
-        instance = linear.random_linear_instance(derive_seed(seed, f"linear:{i}"), regime, d, n, m)
+    for i in range(cfg["count"]):
+        instance = linear.random_linear_instance(
+            derive_seed(seed, f"linear:{i}"), regime, cfg["d"], cfg["n"], cfg["m"]
+        )
         try:
-            report = linear.verify_linear_bound(
-                instance, tol=float(config.get("tol", 1e-10)), sign_cap=sign_cap
-            )
+            report = linear.verify_linear_bound(instance, tol=cfg["tol"], sign_cap=cfg["caps"]["sign"])
             results.append(
                 {
                     "kind": "linear",
@@ -374,15 +496,11 @@ def _cmd_linear(config: dict, threads: int):
     return results, violations
 
 
-def _cmd_dudley(config: dict, threads: int):
-    sign_cap, _ = _caps(config)
-    cover_cap = int(config.get("caps", {}).get("cover", entropy.DEFAULT_COVER_CAP))
-    cls = _parse_class(_require(config, "class", "dudley"), config.get("seed"))
-    method = config.get("cover", "exact")
-    grid_points = config.get("grid_points", 256)
-    epsilons = config.get("epsilons")
+def _cmd_dudley(cfg: dict, threads: int):
+    cls, caps = cfg["class"], cfg["caps"]
+    epsilons = cfg["epsilons"]
     if epsilons is None:
-        count = int(config.get("epsilon_count", 16))
+        count = cfg["epsilon_count"]
         c = float(np.sqrt(np.mean(cls.evals**2, axis=1)).max())
         if c <= 0.0:
             raise UsageError("class is degenerate on the sample; no admissible radii")
@@ -390,13 +508,8 @@ def _cmd_dudley(config: dict, threads: int):
     results, violations = [], []
     try:
         report = entropy.verify_dudley(
-            cls,
-            epsilons,
-            cover_method=method,
-            tol=float(config.get("tol", 1e-10)),
-            grid_points=grid_points,
-            sign_cap=sign_cap,
-            cover_cap=cover_cap,
+            cls, epsilons, cover_method=cfg["cover"], tol=cfg["tol"], grid_points=cfg["grid_points"],
+            sign_cap=caps["sign"], cover_cap=caps["cover"],
         )
         for entry in report.entries:
             results.append(
@@ -407,7 +520,7 @@ def _cmd_dudley(config: dict, threads: int):
                     "lhs": report.without_abs,
                     "slack": entry.slack,
                     "method": report.cover_method.value,
-                    "seed": config.get("seed") or 0,
+                    "seed": cfg["seed"] or 0,
                     "passed": True,
                 }
             )
@@ -416,10 +529,13 @@ def _cmd_dudley(config: dict, threads: int):
     return results, violations
 
 
-def _cmd_suite(config: dict, threads: int):
-    """A bundled smoke corpus exercising every verification harness."""
-    seed = _require_seed(config, "suite")
-    sign_cap, product_cap = _caps(config)
+def _cmd_suite(cfg: dict, threads: int):
+    """A bundled smoke corpus exercising every verification harness.
+
+    A check that a command makes runs as a small config through that command's
+    handler, and its row carries the handler's rows; the other checks run here.
+    """
+    seed = cfg["seed"]
     results, violations = [], []
 
     def record(kind: str, passed: bool, message: str = "", **fields):
@@ -427,40 +543,37 @@ def _cmd_suite(config: dict, threads: int):
         if not passed:
             violations.append({"check": kind, "message": message or kind, "payload": fields})
 
-    # estimator consistency and the without-abs comparison
-    cls = random_evaluated_class(derive_seed(seed, "class"), m=3, n=6)
-    exact = complexity.empirical_rademacher(cls).value
-    mc = complexity.empirical_rademacher_mc(cls, 20_000, derive_seed(seed, "mc"), threads=threads)
-    gap = abs(mc.value - exact)
+    def run(config: dict, threads: int = threads):
+        parsed = _parse({"caps": cfg["caps"], "tol": cfg["tol"], **config})
+        return _HANDLERS[parsed["command"]](parsed, threads)
+
+    def check(kind: str, config: dict) -> list[dict]:
+        rows, found = run(config)
+        results.append({"kind": kind, "passed": not found, "command": config["command"], "rows": rows})
+        violations.extend(found)
+        return rows
+
+    def random_spec(label: str, **shape) -> dict:
+        return {"random": {**shape, "seed": derive_seed(seed, label)}}
+
+    # the without-abs comparison, and estimator consistency from two rows
+    rademacher = {"command": "rademacher", "class": random_spec("class", m=3, n=6)}
+    mc_config = {**rademacher, "method": "mc", "draws": 20_000, "seed": derive_seed(seed, "mc")}
+    exact = check("without_abs_le_abs", {**rademacher, "method": "exact"})[0]
+    mc = run(mc_config)[0][0]
+    gap = abs(mc["value"] - exact["value"])
     record(
         "rademacher_mc_consistency",
-        gap <= 5.0 * mc.std_error,
-        f"MC estimate off by {gap!r} with std_error {mc.std_error!r}",
-        exact=exact,
-        mc=mc.value,
-        std_error=mc.std_error,
+        gap <= 5.0 * mc["std_error"],
+        f"MC estimate off by {gap!r} with std_error {mc['std_error']!r}",
+        exact=exact["value"], mc=mc["value"], std_error=mc["std_error"],
     )
-    comparison = complexity.check_without_abs_le_abs(cls)
-    record("without_abs_le_abs", comparison.slack >= -1e-12, slack=comparison.slack)
+    # exact identities and bounds on small random instances
+    sym_config = {"command": "symmetrize", "instance": random_spec("instance", m=3, support_size=2), "n": 2}
+    check("symmetrization", sym_config)
+    dev_config = {"command": "deviation", "instance": random_spec("instance3", m=3, support_size=3), "n": 3}
+    check("expectation_bound_and_audit", dev_config)
 
-    # exact identities and bounds on a small random instance
-    inst = random_discrete_instance(derive_seed(seed, "instance"), m=3, support_size=2)
-    sym = deviation.check_symmetrization_identity(inst.builder(), inst.dist, 2, cap=product_cap)
-    record("symmetrization", sym.abs_diff <= 1e-10, lhs=sym.lhs, rhs=sym.rhs, abs_diff=sym.abs_diff)
-
-    inst3 = random_discrete_instance(derive_seed(seed, "instance3"), m=3, support_size=3)
-    bound = deviation.verify_expectation_bound(
-        inst3.builder(), inst3.dist, 3, product_cap=product_cap, sign_cap=sign_cap
-    )
-    record("expectation_bound", bound.slack >= -1e-10, slack=bound.slack)
-
-    audit = deviation.audit_bounded_difference(inst3.builder(), inst3.dist, 3, cap=product_cap)
-    record(
-        "bounded_difference_audit",
-        not audit.violated,
-        max_observed_delta=audit.max_observed_delta,
-        theoretical_cap=audit.theoretical_cap,
-    )
     sharp = identity_instance(DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]))
     sharp_audit = deviation.audit_bounded_difference(sharp.builder(), sharp.dist, 2)
     record(
@@ -471,18 +584,10 @@ def _cmd_suite(config: dict, threads: int):
     )
 
     # tail bound on the identity family
-    rn = complexity.expected_rademacher(sharp.builder(), sharp.dist, 4)
-    experiment = concentration.simulate_tail(
-        sharp.builder(), sharp.dist, 4, 0.5, 2000, derive_seed(seed, "tail"), rn.value,
-        rademacher=rn, threads=threads,
-    )
-    verdict = concentration.verify_tail_bound(experiment)
-    record(
-        "tail_bound",
-        verdict.passed,
-        empirical_freq=experiment.empirical_freq,
-        theoretical=experiment.theoretical,
-    )
+    identity = {"family": "identity", "support": [-1.0, 1.0], "probs": [0.5, 0.5]}
+    tail_config = {"command": "tail", "instance": identity, "n": 4, "epsilon": 0.5, "trials": 2000}
+    tail_config["seed"] = derive_seed(seed, "tail")
+    check("tail_bound", tail_config)
 
     # closed-form round trip
     deltas = np.exp(np.linspace(np.log(1e-6), np.log(0.5), 10))
@@ -493,15 +598,9 @@ def _cmd_suite(config: dict, threads: int):
     record("epsilon_roundtrip", worst <= 1e-12, worst_relative_error=worst)
 
     # linear bounds
-    for name, regime in (("l2", linear.L2Ball(1.0, 1.0)), ("l1", linear.L1Linf(1.0, 1.0))):
-        worst_slack = np.inf
-        for i in range(10):
-            instance = linear.random_linear_instance(
-                derive_seed(seed, f"{name}:{i}"), regime, 4, 6, 4
-            )
-            report = linear.verify_linear_bound(instance, sign_cap=sign_cap)
-            worst_slack = min(worst_slack, report.slack)
-        record(f"linear_{name}", worst_slack >= -1e-10, worst_slack=float(worst_slack))
+    for regime in _REGIMES:
+        linear_config = {"command": "linear", "regime": regime, "d": 4, "n": 6, "m": 4, "count": 10}
+        check(f"linear_{regime}", {**linear_config, "seed": derive_seed(seed, regime)})
 
     # Massart on random classes
     worst_slack = np.inf
@@ -526,14 +625,9 @@ def _cmd_suite(config: dict, threads: int):
         last = exact_cover.size
     record("covering_numbers", dm_ok)
 
-    dud_cls = random_evaluated_class(derive_seed(seed, "dudley"), m=6, n=6)
-    c = float(np.sqrt(np.mean(dud_cls.evals**2, axis=1)).max())
-    grid = [(c / 2.0) * i / 7 for i in range(1, 7)]
-    ok = True
-    for method in ("exact", "greedy"):
-        report = entropy.verify_dudley(dud_cls, grid, cover_method=method, sign_cap=sign_cap)
-        ok = ok and all(entry.slack >= -1e-10 for entry in report.entries)
-    record("dudley_bound", ok)
+    for cover in ("exact", "greedy"):
+        dudley_config = {"command": "dudley", "class": random_spec("dudley", m=6, n=6), "epsilon_count": 6}
+        check(f"dudley_{cover}", {**dudley_config, "cover": cover})
 
     # grid refinement of a linear family against its corner class
     sample = Sample([[1.0, -0.5], [0.5, 1.0]])
@@ -558,19 +652,10 @@ def _cmd_suite(config: dict, threads: int):
     )
 
     # thread-count independence of the seeded estimators
-    a = complexity.empirical_rademacher_mc(cls, 20_000, derive_seed(seed, "mc"), threads=1)
-    b = complexity.empirical_rademacher_mc(cls, 20_000, derive_seed(seed, "mc"), threads=4)
-    t1 = concentration.simulate_tail(
-        sharp.builder(), sharp.dist, 4, 0.5, 2000, derive_seed(seed, "tail"), rn.value, threads=1
-    )
-    t4 = concentration.simulate_tail(
-        sharp.builder(), sharp.dist, 4, 0.5, 2000, derive_seed(seed, "tail"), rn.value, threads=4
-    )
+    mc1, mc4, tail1, tail4 = (run(c, t) for c in (mc_config, tail_config) for t in (1, 4))
     record(
-        "determinism",
-        a.value == b.value and t1.exceed_count == t4.exceed_count,
-        mc_value=a.value,
-        exceed_count=t1.exceed_count,
+        "determinism", mc1 == mc4 and tail1 == tail4,
+        mc_value=mc1[0][0]["value"], exceed_count=tail1[0][0]["exceed_count"],
     )
     return results, violations
 
@@ -623,16 +708,15 @@ def _plain_hash(plain: dict) -> str:
 
 
 def run_experiment(config: dict, *, threads: int = 1) -> dict:
-    """Run one effective config and assemble its report, already JSON-ready."""
-    command = config.get("command")
-    if command not in _HANDLERS:
-        raise UsageError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
+    """Check one effective config against its schema, run it, and assemble its
+    report, already JSON-ready; the report embeds the config as given."""
     started = time.perf_counter()
-    results, violations = _HANDLERS[command](config, threads)
+    cfg = _parse(config)
+    results, violations = _HANDLERS[cfg["command"]](cfg, threads)
     wall_ms = (time.perf_counter() - started) * 1000.0
     plain = _jsonable(config)
     return {
-        "command": command,
+        "command": cfg["command"],
         "config_hash": _plain_hash(plain),
         "seed": plain.get("seed"),
         "config": plain,
@@ -714,37 +798,31 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as handle:
             config = json.load(handle)
-        if not isinstance(config, dict):
-            raise UsageError("config must be a JSON object")
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text encoding
         print(f"genbound: cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    declared = config.get("command")
-    if declared is not None and declared != args.command:
-        print(
-            f"genbound: config declares command {declared!r} but {args.command!r} was requested",
-            file=sys.stderr,
-        )
-        return 1
-    config = dict(config)
-    config["command"] = args.command
-    if args.seed is not None:
-        config["seed"] = args.seed
-
-    out = args.out or config.get("out") or "genbound_report.json"
     try:
+        if not isinstance(config, dict):
+            raise UsageError("config must be a JSON object")
+        declared = config.get("command")
+        if declared is not None and declared != args.command:
+            raise UsageError(f"config declares command {declared!r} but {args.command!r} was requested")
+        config = {**config, "command": args.command}
+        if args.seed is not None:
+            config["seed"] = args.seed
+        out = args.out or config.get("out") or "genbound_report.json"
         report = run_experiment(config, threads=max(1, args.threads))
         if args.format == "csv":
             emit_curve(report["results"], out)
         else:
             with open(out, "w") as handle:
-                handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    except UsageError as exc:
-        print(f"genbound: {exc}", file=sys.stderr)
-        return 1
+                handle.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
     except GenboundError as exc:
         print(f"genbound: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"genbound: cannot write report: {exc}", file=sys.stderr)
         return 1
 
     for violation in report["violations"]:

@@ -11,15 +11,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import genbound
+from genbound import complexity, entropy
 from genbound.cli import (
     UsageError,
     _distinct_rows,
+    _parse,
     canonical_report,
     config_hash,
     emit_curve,
     main,
     run_experiment,
 )
+from genbound.core import EvaluatedClass
+from genbound.instances import DiscreteInstance, random_discrete_instance, random_evaluated_class
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name, config):
@@ -146,6 +152,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err == "genbound: Monte Carlo estimation needs at least 100 draws\n"
 
+    def test_tail_mc_fallback_above_sign_cap(self, tmp_path):
+        config = {
+            "instance": {"random": {"m": 3, "support_size": 2, "seed": 4}},
+            "n": 6,
+            "trials": 2000,
+            "seed": 5,
+            "caps": {"sign": 4},
+            "rademacher_draws": 200,
+        }
+        cfg = write_config(tmp_path, "tail.json", config)
+        reports = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"report{threads}.json")
+            assert main(["tail", "--config", cfg, "--out", out, "--threads", threads]) == 0
+            reports.append(load(out))
+        assert canonical_report(reports[0]) == canonical_report(reports[1])
+        row = reports[0]["results"][0]
+        assert row["method"] == "monte_carlo"
+        inst = random_discrete_instance(4, m=3, support_size=2)
+        exact = complexity.expected_rademacher(inst.builder(), inst.dist, 6).value
+        assert abs(row["rademacher_value"] - exact) <= 5.0 * row["rademacher_std_error"]
+
     def test_suite(self, tmp_path):
         cfg = write_config(tmp_path, "suite.json", {"seed": 2026})
         out = str(tmp_path / "report.json")
@@ -164,6 +192,104 @@ class TestCommands:
     def test_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"command": "tail", "seed": 1})
         assert main(["suite", "--config", cfg]) == 1
+
+
+EVALS = {"evals": [[1.0, -1.0]]}
+RANDOM_INSTANCE = {"random": {"m": 3, "support_size": 2, "seed": 4}}
+
+
+class TestConfigErrors:
+    # (command, config, the key the message names; None where there is none)
+    CASES = {
+        "unknown key": ("rademacher", {"class": EVALS, "methd": "mc"}, "rademacher.methd"),
+        "unknown nested key": ("rademacher", {"class": EVALS, "caps": {"sgn": 4}}, "rademacher.caps.sgn"),
+        "unknown key of a form": (
+            "rademacher",
+            {"class": {**EVALS, "random": {"m": 1, "n": 2, "seed": 1}}},
+            "rademacher.class.evals",
+        ),
+        "missing key": ("tail", {"instance": RANDOM_INSTANCE, "seed": 1}, "tail.n"),
+        "missing nested key": (
+            "rademacher", {"class": {"random": {"n": 4, "seed": 1}}}, "rademacher.class.random.m"
+        ),
+        "missing seed": ("linear", {}, "linear.seed"),
+        "missing random seed": ("dudley", {"class": {"random": {"m": 2, "n": 3}}}, "dudley.class.random.seed"),
+        "no form key": ("deviation", {"instance": {"support": [0.0]}, "n": 2}, "deviation.instance"),
+        "wrong type": ("tail", {"instance": RANDOM_INSTANCE, "n": 4, "trials": "abc", "seed": 1}, "tail.trials"),
+        "wrong nested type": (
+            "symmetrize",
+            {"instance": {"random": {"m": "x", "support_size": 2, "seed": 1}}, "n": 2},
+            "symmetrize.instance.random.m",
+        ),
+        "null required value": ("tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": None}, "tail.seed"),
+        "bad method": ("rademacher", {"class": EVALS, "method": "fast"}, "rademacher.method"),
+        "bad regime": ("linear", {"regime": "l3", "seed": 1}, "linear.regime"),
+        "bad cover": ("dudley", {"class": EVALS, "cover": "approx"}, "dudley.cover"),
+        "bad family": (
+            "symmetrize",
+            {"instance": {"family": "square", "support": [0.0, 1.0], "probs": [0.5, 0.5]}, "n": 2},
+            "symmetrize.instance.family",
+        ),
+        "class not an object": ("rademacher", {"class": [[1.0]]}, "rademacher.class"),
+        "caps not an object": ("rademacher", {"class": EVALS, "caps": 5}, "rademacher.caps"),
+        "random spec not an object": (
+            "deviation", {"instance": {"random": 3}, "n": 2}, "deviation.instance.random"
+        ),
+        "ragged array": ("rademacher", {"class": {"evals": [[1.0, 2.0], [3.0]]}}, "rademacher.class.evals"),
+        "scalar epsilons": (
+            "tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": 0.5}, "tail.epsilons"
+        ),
+        "epsilon and epsilons": (
+            "tail",
+            {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilon": 0.3, "epsilons": [0.2]},
+            "tail.epsilon",
+        ),
+        "epsilons and epsilon_count": (
+            "dudley", {"class": EVALS, "epsilons": [0.1], "epsilon_count": 3}, "dudley.epsilon_count"
+        ),
+        "config not an object": ("suite", [1, 2], None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_one_with_one_line(self, tmp_path, capsys, case):
+        command, config, key = self.CASES[case]
+        cfg = write_config(tmp_path, "c.json", config)
+        out = tmp_path / "report.json"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("genbound: ")
+        if key is not None:
+            assert key in lines[0]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_grid_points_null_matches_exact_integration(self, tmp_path):
+        config = {
+            "class": {"random": {"m": 4, "n": 5, "seed": 6}},
+            "epsilons": [0.1, 0.2, 0.4],
+            "grid_points": None,
+        }
+        cfg = write_config(tmp_path, "dud.json", config)
+        out = str(tmp_path / "report.json")
+        assert main(["dudley", "--config", cfg, "--out", out]) == 0
+        rows = load(out)["results"]
+        report = entropy.verify_dudley(random_evaluated_class(6, m=4, n=5), [0.1, 0.2, 0.4], grid_points=None)
+        assert [(r["x"], r["value"], r["slack"], r["lhs"]) for r in rows] == [
+            (e.epsilon, e.bound, e.slack, report.without_abs) for e in report.entries
+        ]
+
+    def test_readme_class_and_instance_examples_parse(self):
+        text = README.read_text()
+        cli = text[text.index("## CLI"):text.index("## Determinism")]
+        examples = [line for line in cli.splitlines() if line.startswith(('"class":', '"instance":'))]
+        assert len(examples) == 5
+        for line in examples:
+            spec = json.loads("{" + line + "}")
+            if "class" in spec:
+                assert isinstance(_parse({"command": "rademacher", **spec})["class"], EvaluatedClass)
+            else:
+                assert isinstance(_parse({"command": "deviation", "n": 2, **spec})["instance"], DiscreteInstance)
 
 
 class TestDeterminism:
