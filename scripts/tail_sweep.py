@@ -27,14 +27,14 @@ def main():
     args = parser.parse_args()
 
     inst = random_discrete_instance(args.seed, m=args.m, support_size=args.support)
-    rn = expected_rademacher(inst.builder(), inst.dist, args.n)
+    rn = expected_rademacher(inst.support_class, inst.dist, args.n)
     print(f"expected complexity: {rn.value:.6f} ({rn.method.value})")
 
     rows = []
     for i in range(1, args.points + 1):
         eps = i / args.points
         experiment = simulate_tail(
-            inst.builder(),
+            inst.support_class,
             inst.dist,
             args.n,
             eps,

@@ -43,10 +43,7 @@ from .core import (
     MissingPopulationMeans,
     PointSampler,
     Sample,
-    SignAssignment,
     deterministic_sum,
-    enumerate_product,
-    enumerate_signs,
     gaussian_sampler,
     product_orbits,
     sphere_sampler,
@@ -84,4 +81,4 @@ from .linear import (
     verify_linear_bound,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -61,17 +61,21 @@ class UsageError(GenboundError):
 _REQUIRED = object()
 
 
-def _typed(kind):
+def _typed(kind, low=None):
     def convert(value, path):
         try:
-            return kind(value)
+            converted = kind(value)
         except (TypeError, ValueError, OverflowError):
             raise UsageError(f"{path} must be {kind.__name__}, got {reprlib.repr(value)}") from None
+        if low is not None and converted < low:
+            raise UsageError(f"{path} must be at least {low}, got {converted}")
+        return converted
 
     return convert
 
 
-_int, _float = _typed(int), _typed(float)
+# sizes and counts are at least 1, the seeds of random specs at least 0
+_int, _float, _size, _natural = _typed(int), _typed(float), _typed(int, 1), _typed(int, 0)
 
 
 def _text(value, path):
@@ -89,8 +93,8 @@ def _array(value, path):
 
 def _floats(value, path) -> list[float]:
     values = _array(value, path)
-    if values.ndim != 1:
-        raise UsageError(f"{path} must be a list of numbers, got {reprlib.repr(value)}")
+    if values.ndim != 1 or values.size == 0:
+        raise UsageError(f"{path} must be a nonempty list of numbers, got {reprlib.repr(value)}")
     return values.tolist()
 
 
@@ -143,10 +147,10 @@ def _one_of(forms: dict):
 
 
 _SEED = (_optional(_int), None)
-_RANDOM = {"m": (_int, _REQUIRED), "envelope_b": (_float, 1.0), "seed": _SEED}
+_RANDOM = {"m": (_size, _REQUIRED), "envelope_b": (_float, 1.0), "seed": (_optional(_natural), None)}
 _MEASURE = {"support": (_array, _REQUIRED), "probs": (_array, _REQUIRED)}
 _CLASS_FORMS = {
-    "random": {"random": (_object({**_RANDOM, "n": (_int, _REQUIRED)}), _REQUIRED)},
+    "random": {"random": (_object({**_RANDOM, "n": (_size, _REQUIRED)}), _REQUIRED)},
     "evals": {
         "evals": (_array, _REQUIRED),
         "envelope_b": (_optional(_float), None),
@@ -154,7 +158,7 @@ _CLASS_FORMS = {
     },
 }
 _INSTANCE_FORMS = {
-    "random": {"random": (_object({**_RANDOM, "support_size": (_int, _REQUIRED)}), _REQUIRED)},
+    "random": {"random": (_object({**_RANDOM, "support_size": (_size, _REQUIRED)}), _REQUIRED)},
     "family": {"family": (_choice("identity"), _REQUIRED), **_MEASURE},
     "table": {"table": (_array, _REQUIRED), **_MEASURE, "envelope_b": (_float, _REQUIRED)},
 }
@@ -172,7 +176,7 @@ _COMMON = {
 }
 _SEEDED = {"seed": (_int, _REQUIRED)}
 _CLASS = {"class": (_one_of(_CLASS_FORMS), _REQUIRED)}
-_INSTANCE = {"instance": (_one_of(_INSTANCE_FORMS), _REQUIRED), "n": (_int, _REQUIRED)}
+_INSTANCE = {"instance": (_one_of(_INSTANCE_FORMS), _REQUIRED), "n": (_size, _REQUIRED)}
 _REGIMES = {"l2": linear.L2Ball, "l1": linear.L1Linf}
 _SCHEMA = {
     "rademacher": {
@@ -198,10 +202,10 @@ _SCHEMA = {
         "regime": (_choice(*_REGIMES), "l2"),
         "weight_radius": (_float, 1.0),
         "input_radius": (_float, 1.0),
-        "d": (_int, 4),
-        "n": (_int, 6),
-        "m": (_int, 5),
-        "count": (_int, 50),
+        "d": (_size, 4),
+        "n": (_size, 6),
+        "m": (_size, 5),
+        "count": (_size, 50),
     },
     "dudley": {
         **_COMMON,
@@ -224,6 +228,8 @@ def _random_args(spec: dict, seed, path: str) -> tuple[int, dict]:
     own = kwargs.pop("seed")
     if own is None and seed is None:
         raise UsageError(f"{path}.random.seed is required when the config has no seed")
+    if own is None and seed < 0:
+        raise UsageError(f"{path}.random.seed falls back to the config seed {seed}, below 0")
     return (seed if own is None else own), kwargs
 
 
@@ -311,11 +317,11 @@ def _cmd_rademacher(cfg: dict, threads: int):
 
 def _cmd_deviation(cfg: dict, threads: int):
     inst, n, caps = cfg["instance"], cfg["n"], cfg["caps"]
-    builder = inst.builder()
+    cls = inst.support_class
     results, violations = [], []
     try:
         bound = deviation.verify_expectation_bound(
-            builder, inst.dist, n, tol=cfg["tol"], product_cap=caps["product"], sign_cap=caps["sign"]
+            cls, inst.dist, n, tol=cfg["tol"], product_cap=caps["product"], sign_cap=caps["sign"]
         )
         results.append(
             {
@@ -328,7 +334,7 @@ def _cmd_deviation(cfg: dict, threads: int):
         )
     except InequalityViolation as exc:
         violations.append(_violation("expectation_bound", exc))
-    audit = deviation.audit_bounded_difference(builder, inst.dist, n, cap=caps["product"])
+    audit = deviation.audit_bounded_difference(cls, inst.dist, n, cap=caps["product"])
     results.append(
         {
             "kind": "bounded_difference_audit",
@@ -361,7 +367,7 @@ def _cmd_symmetrize(cfg: dict, threads: int):
     results, violations = [], []
     try:
         report = deviation.check_symmetrization_identity(
-            inst.builder(), inst.dist, cfg["n"], tol=cfg["tol"], cap=cfg["caps"]["product"]
+            inst.support_class, inst.dist, cfg["n"], tol=cfg["tol"], cap=cfg["caps"]["product"]
         )
         results.append(
             {
@@ -404,26 +410,29 @@ def _rademacher_for_instance(cfg: dict, threads: int):
     sign_cap, product_cap = cfg["caps"]["sign"], cfg["caps"]["product"]
     if inst.dist.size**n <= product_cap and n <= sign_cap:
         return complexity.expected_rademacher(
-            inst.builder(), inst.dist, n, product_cap=product_cap, sign_cap=sign_cap
+            inst.support_class, inst.dist, n, product_cap=product_cap, sign_cap=sign_cap
         )
     if draws < 100:
         raise InvariantViolation("Monte Carlo estimation needs at least 100 draws")
     rn_seed = derive_seed(cfg["seed"], "rn")
     values = np.empty(draws, dtype=np.float64)
-    for start in range(0, draws, 4096):
-        stop = min(start + 4096, draws)
+
+    def fill(start: int, stop: int) -> None:
         idx = inst.dist.draw_index_trials(rn_seed, start, stop - start, n)
         if n <= sign_cap:
             # the sign average is permutation invariant: one per drawn orbit
             orbits, which = _distinct_rows(np.sort(idx, axis=1))
             stack = inst.table[:, orbits].transpose(1, 0, 2)
             values[start:stop] = complexity._sign_averages(stack, sign_cap)[0][which]
-            continue
+            return
         for j in range(stop - start):
             cls = EvaluatedClass(inst.table[:, idx[j]], inst.envelope_b, validate=False)
+            # threads=1: this already runs on the chunk pool, which is not re-entrant
             values[start + j] = complexity.empirical_rademacher_mc(
-                cls, _INNER_DRAWS, derive_seed(rn_seed, f"inner:{start + j}"), threads=threads
+                cls, _INNER_DRAWS, derive_seed(rn_seed, f"inner:{start + j}"), threads=1
             ).value
+
+    complexity._run_chunks(fill, draws, threads)
     return complexity._mc_result(values, draws, rn_seed)
 
 
@@ -434,7 +443,7 @@ def _cmd_tail(cfg: dict, threads: int):
     results, violations = [], []
     for i, eps in enumerate(epsilons):
         experiment = concentration.simulate_tail(
-            inst.builder(), inst.dist, n, eps, trials, derive_seed(seed, f"tail:{i}"), rn.value,
+            inst.support_class, inst.dist, n, eps, trials, derive_seed(seed, f"tail:{i}"), rn.value,
             rademacher=rn, threads=threads,
         )
         verdict = concentration.verify_tail_bound(experiment)
@@ -575,7 +584,7 @@ def _cmd_suite(cfg: dict, threads: int):
     check("expectation_bound_and_audit", dev_config)
 
     sharp = identity_instance(DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]))
-    sharp_audit = deviation.audit_bounded_difference(sharp.builder(), sharp.dist, 2)
+    sharp_audit = deviation.audit_bounded_difference(sharp.support_class, sharp.dist, 2)
     record(
         "bounded_difference_attained",
         sharp_audit.max_observed_delta >= 0.5 * sharp_audit.theoretical_cap,
@@ -733,7 +742,7 @@ def canonical_report(report: dict) -> str:
     whatever the thread count.
     """
     stripped = {k: v for k, v in report.items() if k != "wall_ms"}
-    return json.dumps(_jsonable(stripped), sort_keys=True, indent=2)
+    return json.dumps(stripped, sort_keys=True, indent=2)
 
 
 _CURVE_BASE = ("x", "value", "method", "seed")

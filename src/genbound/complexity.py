@@ -24,7 +24,7 @@ import numpy as np
 from .core import (
     DEFAULT_PRODUCT_CAP,
     DEFAULT_SIGN_CAP,
-    Builder,
+    DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
     ExactEnumerationLimit,
@@ -132,8 +132,8 @@ def _run_chunks(fill: Callable[[int, int], object], total: int, threads: int) ->
 
     Chunks run on a pool shared by every call with the same ``threads``, so
     consecutive calls reuse its worker threads.  The pool is not re-entrant:
-    ``fill`` must not call ``_run_chunks`` itself, since a worker waiting on
-    chunks queued behind it in its own pool can deadlock.
+    a ``_run_chunks`` call inside ``fill`` must run at ``threads=1``, since a
+    worker waiting on chunks queued behind it in its own pool can deadlock.
     """
     ranges = [(s, min(s + _MC_CHUNK, total)) for s in range(0, total, _MC_CHUNK)]
     if threads <= 1 or len(ranges) == 1:
@@ -181,16 +181,30 @@ def empirical_rademacher_mc(
     return _mc_result(values, draws, seed)
 
 
+def _check_support_class(cls: EvaluatedClass, dist: DiscreteDistribution) -> None:
+    """Reject a class that is not on the whole support, one column per support point."""
+    if cls.n != dist.size:
+        raise DimensionMismatch(f"the support class has {cls.n} columns for {dist.size} support points")
+
+
 def _capped_orbits(
-    dist: DiscreteDistribution, n: int, product_cap: int
+    cls: EvaluatedClass, dist: DiscreteDistribution, n: int, cap: int,
+    need: str = "product enumeration needs {} tuples", *, per_tuple: int = 1, paired: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of the n-fold product of ``dist``; the cap counts its s**n tuples."""
-    total = dist.size**n
-    if total > product_cap:
-        raise ExactEnumerationLimit(
-            f"product enumeration needs {total} tuples, above the cap of {product_cap}"
-        )
-    return product_orbits(dist.probs, n)
+    """Orbits of the n-fold product of ``dist``, for a check on its support class ``cls``.
+
+    The cap counts the tuple enumeration the orbits replace: s**n tuples times
+    ``per_tuple``, or with ``paired`` (orbits over the s**2 pair values of a
+    two-sample check) s**(2n) pairs of tuples times their 2**n sign vectors.
+    """
+    if n < 1:
+        raise InvariantViolation("n must be at least 1")
+    _check_support_class(cls, dist)
+    probs = np.outer(dist.probs, dist.probs).ravel() if paired else dist.probs
+    budget = len(probs) ** n * per_tuple * (2**n if paired else 1)
+    if budget > cap:
+        raise ExactEnumerationLimit(f"{need.format(budget)}, above the cap of {cap}")
+    return product_orbits(probs, n)
 
 
 def _orbit_rademacher(
@@ -202,7 +216,7 @@ def _orbit_rademacher(
 
 
 def expected_rademacher(
-    class_builder: Builder,
+    cls: EvaluatedClass,
     dist: DiscreteDistribution,
     n: int,
     *,
@@ -211,18 +225,15 @@ def expected_rademacher(
 ) -> ComplexityResult:
     """Exact expectation of the empirical complexity under the product measure.
 
-    ``class_builder`` maps a tuple of support indices to the class restricted
-    to that realized sample.  It must be pointwise (see ``core.Builder``): it
-    is called once, on the whole support, and every sample's class is read off
-    that table.  The empirical complexity does not change when the sample is
-    permuted, so the expectation is summed over permutation orbits with
-    multinomial weights (``core.product_orbits``); ``product_cap`` still
-    counts the s**n tuples.
+    ``cls`` is the class on the whole support (``DiscreteInstance.support_class``),
+    and every sample's class is read off its columns.  The empirical complexity
+    does not change when the sample is permuted, so the expectation is summed
+    over permutation orbits with multinomial weights (``core.product_orbits``);
+    ``product_cap`` still counts the s**n tuples.
     """
-    reps, weights = _capped_orbits(dist, n, product_cap)
-    table = class_builder(tuple(range(dist.size))).evals
+    reps, weights = _capped_orbits(cls, dist, n, product_cap)
     return ComplexityResult(
-        _orbit_rademacher(table, reps, weights, sign_cap), Method.EXACT_ENUMERATION
+        _orbit_rademacher(cls.evals, reps, weights, sign_cap), Method.EXACT_ENUMERATION
     )
 
 

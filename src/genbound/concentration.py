@@ -19,14 +19,13 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaincinv
 
-from .complexity import ComplexityResult, _run_chunks
+from .complexity import ComplexityResult, _check_support_class, _run_chunks
 from .core import (
     DiscreteDistribution,
     EvaluatedClass,
     InvalidDelta,
     InvalidEnvelope,
     InvariantViolation,
-    MissingPopulationMeans,
     PointSampler,
 )
 from .deviation import _sample_deviations, uniform_deviation
@@ -104,7 +103,7 @@ class TailExperiment:
 
 
 def simulate_tail(
-    class_builder: Callable,
+    cls: EvaluatedClass | Callable[[np.ndarray], EvaluatedClass],
     source: DiscreteDistribution | PointSampler,
     n: int,
     epsilon: float,
@@ -118,9 +117,9 @@ def simulate_tail(
     """Count how often UD >= 2 * rademacher_value + epsilon over seeded trials.
 
     The complexity value is an input, fixed once for the whole experiment; its
-    provenance travels in the report.  With a finite data measure the builder
-    is evaluated once on the full support and trials are vectorized; with a
-    point sampler the builder runs per realized sample and must supply
+    provenance travels in the report.  With a finite data measure ``cls`` is
+    the class on the whole support and trials are vectorized; with a point
+    sampler it is a builder that runs per realized sample and must supply
     population means explicitly.
     """
     if trials < 1000:
@@ -128,23 +127,21 @@ def simulate_tail(
     threshold = 2.0 * rademacher_value + epsilon
 
     if isinstance(source, DiscreteDistribution):
-        base = class_builder(tuple(range(source.size)))
-        if base.population_means is None:
-            raise MissingPopulationMeans("tail simulation needs population means")
-        envelope = base.envelope_b
+        _check_support_class(cls, source)  # _sample_deviations checks the population means
+        envelope = cls.envelope_b
 
         def fill(start: int, stop: int) -> int:
             idx = source.draw_index_trials(seed, start, stop - start, n)
-            return int(np.count_nonzero(_sample_deviations(base, idx) >= threshold))
+            return int(np.count_nonzero(_sample_deviations(cls, idx) >= threshold))
 
     else:
 
         def fill(start: int, stop: int) -> int:
             pts = source.draw(seed, start * n, (stop - start) * n)
             pts = pts.reshape(stop - start, n, -1) if pts.ndim == 2 else pts.reshape(stop - start, n)
-            return sum(uniform_deviation(class_builder(p)) >= threshold for p in pts)
+            return sum(uniform_deviation(cls(p)) >= threshold for p in pts)
 
-        envelope = class_builder(source.draw(seed, 0, n)).envelope_b
+        envelope = cls(source.draw(seed, 0, n)).envelope_b
 
     exceed = sum(_run_chunks(fill, trials, threads))
     return TailExperiment(

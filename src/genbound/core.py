@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -194,22 +194,6 @@ class DiscreteDistribution:
         return np.where(low == high, low, -1)
 
 
-@dataclass(frozen=True)
-class SignAssignment:
-    """One sign vector in {-1,+1}^n, encoded as an n-bit word (bit k set => +1)."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.n):
-            raise InvariantViolation(f"bit word {self.bits} out of range for n={self.n}")
-
-    def vector(self) -> np.ndarray:
-        k = np.arange(self.n)
-        return np.where((self.bits >> k) & 1, 1, -1).astype(np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluatedClass:
     """A function class restricted to a sample: evals[i, k] = f_i(S_k).
@@ -272,65 +256,9 @@ class EvaluatedClass:
         return payload
 
 
-Builder = Callable[[tuple[int, ...]], EvaluatedClass]
-"""Maps a tuple of support indices to the class restricted to that sample.
-
-Builders are pointwise: ``builder(idx).evals`` equals
-``builder(tuple(range(s))).evals[:, idx]`` with the same envelope and
-population means, so one call on the whole support yields the value table
-from which every product-measure expectation is computed.
-"""
-
-
 # ---------------------------------------------------------------------------
-# Exhaustive enumerators
+# Product-measure orbits
 # ---------------------------------------------------------------------------
-
-
-def enumerate_signs(n: int, *, cap: int = DEFAULT_SIGN_CAP) -> Iterator[SignAssignment]:
-    """All 2**n sign assignments in ascending bit-word order."""
-    if n < 1:
-        raise InvariantViolation("n must be at least 1")
-    if n > cap:
-        raise ExactEnumerationLimit(
-            f"sign enumeration for n={n} exceeds the exact-enumeration cap of {cap}"
-        )
-    for word in range(1 << n):
-        yield SignAssignment(word, n)
-
-
-def enumerate_product(
-    dist: DiscreteDistribution, n: int, *, cap: int = DEFAULT_PRODUCT_CAP
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    """All support-index tuples of the n-fold product measure with their weights.
-
-    Tuples come in C order (last coordinate fastest), so tuple t encodes the
-    base-s digits of t.  Weights are products of coordinate probabilities.
-    """
-    if n < 1:
-        raise InvariantViolation("n must be at least 1")
-    s = dist.size
-    total = s**n
-    if total > cap:
-        raise ExactEnumerationLimit(
-            f"product enumeration needs {total} tuples, above the cap of {cap}"
-        )
-    probs = dist.probs
-    indices = [0] * n
-    while True:
-        weight = 1.0
-        for k in indices:
-            weight *= probs[k]
-        yield tuple(indices), float(weight)
-        pos = n - 1
-        while pos >= 0:
-            indices[pos] += 1
-            if indices[pos] < s:
-                break
-            indices[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
 
 
 def product_orbits(probs, n: int) -> tuple[np.ndarray, np.ndarray]:

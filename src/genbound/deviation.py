@@ -24,18 +24,12 @@ from .complexity import _capped_orbits, _orbit_rademacher
 from .core import (
     DEFAULT_PRODUCT_CAP,
     DEFAULT_SIGN_CAP,
-    Builder,
     DiscreteDistribution,
     EvaluatedClass,
-    ExactEnumerationLimit,
     InequalityViolation,
     MissingPopulationMeans,
     deterministic_sum,
-    product_orbits,
-    sign_block,
 )
-
-_ORBIT_CHUNK = 1 << 14  # orbits times sign vectors per symmetrization block
 
 
 def uniform_deviation(cls: EvaluatedClass) -> float:
@@ -110,7 +104,7 @@ class DeviationAudit:
 
 
 def audit_bounded_difference(
-    class_builder: Builder,
+    cls: EvaluatedClass,
     dist: DiscreteDistribution,
     n: int,
     *,
@@ -118,29 +112,26 @@ def audit_bounded_difference(
 ) -> DeviationAudit:
     """Check |UD(S) - UD(S with one coordinate replaced)| <= 2b/n exhaustively.
 
-    Every sample in the n-fold support, every coordinate, and every replacement
-    value is covered: each permutation orbit is compared with the orbits one
-    replacement away.  The cap and ``perturbations_checked`` count the
-    s**n * n * s replacements.  A violation is reported, not raised: it is
-    exactly how an understated envelope surfaces.
+    ``cls`` is the class on the whole support.  Every sample in the n-fold
+    support, every coordinate, and every replacement value is covered: each
+    permutation orbit is compared with the orbits one replacement away.  The
+    cap and ``perturbations_checked`` count the s**n * n * s replacements.  A
+    violation is reported, not raised: it is exactly how an understated
+    envelope surfaces.
     """
     s = dist.size
-    budget = (s**n) * n * s
-    if budget > cap:
-        raise ExactEnumerationLimit(
-            f"bounded-difference audit needs {budget} perturbations, above the cap of {cap}"
-        )
-    reps, _weights = product_orbits(dist.probs, n)
-    base = class_builder(tuple(range(s)))
-    deviations = _sample_deviations(base, reps)
-    theoretical_cap = 2.0 * base.envelope_b / n
+    reps, _weights = _capped_orbits(
+        cls, dist, n, cap, "bounded-difference audit needs {} perturbations", per_tuple=n * s
+    )
+    deviations = _sample_deviations(cls, reps)
+    theoretical_cap = 2.0 * cls.envelope_b / n
 
     source, neighbour = _replacement_pairs(reps, s)
     max_delta = float(np.abs(deviations[source] - deviations[neighbour]).max())
     return DeviationAudit(
         max_observed_delta=max_delta,
         theoretical_cap=theoretical_cap,
-        perturbations_checked=budget,
+        perturbations_checked=s**n * n * s,
         violated=max_delta > theoretical_cap + 1e-12,
     )
 
@@ -153,7 +144,7 @@ class SymmetrizationReport:
 
 
 def check_symmetrization_identity(
-    class_builder: Builder,
+    cls: EvaluatedClass,
     dist: DiscreteDistribution,
     n: int,
     *,
@@ -168,34 +159,23 @@ def check_symmetrization_identity(
         E max_i |sum_k (f_i(S_k) - f_i(S'_k))|
           == E (1/2**n) sum_sigma max_i |sum_k sigma_k (f_i(S_k) - f_i(S'_k))|
 
-    Both sides depend only on the multiset of pairs (S_k, S'_k), so they are
-    summed over permutation orbits of the pair sequence, whose values range
-    over the s**2 pairs.  The cap counts the s**(2n) * 2**n terms of the
-    tuple enumeration.  Both sides must agree within ``tol``.
+    ``cls`` is the class on the whole support.  Both sides depend only on the
+    multiset of pairs (S_k, S'_k), so they are summed over permutation orbits
+    of the pair sequence, whose values range over the s**2 pairs; the right
+    side is n times the expected complexity of the class of pair differences.
+    The cap counts the s**(2n) * 2**n terms of the tuple enumeration.  Both
+    sides must agree within ``tol``.
     """
     s = dist.size
-    budget = s ** (2 * n) * (1 << n)
-    if budget > cap:
-        raise ExactEnumerationLimit(
-            f"symmetrization check needs {budget} enumerated terms, above the cap of {cap}"
-        )
-    table = class_builder(tuple(range(s))).evals
+    reps, weights = _capped_orbits(
+        cls, dist, n, cap, "symmetrization check needs {} enumerated terms", paired=True
+    )
+    table = cls.evals
     # pair value a * s + b stands for (S_k, S'_k) = (a, b)
     pair_diffs = (table[:, :, None] - table[:, None, :]).reshape(table.shape[0], s * s)
-    reps, weights = product_orbits(np.outer(dist.probs, dist.probs).ravel(), n)
-    signs = sign_block(n, 0, 1 << n).T  # (n, 2**n)
-
-    lhs_terms = np.empty(reps.shape[0], dtype=np.float64)
-    rhs_terms = np.empty(reps.shape[0], dtype=np.float64)
-    step = max(1, _ORBIT_CHUNK >> n)
-    for start in range(0, reps.shape[0], step):
-        block = slice(start, start + step)
-        diff = pair_diffs[:, reps[block]].transpose(1, 0, 2)  # (orbits, m, n)
-        lhs_terms[block] = np.abs(diff.sum(axis=2)).max(axis=1)
-        rhs_terms[block] = np.abs(diff @ signs).max(axis=1).mean(axis=1)
-
-    lhs = deterministic_sum(weights * lhs_terms)
-    rhs = deterministic_sum(weights * rhs_terms)
+    lhs = deterministic_sum(weights * np.abs(pair_diffs[:, reps].sum(axis=2)).max(axis=0))
+    # the cap already bounds the 2**n sign vectors, so the sign cap is n itself
+    rhs = n * _orbit_rademacher(pair_diffs, reps, weights, sign_cap=n)
     gap = abs(lhs - rhs)
     if gap > tol:
         raise InequalityViolation(
@@ -213,7 +193,7 @@ class ExpectationBoundReport:
 
 
 def verify_expectation_bound(
-    class_builder: Builder,
+    cls: EvaluatedClass,
     dist: DiscreteDistribution,
     n: int,
     *,
@@ -223,13 +203,12 @@ def verify_expectation_bound(
 ) -> ExpectationBoundReport:
     """Certify E[uniform deviation] <= 2 * expected complexity, both sides exact.
 
-    Both expectations are summed over the same permutation orbits, from one
-    call of the pointwise ``class_builder`` on the whole support.
+    Both expectations are summed over the same permutation orbits of the
+    samples, each read off ``cls``, the class on the whole support.
     """
-    reps, weights = _capped_orbits(dist, n, product_cap)
-    base = class_builder(tuple(range(dist.size)))
-    lhs = deterministic_sum(weights * _sample_deviations(base, reps))
-    rhs = 2.0 * _orbit_rademacher(base.evals, reps, weights, sign_cap)
+    reps, weights = _capped_orbits(cls, dist, n, product_cap)
+    lhs = deterministic_sum(weights * _sample_deviations(cls, reps))
+    rhs = 2.0 * _orbit_rademacher(cls.evals, reps, weights, sign_cap)
     if lhs > rhs + tol:
         raise InequalityViolation(
             f"expected deviation {lhs!r} exceeds twice the complexity {rhs!r}",

@@ -258,7 +258,7 @@ def build_chaining(
     if method is None:
         method = CoverMethod.EXACT_MINIMAL if reps.size <= cover_cap else CoverMethod.GREEDY
     else:
-        method = _as_method(method)
+        method = CoverMethod(method)
     if method is CoverMethod.EXACT_MINIMAL:
         _check_cover_cap(reps, cover_cap)
         cover_at = functools.partial(_exact_cover, reps, sub)
@@ -293,10 +293,6 @@ class DudleyResult:
     cover_sizes: np.ndarray
     cover_method: CoverMethod
     grid_points: int | None  # None means exact breakpoint integration
-
-
-def _as_method(method: CoverMethod | str) -> CoverMethod:
-    return CoverMethod(method)
 
 
 def _bound_from_profile(
@@ -350,7 +346,7 @@ def dudley_bound(
     integrates the step function exactly at its breakpoints.  Greedy covers
     only enlarge N, so either way the returned value stays a valid bound.
     """
-    method = _as_method(cover_method)
+    method = CoverMethod(cover_method)
     c = float(_norms(cls).max())
     if c <= 0.0:
         raise DegenerateClass("all rows vanish on the sample")
@@ -388,7 +384,7 @@ def verify_dudley(
     The covering-number step function is computed once and shared by the whole
     radius grid; its values are exactly those a direct cover evaluation gives.
     """
-    method = _as_method(cover_method)
+    method = CoverMethod(cover_method)
     lhs = empirical_rademacher_without_abs(cls, sign_cap=sign_cap).value
     c = float(_norms(cls).max())
     if c <= 0.0:

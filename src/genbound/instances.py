@@ -1,9 +1,9 @@
-"""Instance generators and class builders for experiments and the CLI.
+"""Instance generators for experiments and the CLI.
 
 A discrete instance pins a function class down by its value table on the
 support of a finite data measure; the table row i holds f_i at every support
-point, so restrictions to realized samples are column gathers and population
-means are exact weighted sums.
+point, so the product-measure checks read it as the class on the whole
+support and population means are exact weighted sums.
 """
 
 from __future__ import annotations
@@ -49,20 +49,14 @@ class DiscreteInstance:
     def m(self) -> int:
         return self.table.shape[0]
 
-    def builder(self):
-        """Support-index builder for the exact enumeration operations.
+    @property
+    def support_class(self) -> EvaluatedClass:
+        """The class on the whole support: column a holds every f_i at support point a.
 
-        The returned classes skip re-validation: the table was checked (or the
-        caller explicitly opted out so the audit can surface a bad envelope).
+        It skips re-validation: the table was checked (or the caller explicitly
+        opted out so the audit can surface a bad envelope).
         """
-
-        def build(indices) -> EvaluatedClass:
-            idx = np.asarray(indices, dtype=np.intp)
-            return EvaluatedClass(
-                self.table[:, idx], self.envelope_b, self.means, validate=False
-            )
-
-        return build
+        return EvaluatedClass(self.table, self.envelope_b, self.means, validate=False)
 
 
 def random_discrete_instance(

@@ -1,9 +1,17 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from genbound.core import (
+    DEFAULT_PRODUCT_CAP,
+    DEFAULT_SIGN_CAP,
+    ExactEnumerationLimit,
+    InvariantViolation,
+)
 
 settings.register_profile(
     "ci", max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -14,6 +22,53 @@ settings.load_profile("ci")
 # ---------------------------------------------------------------------------
 # Independent oracles (pure python, fsum accumulation, no library code paths)
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SignAssignment:
+    """One sign vector in {-1,+1}^n, encoded as an n-bit word (bit k set => +1)."""
+
+    bits: int
+    n: int
+
+    def __post_init__(self):
+        if not 0 <= self.bits < (1 << self.n):
+            raise InvariantViolation(f"bit word {self.bits} out of range for n={self.n}")
+
+    def vector(self) -> np.ndarray:
+        k = np.arange(self.n)
+        return np.where((self.bits >> k) & 1, 1, -1).astype(np.int64)
+
+
+def enumerate_signs(n, *, cap=DEFAULT_SIGN_CAP):
+    """All 2**n sign assignments in ascending bit-word order."""
+    if n < 1:
+        raise InvariantViolation("n must be at least 1")
+    if n > cap:
+        raise ExactEnumerationLimit(
+            f"sign enumeration for n={n} exceeds the exact-enumeration cap of {cap}"
+        )
+    for word in range(1 << n):
+        yield SignAssignment(word, n)
+
+
+def enumerate_product(dist, n, *, cap=DEFAULT_PRODUCT_CAP):
+    """All support-index tuples of the n-fold product measure with their weights.
+
+    Tuples come in C order (last coordinate fastest); a weight is the product
+    of its coordinate probabilities.  The tuple-by-tuple reference for every
+    orbit sum of the library.
+    """
+    if n < 1:
+        raise InvariantViolation("n must be at least 1")
+    total = dist.size**n
+    if total > cap:
+        raise ExactEnumerationLimit(
+            f"product enumeration needs {total} tuples, above the cap of {cap}"
+        )
+    probs = dist.probs
+    for idx in itertools.product(range(dist.size), repeat=n):
+        yield idx, float(math.prod(probs[k] for k in idx))
 
 
 def oracle_sign_average(evals, absolute=True):

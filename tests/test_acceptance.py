@@ -83,7 +83,7 @@ def test_02_symmetrization_identity():
             support_size=int(rng.integers(2, 4)),
         )
         n = int(rng.integers(1, 4))
-        report = check_symmetrization_identity(inst.builder(), inst.dist, n, tol=1e-10)
+        report = check_symmetrization_identity(inst.support_class, inst.dist, n, tol=1e-10)
         worst = max(worst, report.abs_diff)
     finish(2, "symmetrization-identity", 60, started, worst <= 1e-10, f"worst gap {worst}")
 
@@ -99,7 +99,7 @@ def test_03_expectation_bound():
             support_size=int(rng.integers(2, 4)),
         )
         n = int(rng.integers(1, 6))
-        report = verify_expectation_bound(inst.builder(), inst.dist, n, tol=1e-10)
+        report = verify_expectation_bound(inst.support_class, inst.dist, n, tol=1e-10)
         worst = min(worst, report.slack)
     finish(3, "expectation-bound", 120, started, worst >= -1e-10, f"worst slack {worst}")
 
@@ -115,11 +115,11 @@ def test_04_bounded_differences():
             support_size=int(rng.integers(2, 4)),
         )
         n = int(rng.integers(1, 6))
-        audit = audit_bounded_difference(inst.builder(), inst.dist, n)
+        audit = audit_bounded_difference(inst.support_class, inst.dist, n)
         clean = clean and not audit.violated
     # a constructed instance must come close to the cap, so the audit is not vacuous
     sharp = identity_instance(DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]))
-    sharp_audit = audit_bounded_difference(sharp.builder(), sharp.dist, 4)
+    sharp_audit = audit_bounded_difference(sharp.support_class, sharp.dist, 4)
     attained = sharp_audit.max_observed_delta >= 0.5 * sharp_audit.theoretical_cap
     finish(
         4,
@@ -144,10 +144,10 @@ def test_05_mcdiarmid_tail():
             envelope_b=1.0,
         )
         for n in (4, 8):
-            rn = expected_rademacher(inst.builder(), inst.dist, n)
+            rn = expected_rademacher(inst.support_class, inst.dist, n)
             for epsilon in (0.1, 0.25, 0.5):
                 experiment = simulate_tail(
-                    inst.builder(),
+                    inst.support_class,
                     inst.dist,
                     n,
                     epsilon,

@@ -22,7 +22,7 @@ from genbound.cli import (
     main,
     run_experiment,
 )
-from genbound.core import EvaluatedClass
+from genbound.core import EvaluatedClass, derive_seed
 from genbound.instances import DiscreteInstance, random_discrete_instance, random_evaluated_class
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -134,6 +134,33 @@ class TestCommands:
         assert row["method"] == "monte_carlo"
         assert row["rademacher_std_error"] > 0.0
 
+    def test_tail_mc_fallback_over_several_chunks_matches_per_draw_values(self, tmp_path):
+        config = {
+            "instance": {"random": {"m": 2, "support_size": 2, "seed": 3}},
+            "n": 4,
+            "trials": 1000,
+            "seed": 5,
+            "caps": {"product": 10},
+            "rademacher_draws": complexity._MC_CHUNK + 9,
+        }
+        cfg = write_config(tmp_path, "tail.json", config)
+        reports = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"report{threads}.json")
+            assert main(["tail", "--config", cfg, "--out", out, "--threads", threads]) == 0
+            reports.append(load(out))
+        assert canonical_report(reports[0]) == canonical_report(reports[1])
+        inst = random_discrete_instance(3, m=2, support_size=2)
+        draws, rn_seed = config["rademacher_draws"], derive_seed(5, "rn")
+        # each draw's sign average is taken on its sorted orbit representative
+        idx = np.sort(inst.dist.draw_index_trials(rn_seed, 0, draws, 4), axis=1)
+        values = np.array(
+            [complexity.empirical_rademacher(EvaluatedClass(inst.table[:, row], 1.0)).value for row in idx]
+        )
+        expected = complexity._mc_result(values, draws, rn_seed)
+        row = reports[0]["results"][0]
+        assert (row["rademacher_value"], row["rademacher_std_error"]) == (expected.value, expected.std_error)
+
     @pytest.mark.parametrize("draws", [0, 1, 99])
     def test_tail_mc_fallback_needs_a_hundred_draws(self, tmp_path, capsys, draws):
         cfg = write_config(
@@ -171,7 +198,7 @@ class TestCommands:
         row = reports[0]["results"][0]
         assert row["method"] == "monte_carlo"
         inst = random_discrete_instance(4, m=3, support_size=2)
-        exact = complexity.expected_rademacher(inst.builder(), inst.dist, 6).value
+        exact = complexity.expected_rademacher(inst.support_class, inst.dist, 6).value
         assert abs(row["rademacher_value"] - exact) <= 5.0 * row["rademacher_std_error"]
 
     def test_suite(self, tmp_path):
@@ -248,6 +275,25 @@ class TestConfigErrors:
             "dudley", {"class": EVALS, "epsilons": [0.1], "epsilon_count": 3}, "dudley.epsilon_count"
         ),
         "config not an object": ("suite", [1, 2], None),
+        "negative config seed for a random spec": (
+            "dudley", {"class": {"random": {"m": 2, "n": 3}}, "seed": -1}, "dudley.class.random.seed"
+        ),
+    }
+    # sizes and counts below 1, a random seed below 0, and no epsilons; each of
+    # these used to end in a traceback or print "ok" after checking nothing
+    OUT_OF_RANGE = {
+        "random class m": (
+            "rademacher", {"class": {"random": {"m": -1, "n": 3, "seed": 1}}}, "rademacher.class.random.m"
+        ),
+        "random class seed": (
+            "rademacher", {"class": {"random": {"m": 2, "n": 3, "seed": -5}}}, "rademacher.class.random.seed"
+        ),
+        "linear n": ("linear", {"seed": 1, "n": 0}, "linear.n"),
+        "symmetrize n": ("symmetrize", {"instance": RANDOM_INSTANCE, "n": -1}, "symmetrize.n"),
+        "tail epsilons": (
+            "tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": []}, "tail.epsilons"
+        ),
+        "linear count": ("linear", {"seed": 1, "count": -1}, "linear.count"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -263,6 +309,16 @@ class TestConfigErrors:
             assert key in lines[0]
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", OUT_OF_RANGE)
+    def test_out_of_range_exits_one_with_one_line(self, tmp_path, capsys, case):
+        command, config, key = self.OUT_OF_RANGE[case]
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "report.json")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("genbound: ") and key in lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_grid_points_null_matches_exact_integration(self, tmp_path):
         config = {

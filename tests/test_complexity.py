@@ -151,28 +151,25 @@ class TestExpected:
     def test_point_mass_equals_empirical(self):
         dist = DiscreteDistribution([0.7], [1.0])
         inst = identity_instance(dist)
-        expected = expected_rademacher(inst.builder(), dist, 3)
-        constant = empirical_rademacher(inst.builder()((0, 0, 0)))
+        expected = expected_rademacher(inst.support_class, dist, 3)
+        constant = empirical_rademacher(EvaluatedClass(inst.table[:, [0, 0, 0]], inst.envelope_b))
         assert expected.value == constant.value
 
     def test_identity_on_pm_one(self):
         dist = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
         inst = identity_instance(dist)
-        assert expected_rademacher(inst.builder(), dist, 1).value == 1.0
+        assert expected_rademacher(inst.support_class, dist, 1).value == 1.0
 
     def test_zero_class(self):
         dist = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
-
-        def builder(indices):
-            return EvaluatedClass(np.zeros((2, len(indices))), 0.0)
-
-        assert expected_rademacher(builder, dist, 2).value == 0.0
+        support_class = EvaluatedClass(np.zeros((2, 2)), 0.0)
+        assert expected_rademacher(support_class, dist, 2).value == 0.0
 
     def test_cap(self):
         dist = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
         inst = identity_instance(dist)
         with pytest.raises(ExactEnumerationLimit):
-            expected_rademacher(inst.builder(), dist, 4, product_cap=10)
+            expected_rademacher(inst.support_class, dist, 4, product_cap=10)
 
     def test_matches_tuple_enumeration_oracle(self):
         import itertools
@@ -182,7 +179,7 @@ class TestExpected:
 
         inst = random_discrete_instance(57, m=3, support_size=3)
         n = 2
-        value = expected_rademacher(inst.builder(), inst.dist, n).value
+        value = expected_rademacher(inst.support_class, inst.dist, n).value
         terms = []
         for indices in itertools.product(range(3), repeat=n):
             weight = math.prod(float(inst.dist.probs[k]) for k in indices)
@@ -203,7 +200,7 @@ class TestExpected:
     def test_mc_matches_exact(self):
         dist = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
         inst = identity_instance(dist)
-        exact = expected_rademacher(inst.builder(), dist, 2).value
+        exact = expected_rademacher(inst.support_class, dist, 2).value
         table = inst.table
 
         def builder(points):

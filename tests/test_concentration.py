@@ -117,42 +117,40 @@ class TestSimulateTail:
     def test_constant_class_never_exceeds(self):
         dist = pm_one()
         inst = DiscreteInstance.from_table(np.full((2, 2), 0.25), 1.0, dist)
-        exp = simulate_tail(inst.builder(), dist, 4, 0.1, 1000, 3, 0.0)
+        exp = simulate_tail(inst.support_class, dist, 4, 0.1, 1000, 3, 0.0)
         assert exp.exceed_count == 0
         assert exp.theoretical > 0.0
 
     def test_identity_consistent_with_bound(self):
         inst = identity_instance(pm_one())
-        rn = expected_rademacher(inst.builder(), inst.dist, 8)
-        exp = simulate_tail(inst.builder(), inst.dist, 8, 0.5, 100_000, 11, rn.value, rademacher=rn)
+        rn = expected_rademacher(inst.support_class, inst.dist, 8)
+        exp = simulate_tail(inst.support_class, inst.dist, 8, 0.5, 100_000, 11, rn.value, rademacher=rn)
         assert exp.empirical_freq <= exp.ci_upper
         assert verify_tail_bound(exp).passed
 
     def test_thread_count_invariance(self):
         inst = random_discrete_instance(4, m=3, support_size=3)
-        rn = expected_rademacher(inst.builder(), inst.dist, 4)
-        one = simulate_tail(inst.builder(), inst.dist, 4, 0.25, 20_000, 7, rn.value, threads=1)
-        eight = simulate_tail(inst.builder(), inst.dist, 4, 0.25, 20_000, 7, rn.value, threads=8)
+        rn = expected_rademacher(inst.support_class, inst.dist, 4)
+        one = simulate_tail(inst.support_class, inst.dist, 4, 0.25, 20_000, 7, rn.value, threads=1)
+        eight = simulate_tail(inst.support_class, inst.dist, 4, 0.25, 20_000, 7, rn.value, threads=8)
         assert one.exceed_count == eight.exceed_count
 
     def test_minimum_trials(self):
         inst = identity_instance(pm_one())
         with pytest.raises(InvariantViolation):
-            simulate_tail(inst.builder(), inst.dist, 2, 0.1, 999, 0, 0.5)
+            simulate_tail(inst.support_class, inst.dist, 2, 0.1, 999, 0, 0.5)
 
     def test_requires_means(self):
         dist = pm_one()
         from genbound.core import EvaluatedClass
 
-        def builder(indices):
-            return EvaluatedClass(dist.support[list(indices)][None, :], 1.0)
-
+        support_class = EvaluatedClass(dist.support[None, :], 1.0)
         with pytest.raises(MissingPopulationMeans):
-            simulate_tail(builder, dist, 2, 0.1, 1000, 0, 0.5)
+            simulate_tail(support_class, dist, 2, 0.1, 1000, 0, 0.5)
 
     def test_sampler_path_matches_dist_path_semantics(self):
         inst = identity_instance(pm_one())
-        rn = expected_rademacher(inst.builder(), inst.dist, 4)
+        rn = expected_rademacher(inst.support_class, inst.dist, 4)
         from genbound.core import EvaluatedClass
 
         def point_builder(points):
@@ -199,8 +197,8 @@ class TestVerifyTailBound:
     @given(st.integers(0, 10**6), st.sampled_from([0.1, 0.25, 0.5]), st.sampled_from([2, 4]))
     def test_random_instances_respect_bound(self, seed, epsilon, n):
         inst = random_discrete_instance(seed, m=3, support_size=3)
-        rn = expected_rademacher(inst.builder(), inst.dist, n)
-        exp = simulate_tail(inst.builder(), inst.dist, n, epsilon, 2000, seed, rn.value)
+        rn = expected_rademacher(inst.support_class, inst.dist, n)
+        exp = simulate_tail(inst.support_class, inst.dist, n, epsilon, 2000, seed, rn.value)
         assert verify_tail_bound(exp).passed
 
     def test_hundred_instance_suite(self):
@@ -212,9 +210,9 @@ class TestVerifyTailBound:
                 support_size=int(rng.integers(2, 4)),
             )
             n = int(rng.integers(1, 9))
-            rn = expected_rademacher(inst.builder(), inst.dist, n)
+            rn = expected_rademacher(inst.support_class, inst.dist, n)
             for epsilon in (0.1, 0.25, 0.5):
                 exp = simulate_tail(
-                    inst.builder(), inst.dist, n, epsilon, 2000, i, rn.value
+                    inst.support_class, inst.dist, n, epsilon, 2000, i, rn.value
                 )
                 assert verify_tail_bound(exp).passed

@@ -12,11 +12,8 @@ from genbound.core import (
     ExactEnumerationLimit,
     InvariantViolation,
     Sample,
-    SignAssignment,
     deterministic_sum,
     draw_words,
-    enumerate_product,
-    enumerate_signs,
     gaussian_sampler,
     sign_block,
     sphere_sampler,
@@ -24,6 +21,8 @@ from genbound.core import (
     words_to_signs,
     words_to_uniforms,
 )
+
+from conftest import SignAssignment, enumerate_product, enumerate_signs
 
 
 class TestEnumerateSigns:

@@ -123,6 +123,6 @@ class TestTailSimulation:
         assert 0 < expected < trials
         for threads in (1, 2):
             experiment = simulate_tail(
-                inst.builder(), inst.dist, n, threshold, trials, seed, 0.0, threads=threads
+                inst.support_class, inst.dist, n, threshold, trials, seed, 0.0, threads=threads
             )
             assert experiment.exceed_count == expected

@@ -31,7 +31,8 @@ class TestUniformDeviation:
 
     def test_identity_class(self):
         inst = identity_instance(uniform01())
-        assert uniform_deviation(inst.builder()((1, 1))) == 0.5
+        cls = EvaluatedClass(inst.table[:, [1, 1]], inst.envelope_b, inst.means)
+        assert uniform_deviation(cls) == 0.5
 
     def test_max_selection(self):
         cls = EvaluatedClass([[0.2, 0.2], [0.7, 0.7]], 1.0, [0.0, 0.0])
@@ -57,13 +58,13 @@ class TestBoundedDifferenceAudit:
         dist = uniform01()
         table = np.full((1, 2), 0.3)
         inst = DiscreteInstance.from_table(table, 1.0, dist)
-        audit = audit_bounded_difference(inst.builder(), dist, 2)
+        audit = audit_bounded_difference(inst.support_class, dist, 2)
         assert audit.max_observed_delta == 0.0
         assert not audit.violated
 
     def test_identity_on_unit_support(self):
         inst = identity_instance(uniform01())
-        audit = audit_bounded_difference(inst.builder(), inst.dist, 2)
+        audit = audit_bounded_difference(inst.support_class, inst.dist, 2)
         assert audit.theoretical_cap == pytest.approx(1.0)
         assert audit.perturbations_checked == 4 * 2 * 2
         assert not audit.violated
@@ -73,24 +74,24 @@ class TestBoundedDifferenceAudit:
         inst = DiscreteInstance.from_table(
             [[0.0, 1.0]], 0.1, dist, check_envelope=False
         )
-        audit = audit_bounded_difference(inst.builder(), dist, 2)
+        audit = audit_bounded_difference(inst.support_class, dist, 2)
         assert audit.violated
         assert audit.max_observed_delta > audit.theoretical_cap
 
     def test_cap_attained_by_identity_on_pm_one(self):
         inst = identity_instance(DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]))
-        audit = audit_bounded_difference(inst.builder(), inst.dist, 2)
+        audit = audit_bounded_difference(inst.support_class, inst.dist, 2)
         assert audit.max_observed_delta == pytest.approx(audit.theoretical_cap, abs=1e-12)
 
     def test_enumeration_cap(self):
         inst = identity_instance(uniform01())
         with pytest.raises(ExactEnumerationLimit):
-            audit_bounded_difference(inst.builder(), inst.dist, 3, cap=10)
+            audit_bounded_difference(inst.support_class, inst.dist, 3, cap=10)
 
     @given(st.integers(0, 10**6))
     def test_true_envelope_never_violates(self, seed):
         inst = random_discrete_instance(seed, m=4, support_size=3)
-        audit = audit_bounded_difference(inst.builder(), inst.dist, 3)
+        audit = audit_bounded_difference(inst.support_class, inst.dist, 3)
         assert not audit.violated
 
 
@@ -98,12 +99,12 @@ class TestSymmetrization:
     def test_constant_class(self):
         dist = uniform01()
         inst = DiscreteInstance.from_table(np.full((2, 2), 0.4), 1.0, dist)
-        report = check_symmetrization_identity(inst.builder(), dist, 2)
+        report = check_symmetrization_identity(inst.support_class, dist, 2)
         assert report.lhs == 0.0 and report.rhs == 0.0
 
     def test_identity_against_oracle(self):
         inst = identity_instance(uniform01())
-        report = check_symmetrization_identity(inst.builder(), inst.dist, 2)
+        report = check_symmetrization_identity(inst.support_class, inst.dist, 2)
         lhs, rhs = oracle_symmetrization(inst.table, inst.dist.probs, 2)
         assert report.lhs == pytest.approx(lhs, abs=1e-12)
         assert report.rhs == pytest.approx(rhs, abs=1e-12)
@@ -111,7 +112,7 @@ class TestSymmetrization:
 
     def test_random_class_against_oracle(self):
         inst = random_discrete_instance(99, m=3, support_size=3)
-        report = check_symmetrization_identity(inst.builder(), inst.dist, 2)
+        report = check_symmetrization_identity(inst.support_class, inst.dist, 2)
         lhs, rhs = oracle_symmetrization(inst.table, inst.dist.probs, 2)
         assert report.lhs == pytest.approx(lhs, abs=1e-12)
         assert report.rhs == pytest.approx(rhs, abs=1e-12)
@@ -119,26 +120,26 @@ class TestSymmetrization:
     @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(2, 3), st.integers(1, 3))
     def test_identity_holds(self, seed, m, support_size, n):
         inst = random_discrete_instance(seed, m=m, support_size=support_size)
-        report = check_symmetrization_identity(inst.builder(), inst.dist, n)
+        report = check_symmetrization_identity(inst.support_class, inst.dist, n)
         assert report.abs_diff <= 1e-10
 
     def test_enumeration_cap(self):
         inst = identity_instance(uniform01())
         with pytest.raises(ExactEnumerationLimit):
-            check_symmetrization_identity(inst.builder(), inst.dist, 2, cap=10)
+            check_symmetrization_identity(inst.support_class, inst.dist, 2, cap=10)
 
 
 class TestExpectationBound:
     def test_constant_class(self):
         dist = uniform01()
         inst = DiscreteInstance.from_table(np.full((1, 2), 0.4), 1.0, dist)
-        report = verify_expectation_bound(inst.builder(), dist, 2)
+        report = verify_expectation_bound(inst.support_class, dist, 2)
         assert report.expected_deviation == 0.0
         assert report.twice_rademacher >= 0.0
 
     def test_identity_on_pm_one(self):
         inst = identity_instance(DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]))
-        report = verify_expectation_bound(inst.builder(), inst.dist, 2)
+        report = verify_expectation_bound(inst.support_class, inst.dist, 2)
         # by hand: E|sample mean| = 0.5; every realized sample has complexity 0.5
         assert report.expected_deviation == pytest.approx(0.5, abs=1e-12)
         assert report.twice_rademacher == pytest.approx(1.0, abs=1e-12)
@@ -147,7 +148,7 @@ class TestExpectationBound:
     @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(2, 3), st.integers(1, 3))
     def test_holds_on_random_instances(self, seed, m, support_size, n):
         inst = random_discrete_instance(seed, m=m, support_size=support_size)
-        report = verify_expectation_bound(inst.builder(), inst.dist, n)
+        report = verify_expectation_bound(inst.support_class, inst.dist, n)
         assert report.slack >= -1e-10
 
     def test_expected_deviation_matches_enumeration_oracle(self):
@@ -156,7 +157,7 @@ class TestExpectationBound:
 
         inst = random_discrete_instance(123, m=3, support_size=3)
         n = 2
-        report = verify_expectation_bound(inst.builder(), inst.dist, n)
+        report = verify_expectation_bound(inst.support_class, inst.dist, n)
         terms = []
         for indices in itertools.product(range(3), repeat=n):
             weight = math.prod(float(inst.dist.probs[k]) for k in indices)

@@ -2,7 +2,8 @@
 
 Every product-measure expectation is summed over permutation orbits with
 multinomial weights.  These tests recompute each quantity over all s**n tuples
-of ``enumerate_product`` (fsum accumulation) and require agreement to 1e-12.
+of the ``enumerate_product`` oracle (fsum accumulation) and require agreement
+to 1e-12.
 """
 
 import itertools
@@ -15,12 +16,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genbound.complexity import empirical_rademacher, expected_rademacher
+from genbound.concentration import simulate_tail
 from genbound.core import (
+    DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
     ExactEnumerationLimit,
     MissingPopulationMeans,
-    enumerate_product,
     product_orbits,
 )
 from genbound.deviation import (
@@ -32,6 +34,8 @@ from genbound.deviation import (
 )
 from genbound.instances import random_discrete_instance
 
+from conftest import enumerate_product
+
 # largest n per support size whose symmetrization stays within the default cap
 _SYM_MAX_N = {2: 6, 3: 4, 4: 3}
 
@@ -41,13 +45,17 @@ def _probs(seed: int, s: int) -> np.ndarray:
     return probs / probs.sum()
 
 
+def _on_sample(inst, idx) -> EvaluatedClass:
+    """The instance's class restricted to the sample of support indices ``idx``."""
+    return EvaluatedClass(inst.table[:, list(idx)], inst.envelope_b, inst.means)
+
+
 def tuple_reference(inst, n: int) -> dict:
     """E[UD], the expected complexity and the audit's max delta, tuple by tuple."""
-    builder = inst.builder()
     s = inst.dist.size
     ud, ud_terms, rn_terms = {}, [], []
     for idx, weight in enumerate_product(inst.dist, n):
-        cls = builder(idx)
+        cls = _on_sample(inst, idx)
         ud[idx] = uniform_deviation(cls)
         ud_terms.append(weight * ud[idx])
         rn_terms.append(weight * empirical_rademacher(cls).value)
@@ -65,9 +73,8 @@ def tuple_reference(inst, n: int) -> dict:
 
 def tuple_symmetrization(inst, n: int) -> tuple[float, float]:
     """Both sides of the symmetrization identity over all pairs of tuples."""
-    builder = inst.builder()
     items = list(enumerate_product(inst.dist, n))
-    evals = np.stack([builder(idx).evals for idx, _w in items])  # (T, m, n)
+    evals = np.stack([_on_sample(inst, idx).evals for idx, _w in items])  # (T, m, n)
     weights = [w for _idx, w in items]
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
     lhs_terms, rhs_terms = [], []
@@ -121,9 +128,9 @@ class TestOrbitsMatchTuples:
     def test_expectations_and_audit(self, seed, m, s, n):
         inst = random_discrete_instance(seed, m=m, support_size=s)
         ref = tuple_reference(inst, n)
-        rn = expected_rademacher(inst.builder(), inst.dist, n).value
-        bound = verify_expectation_bound(inst.builder(), inst.dist, n)
-        audit = audit_bounded_difference(inst.builder(), inst.dist, n)
+        rn = expected_rademacher(inst.support_class, inst.dist, n).value
+        bound = verify_expectation_bound(inst.support_class, inst.dist, n)
+        audit = audit_bounded_difference(inst.support_class, inst.dist, n)
         assert rn == pytest.approx(ref["expected_rademacher"], abs=1e-12)
         assert bound.twice_rademacher == pytest.approx(2.0 * ref["expected_rademacher"], abs=1e-12)
         assert bound.expected_deviation == pytest.approx(ref["expected_deviation"], abs=1e-12)
@@ -138,7 +145,7 @@ class TestOrbitsMatchTuples:
     def test_symmetrization(self, seed, m, shape):
         s, n = shape
         inst = random_discrete_instance(seed, m=m, support_size=s)
-        report = check_symmetrization_identity(inst.builder(), inst.dist, n)
+        report = check_symmetrization_identity(inst.support_class, inst.dist, n)
         lhs, rhs = tuple_symmetrization(inst, n)
         assert report.lhs == pytest.approx(lhs, abs=1e-12)
         assert report.rhs == pytest.approx(rhs, abs=1e-12)
@@ -147,7 +154,7 @@ class TestOrbitsMatchTuples:
 class TestContracts:
     def test_caps_count_tuples(self):
         inst = random_discrete_instance(5, m=2, support_size=2)
-        args = (inst.builder(), inst.dist, 4)
+        args = (inst.support_class, inst.dist, 4)
         calls = (
             (lambda cap: expected_rademacher(*args, product_cap=cap), 2**4),
             (lambda cap: verify_expectation_bound(*args, product_cap=cap), 2**4),
@@ -164,28 +171,21 @@ class TestContracts:
     @pytest.mark.parametrize("check", [verify_expectation_bound, audit_bounded_difference])
     def test_missing_population_means(self, check):
         dist = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
-        table = np.array([[0.2, -0.4]])
-
-        def builder(indices):
-            return EvaluatedClass(table[:, list(indices)], 1.0)
-
+        support_class = EvaluatedClass([[0.2, -0.4]], 1.0)
         with pytest.raises(MissingPopulationMeans):
-            check(builder, dist, 3)
+            check(support_class, dist, 3)
 
-    def test_builder_called_once_per_expectation(self):
+    def test_support_class_must_have_one_column_per_support_point(self):
         inst = random_discrete_instance(8, m=3, support_size=3)
-        calls = []
-
-        def builder(indices):
-            calls.append(tuple(indices))
-            return inst.builder()(indices)
-
-        for check in (
+        checks = (
             expected_rademacher,
             verify_expectation_bound,
             audit_bounded_difference,
             check_symmetrization_identity,
-        ):
-            calls.clear()
-            check(builder, inst.dist, 2)
-            assert calls == [(0, 1, 2)]
+            lambda cls, dist, n: simulate_tail(cls, dist, n, 0.1, 1000, 0, 0.0),
+        )
+        for columns in ([0, 1], [0, 1, 2, 2]):
+            cls = EvaluatedClass(inst.table[:, columns], inst.envelope_b, inst.means)
+            for check in checks:
+                with pytest.raises(DimensionMismatch):
+                    check(cls, inst.dist, 2)

@@ -114,7 +114,7 @@ class TestKernel:
             check_without_abs_le_abs(cls, sign_cap=5)
         inst = random_discrete_instance(1, m=2, support_size=2)
         with pytest.raises(ExactEnumerationLimit):
-            expected_rademacher(inst.builder(), inst.dist, 6, sign_cap=5)
+            expected_rademacher(inst.support_class, inst.dist, 6, sign_cap=5)
 
     def test_comparison_is_one_pass_of_both_variants(self):
         cls = EvaluatedClass(np.random.default_rng(3).uniform(-1.0, 1.0, (4, 9)), 1.0)
