@@ -3,7 +3,8 @@
 without-abs complexity of a random class.
 
 Writes a CSV curve (x = radius, value = bound) and prints a short table with
-the minimizing radius for both cover methods.
+the minimizing radius for both cover methods, plus a VIOLATION line for each
+radius whose bound falls below the complexity.
 """
 
 import argparse
@@ -33,6 +34,10 @@ def main():
         report = verify_dudley(cls, grid, cover_method=method)
         print(f"cover={method.value:8s} lhs={report.without_abs:.6f} "
               f"best eps={report.best_epsilon:.6f}")
+        for entry in report.entries:
+            if not entry.passed:
+                print(f"eps={entry.epsilon:.6f} bound={entry.bound:.6f} "
+                      f"lhs={report.without_abs:.6f} VIOLATION")
         if method is CoverMethod.EXACT_MINIMAL:
             rows = [
                 {

@@ -35,7 +35,6 @@ from .core import (
     EvaluatedClass,
     ExactEnumerationLimit,
     GenboundError,
-    InequalityViolation,
     InvalidDelta,
     InvalidEnvelope,
     InvalidRadius,
@@ -81,4 +80,4 @@ from .linear import (
     verify_linear_bound,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -39,19 +39,7 @@ class ExactEnumerationLimit(GenboundError):
 
 
 class InvariantViolation(GenboundError):
-    """A structural invariant failed; ``payload`` carries the offending data."""
-
-    def __init__(self, message: str, payload: dict | None = None):
-        super().__init__(message)
-        self.payload = payload or {}
-
-
-class InequalityViolation(GenboundError):
-    """A certified inequality failed beyond tolerance."""
-
-    def __init__(self, message: str, payload: dict | None = None):
-        super().__init__(message)
-        self.payload = payload or {}
+    """A structural invariant of an input failed."""
 
 
 class MissingPopulationMeans(GenboundError):
@@ -229,17 +217,12 @@ class EvaluatedClass:
             raise InvariantViolation("envelope bound must be nonnegative")
         worst = float(np.abs(self.evals).max())
         if worst > self.envelope_b + _ENVELOPE_TOL:
-            raise InvariantViolation(
-                f"|evals| reaches {worst!r}, above envelope {self.envelope_b!r}",
-                payload=self.to_payload(),
-            )
+            raise InvariantViolation(f"|evals| reaches {worst!r}, above envelope {self.envelope_b!r}")
         if self.population_means is not None:
             if self.population_means.shape != (self.m,):
                 raise DimensionMismatch("population_means must have one entry per row")
             if float(np.abs(self.population_means).max()) > self.envelope_b + _ENVELOPE_TOL:
-                raise InvariantViolation(
-                    "population means exceed the envelope", payload=self.to_payload()
-                )
+                raise InvariantViolation("population means exceed the envelope")
 
     @property
     def m(self) -> int:
@@ -248,12 +231,6 @@ class EvaluatedClass:
     @property
     def n(self) -> int:
         return self.evals.shape[1]
-
-    def to_payload(self) -> dict:
-        payload = {"evals": self.evals.tolist(), "envelope_b": self.envelope_b}
-        if self.population_means is not None:
-            payload["population_means"] = self.population_means.tolist()
-        return payload
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .core import (
     DimensionMismatch,
     EvaluatedClass,
     ExactEnumerationLimit,
-    InequalityViolation,
     InvalidRadius,
     InvariantViolation,
     deterministic_sum,
@@ -359,6 +358,7 @@ class DudleyEntry:
     epsilon: float
     bound: float
     slack: float
+    passed: bool  # the without-abs complexity <= bound + tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,8 +381,9 @@ def verify_dudley(
 ) -> DudleyReport:
     """Certify the entropy integral bound at every admissible radius in the grid.
 
-    The covering-number step function is computed once and shared by the whole
-    radius grid; its values are exactly those a direct cover evaluation gives.
+    Every radius gets an entry with its own verdict.  The covering-number step
+    function is computed once and shared by the whole radius grid; its values
+    are exactly those a direct cover evaluation gives.
     """
     method = CoverMethod(cover_method)
     lhs = empirical_rademacher_without_abs(cls, sign_cap=sign_cap).value
@@ -392,14 +393,8 @@ def verify_dudley(
     profile = _cover_profile(cls, method, cover_cap)
     entries = []
     for eps in epsilon_grid:
-        result = _bound_from_profile(profile, c, cls.n, float(eps), method, grid_points)
-        if lhs > result.bound + tol:
-            raise InequalityViolation(
-                f"without-abs complexity {lhs!r} exceeds the entropy bound "
-                f"{result.bound!r} at radius {eps!r}",
-                payload={"epsilon": float(eps), **cls.to_payload()},
-            )
-        entries.append(DudleyEntry(float(eps), result.bound, result.bound - lhs))
+        bound = _bound_from_profile(profile, c, cls.n, float(eps), method, grid_points).bound
+        entries.append(DudleyEntry(float(eps), bound, bound - lhs, lhs <= bound + tol))
     if not entries:
         raise InvalidRadius("epsilon grid is empty")
     best = min(entries, key=lambda e: e.bound)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import genbound
-from genbound import complexity, entropy
+from genbound import complexity, concentration, deviation, entropy, linear
 from genbound.cli import (
     UsageError,
     _distinct_rows,
@@ -221,6 +221,85 @@ class TestCommands:
         assert main(["suite", "--config", cfg]) == 1
 
 
+def with_tol(monkeypatch, module, name, tol):
+    """Run ``module.name`` with ``tol`` whatever the caller passes."""
+    check = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: check(*args, **{**kwargs, "tol": tol}))
+
+
+class TestViolations:
+    """A failed check keeps its row, with passed false, and that row is the
+    payload of the one violation it adds."""
+
+    def run_failing(self, tmp_path, capsys, command, config, check):
+        cfg = write_config(tmp_path, "c.json", config)
+        out = str(tmp_path / "report.json")
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        report = load(out)
+        failed = [row for row in report["results"] if row.get("passed") is False]
+        assert failed
+        assert [v["check"] for v in report["violations"]] == [check] * len(failed)
+        assert [v["payload"] for v in report["violations"]] == failed
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"VIOLATION [{check}]: {v['message']}" for v in report["violations"]]
+        assert "Traceback" not in "".join(lines)
+        return report
+
+    def test_without_abs_le_abs(self, tmp_path, capsys, monkeypatch):
+        with_tol(monkeypatch, complexity, "check_without_abs_le_abs", -1.0)
+        config = {"class": {"random": {"m": 3, "n": 6, "seed": 1}}, "method": "exact"}
+        report = self.run_failing(tmp_path, capsys, "rademacher", config, "without_abs_le_abs")
+        row = report["results"][0]
+        assert report["violations"][0]["message"] == (
+            f"without-abs value {row['without_abs']!r} exceeds absolute value {row['value']!r}"
+        )
+
+    def test_expectation_bound(self, tmp_path, capsys, monkeypatch):
+        with_tol(monkeypatch, deviation, "verify_expectation_bound", -1.0)
+        config = {"instance": RANDOM_INSTANCE, "n": 3}
+        report = self.run_failing(tmp_path, capsys, "deviation", config, "expectation_bound")
+        assert [(r["kind"], r["passed"]) for r in report["results"]] == [
+            ("expectation_bound", False), ("bounded_difference_audit", True)
+        ]
+
+    def test_understated_envelope(self, tmp_path, capsys):
+        table = {"table": [[0.0, 1.0]], "support": [0.0, 1.0], "probs": [0.5, 0.5], "envelope_b": 0.1}
+        report = self.run_failing(
+            tmp_path, capsys, "deviation", {"instance": table, "n": 2}, "bounded_difference_audit"
+        )
+        assert report["results"][1]["kind"] == "bounded_difference_audit"
+
+    def test_symmetrization(self, tmp_path, capsys, monkeypatch):
+        with_tol(monkeypatch, deviation, "check_symmetrization_identity", -1.0)
+        config = {"instance": RANDOM_INSTANCE, "n": 2}
+        report = self.run_failing(tmp_path, capsys, "symmetrize", config, "symmetrization")
+        assert report["results"][0]["abs_diff"] <= 1e-10
+
+    def test_tail_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(concentration, "mcdiarmid_bound", lambda *args: 0.0)
+        config = {"instance": RANDOM_INSTANCE, "n": 4, "epsilons": [0.0, 0.1, 0.5], "trials": 1000, "seed": 9}
+        report = self.run_failing(tmp_path, capsys, "tail", config, "tail_bound")
+        # the largest epsilon sees no exceedance, so a zero bound still holds there
+        assert [r["passed"] for r in report["results"]] == [False, False, True]
+
+    def test_linear_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(linear, "l2_bound", lambda *args: 0.0)
+        config = {"regime": "l2", "count": 3, "seed": 2}
+        report = self.run_failing(tmp_path, capsys, "linear", config, "linear_bound")
+        assert [r["x"] for r in report["results"]] == [0, 1, 2]
+        assert report["violations"][0]["message"].endswith("exceeds the l2 bound 0.0")
+
+    def test_dudley_bound_keeps_every_radius(self, tmp_path, capsys, monkeypatch):
+        epsilons = [0.05, 0.1, 0.2, 0.3]
+        cls = random_evaluated_class(6, m=4, n=5)
+        slacks = sorted(e.slack for e in entropy.verify_dudley(cls, epsilons).entries)
+        with_tol(monkeypatch, entropy, "verify_dudley", -(slacks[0] + slacks[1]) / 2.0)
+        config = {"class": {"random": {"m": 4, "n": 5, "seed": 6}}, "epsilons": epsilons}
+        report = self.run_failing(tmp_path, capsys, "dudley", config, "dudley_bound")
+        assert [r["x"] for r in report["results"]] == epsilons
+        assert sum(not r["passed"] for r in report["results"]) == 1
+
+
 EVALS = {"evals": [[1.0, -1.0]]}
 RANDOM_INSTANCE = {"random": {"m": 3, "support_size": 2, "seed": 4}}
 
@@ -279,9 +358,46 @@ class TestConfigErrors:
             "dudley", {"class": {"random": {"m": 2, "n": 3}}, "seed": -1}, "dudley.class.random.seed"
         ),
     }
-    # sizes and counts below 1, a random seed below 0, and no epsilons; each of
-    # these used to end in a traceback or print "ok" after checking nothing
+    # sizes, counts and caps below 1, a random seed below 0, no epsilons,
+    # negative envelopes, radii and tolerances, and integers that are not JSON
+    # integers; each of these used to end in a traceback, run on a value the
+    # config does not hold, or fail later without naming the key
     OUT_OF_RANGE = {
+        "random class envelope": (
+            "rademacher",
+            {"class": {"random": {"m": 2, "n": 3, "seed": 1, "envelope_b": -1.0}}},
+            "rademacher.class.random.envelope_b",
+        ),
+        "random instance envelope": (
+            "tail",
+            {"instance": {"random": {"m": 3, "support_size": 2, "seed": 4, "envelope_b": -1.0}}, "n": 4, "seed": 1},
+            "tail.instance.random.envelope_b",
+        ),
+        "evals envelope": ("rademacher", {"class": {**EVALS, "envelope_b": -1.0}}, "rademacher.class.envelope_b"),
+        "table envelope": (
+            "deviation",
+            {"instance": {"table": [[0.0, 1.0]], "support": [0.0, 1.0], "probs": [0.5, 0.5], "envelope_b": -0.1},
+             "n": 2},
+            "deviation.instance.envelope_b",
+        ),
+        "weight radius": ("linear", {"seed": 1, "weight_radius": -1.0}, "linear.weight_radius"),
+        "input radius": ("linear", {"seed": 1, "input_radius": -0.5}, "linear.input_radius"),
+        "tail epsilon": ("tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilon": -0.5}, "tail.epsilon"),
+        "negative tol": ("symmetrize", {"instance": RANDOM_INSTANCE, "n": 2, "tol": -1.0}, "symmetrize.tol"),
+        "NaN tol": ("symmetrize", {"instance": RANDOM_INSTANCE, "n": 2, "tol": float("nan")}, "symmetrize.tol"),
+        "sign cap": ("rademacher", {"class": EVALS, "caps": {"sign": 0}}, "rademacher.caps.sign"),
+        "product cap": ("deviation", {"instance": RANDOM_INSTANCE, "n": 2, "caps": {"product": 0}}, "deviation.caps.product"),
+        "cover cap": ("dudley", {"class": EVALS, "caps": {"cover": -3}}, "dudley.caps.cover"),
+        "grid points": ("dudley", {"class": EVALS, "grid_points": 0}, "dudley.grid_points"),
+        "epsilon count": ("dudley", {"class": EVALS, "epsilon_count": 0}, "dudley.epsilon_count"),
+        "fractional size": (
+            "rademacher", {"class": {"random": {"m": 2.7, "n": 3, "seed": 1}}}, "rademacher.class.random.m"
+        ),
+        "boolean size": (
+            "rademacher", {"class": {"random": {"m": True, "n": 3, "seed": 1}}}, "rademacher.class.random.m"
+        ),
+        "string count": ("linear", {"seed": 1, "count": "5"}, "linear.count"),
+        "fractional seed": ("tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1.5}, "tail.seed"),
         "random class m": (
             "rademacher", {"class": {"random": {"m": -1, "n": 3, "seed": 1}}}, "rademacher.class.random.m"
         ),
