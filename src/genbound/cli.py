@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import reprlib
 import sys
@@ -88,17 +89,26 @@ def _text(value, path):
 
 
 def _array(value, path):
+    """A rectangular nested list of finite JSON numbers, as a float64 array."""
     try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path} must be a rectangular array of numbers: {exc}") from None
+    # numpy takes strings, booleans and null for numbers; read the leaves themselves
+    leaves = [value]
+    for _ in range(array.ndim):
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if not (set(map(type, leaves)) <= {int, float} and np.isfinite(array).all()):
+        leaf = next(leaf for leaf in leaves if type(leaf) not in (int, float) or not np.isfinite(leaf))
+        raise UsageError(f"{path} must be an array of finite numbers, got {reprlib.repr(leaf)}")
+    return array
 
 
-def _floats(value, path) -> list[float]:
-    values = _array(value, path)
-    if values.ndim != 1 or values.size == 0:
+def _radii(value, path) -> list[float]:
+    """A nonempty JSON list of numbers, each at least 0."""
+    if not isinstance(value, list) or not value:
         raise UsageError(f"{path} must be a nonempty list of numbers, got {reprlib.repr(value)}")
-    return values.tolist()
+    return [_nonnegative(item, f"{path}[{i}]") for i, item in enumerate(value)]
 
 
 def _optional(convert):
@@ -196,7 +206,7 @@ _SCHEMA = {
         **_INSTANCE,
         "trials": (_int, 10_000),
         "epsilon": (_nonnegative, 0.5),
-        "epsilons": (_optional(_floats), None),
+        "epsilons": (_optional(_radii), None),
         "rademacher_draws": (_int, 2000),
     },
     "linear": {
@@ -215,7 +225,7 @@ _SCHEMA = {
         **_CLASS,
         "cover": (_choice("exact", "greedy"), "exact"),
         "grid_points": (_optional(_size), 256),
-        "epsilons": (_optional(_floats), None),
+        "epsilons": (_optional(_radii), None),
         "epsilon_count": (_size, 16),
     },
     "suite": {**_COMMON, **_SEEDED},
@@ -607,18 +617,12 @@ def _cmd_suite(cfg: dict, threads: int):
 
     # covering consistency and the entropy integral
     cov_cls = random_evaluated_class(derive_seed(seed, "cover"), m=6, n=4)
-    dm_ok = True
     c = float(np.sqrt(np.mean(cov_cls.evals**2, axis=1)).max())
-    last = None
-    for eps in np.linspace(0.1 * c, 1.2 * c, 4):
-        exact_cover = entropy.covering_number_exact(cov_cls, float(eps))
-        greedy_cover = entropy.covering_number_greedy(cov_cls, float(eps))
-        if greedy_cover.size < exact_cover.size:
-            dm_ok = False
-        if last is not None and exact_cover.size > last:
-            dm_ok = False
-        last = exact_cover.size
-    record("covering_numbers", dm_ok)
+    radii = np.linspace(0.1 * c, 1.2 * c, 4).tolist()
+    exact_sizes = [entropy.covering_number_exact(cov_cls, eps).size for eps in radii]
+    greedy_sizes = [entropy.covering_number_greedy(cov_cls, eps).size for eps in radii]
+    ordered = exact_sizes == sorted(exact_sizes, reverse=True)
+    record("covering_numbers", ordered and all(e <= g for e, g in zip(exact_sizes, greedy_sizes)))
 
     for cover in ("exact", "greedy"):
         dudley_config = {"command": "dudley", "class": random_spec("dudley", m=6, n=6), "epsilon_count": 6}
@@ -671,26 +675,42 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+def _canonical(config: dict) -> str:
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return hashlib.sha256(_canonical(config).encode()).hexdigest()
 
 
-def run_experiment(config: dict, *, threads: int = 1) -> dict:
-    """Check one effective config, a JSON-ready dict, against its schema, run
-    it, and assemble its JSON-ready report; the report embeds the config as given."""
+def _run(config: dict, threads: int) -> tuple[dict, str]:
+    """The report of ``run_experiment`` and the canonical string of its config."""
     started = time.perf_counter()
     cfg = _parse(config)
     results, violations = _HANDLERS[cfg["command"]](cfg, threads)
+    canonical = _canonical(config)
     return {
         "command": cfg["command"],
-        "config_hash": config_hash(config),
+        "config_hash": hashlib.sha256(canonical.encode()).hexdigest(),
         "seed": config.get("seed"),
         "config": config,
         "results": results,
         "violations": violations,
         "wall_ms": (time.perf_counter() - started) * 1000.0,
-    }
+    }, canonical
+
+
+def run_experiment(config: dict, *, threads: int = 1) -> dict:
+    """Check one effective config, a JSON-ready dict, against its schema, run
+    it, and assemble its JSON-ready report; the report embeds the config as given."""
+    return _run(config, threads)[0]
+
+
+def _report_json(report: dict, canonical_config: str) -> str:
+    """``json.dumps(report, sort_keys=True, separators=(",", ":"))`` around the
+    config's canonical string, which sorts second: "command" < "config" < the rest."""
+    rest = _canonical({k: v for k, v in report.items() if k not in ("command", "config")})
+    return f'{{"command":{json.dumps(report["command"])},"config":{canonical_config},{rest[1:]}'
 
 
 def canonical_report(report: dict) -> str:
@@ -720,9 +740,7 @@ def emit_curve(results: list[dict], path: str) -> None:
     for row in results:
         if "x" not in row or "value" not in row:
             raise UsageError(f"result kind {row.get('kind')!r} has no (x, value) curve fields")
-    shared = set(results[0])
-    for row in results[1:]:
-        shared &= set(row)
+    shared = set(results[0]).intersection(*results[1:])
     extras = sorted(
         k
         for k in shared
@@ -779,12 +797,12 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         out = args.out or config.get("out") or "genbound_report.json"
-        report = run_experiment(config, threads=max(1, args.threads))
+        report, canonical = _run(config, max(1, args.threads))
         if args.format == "csv":
             emit_curve(report["results"], out)
         else:
             with open(out, "w") as handle:
-                handle.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
+                handle.write(_report_json(report, canonical) + "\n")
     except GenboundError as exc:
         print(f"genbound: {exc}", file=sys.stderr)
         return 1

@@ -295,12 +295,6 @@ def deterministic_sum(values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _philox_at(seed: int, block: int) -> Philox:
-    if not 0 <= seed <= _MAX_SEED:
-        raise InvariantViolation(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return Philox(key=seed, counter=[block, 0, 0, 0])
-
-
 def draw_words(seed: int, first_draw: int, count: int, words_per_draw: int) -> np.ndarray:
     """Raw 64-bit words for draws [first_draw, first_draw + count).
 
@@ -313,7 +307,9 @@ def draw_words(seed: int, first_draw: int, count: int, words_per_draw: int) -> n
     blocks_per_draw = -(-words_per_draw // 4)
     if count <= 0:
         return np.empty((0, words_per_draw), dtype=_U64)
-    gen = _philox_at(seed, first_draw * blocks_per_draw)
+    if not 0 <= seed <= _MAX_SEED:
+        raise InvariantViolation(f"seed must be an unsigned 64-bit integer, got {seed}")
+    gen = Philox(key=seed, counter=[first_draw * blocks_per_draw, 0, 0, 0])
     raw = gen.random_raw(count * blocks_per_draw * 4)
     return raw.reshape(count, blocks_per_draw * 4)[:, :words_per_draw]
 

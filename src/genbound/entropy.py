@@ -105,20 +105,23 @@ class CoverResult:
     method: CoverMethod
 
 
-def _exact_cover_positions(sub: np.ndarray, epsilon: float) -> tuple[int, ...]:
-    """Lexicographically smallest minimum-size cover over deduplicated rows."""
+def _subset_radii(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Covering radius and size of every subset of the deduplicated rows.
+
+    Bit b of a subset's index stands for row r-1-b, so among subsets of one
+    size the largest index holds the lexicographically smallest rows.  The
+    distances to each subset's nearest member fill a 2^r x r table one bit at
+    a time, with min and max of existing distances only: 2^r * r * 8 bytes.
+    """
     r = sub.shape[0]
-    within = sub <= epsilon
-    masks = [int(sum(1 << j for j in np.flatnonzero(within[c]))) for c in range(r)]
-    full = (1 << r) - 1
-    for size in range(1, r + 1):
-        for combo in itertools.combinations(range(r), size):
-            covered = 0
-            for c in combo:
-                covered |= masks[c]
-            if covered == full:
-                return combo
-    raise AssertionError("a set always covers itself")  # pragma: no cover
+    near = np.empty((1 << r, r))
+    near[0] = np.inf
+    sizes = np.zeros(1 << r, dtype=np.int8)
+    for b in range(r):
+        h = 1 << b
+        np.minimum(near[:h], sub[r - 1 - b], out=near[h : 2 * h])
+        np.add(sizes[:h], 1, out=sizes[h : 2 * h])
+    return near.max(axis=1), sizes
 
 
 def covering_number_exact(
@@ -133,12 +136,17 @@ def covering_number_exact(
         raise InvalidRadius("cover radius must be positive")
     _dm, reps, sub = _distinct(cls)
     _check_cover_cap(reps, cap)
-    return _exact_cover(reps, sub, epsilon)
+    return _exact_cover(reps, _subset_radii(sub), epsilon)
 
 
-def _exact_cover(reps: np.ndarray, sub: np.ndarray, epsilon: float) -> CoverResult:
-    centers = tuple(int(reps[c]) for c in _exact_cover_positions(sub, epsilon))
-    return CoverResult(float(epsilon), len(centers), centers, CoverMethod.EXACT_MINIMAL)
+def _exact_cover(reps: np.ndarray, subsets: tuple[np.ndarray, np.ndarray], epsilon: float) -> CoverResult:
+    radius, sizes = subsets
+    fits = radius <= epsilon
+    size = int(sizes[fits].min())
+    mask = int(np.flatnonzero(fits & (sizes == size))[-1])
+    # the r-digit binary form of a subset's index lists rows 0, 1, ..., r-1
+    centers = tuple(int(reps[p]) for p, bit in enumerate(f"{mask:0{reps.size}b}") if bit == "1")
+    return CoverResult(float(epsilon), size, centers, CoverMethod.EXACT_MINIMAL)
 
 
 def _greedy_sequence(sub: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -194,17 +202,17 @@ def _cover_profile(cls: EvaluatedClass, method: CoverMethod, cap: int) -> _Cover
     _dm, reps, sub = _distinct(cls)
     if method is CoverMethod.EXACT_MINIMAL:
         _check_cover_cap(reps, cap)
+        radius, sizes = _subset_radii(sub)
+        # radii[k-1]: the least covering radius of k centers, nonincreasing in k
+        radii = np.full(reps.size + 1, np.inf)
+        np.minimum.at(radii, sizes, radius)
+        radii = radii[1:]
         thresholds = np.unique(sub)
-        sizes = np.empty(thresholds.size, dtype=np.int64)
-        for j, value in enumerate(thresholds):
-            sizes[j] = reps.size if value <= 0.0 else len(_exact_cover_positions(sub, value))
-        return _CoverProfile(thresholds, sizes)
-    _order, radii = _greedy_sequence(sub)
-    # size at u is 1 + the number of prefix coverage radii still above u
-    thresholds = np.unique(np.concatenate([[0.0], radii]))
-    sizes = np.array(
-        [1 + int(np.count_nonzero(radii > value)) for value in thresholds], dtype=np.int64
-    )
+    else:
+        _order, radii = _greedy_sequence(sub)
+        thresholds = np.unique(np.concatenate([[0.0], radii]))
+    # size at u is 1 + the number of radii still above u
+    sizes = 1 + radii.size - np.searchsorted(np.sort(radii), thresholds, side="right")
     return _CoverProfile(thresholds, sizes)
 
 
@@ -230,8 +238,12 @@ class ChainingTrace:
     target_epsilon: float
 
 
-def _norms(cls: EvaluatedClass) -> np.ndarray:
-    return np.sqrt(np.mean(cls.evals * cls.evals, axis=1))
+def _largest_norm(cls: EvaluatedClass) -> float:
+    """c, the largest empirical row norm; a class whose rows all vanish has no scale."""
+    c = float(np.sqrt(np.mean(cls.evals * cls.evals, axis=1)).max())
+    if c <= 0.0:
+        raise DegenerateClass("all rows vanish on the sample")
+    return c
 
 
 def build_chaining(
@@ -248,25 +260,20 @@ def build_chaining(
     level is within that level's radius, so the deepest assignment is a
     target-accuracy approximation of the whole class.
     """
-    c = float(_norms(cls).max())
-    if c <= 0.0:
-        raise DegenerateClass("all rows vanish on the sample")
+    c = _largest_norm(cls)
     if not 0.0 < target_epsilon < c / 2.0:
         raise InvalidRadius(f"target epsilon must lie in (0, {c / 2.0}), got {target_epsilon}")
     dm, reps, sub = _distinct(cls)
     if method is None:
         method = CoverMethod.EXACT_MINIMAL if reps.size <= cover_cap else CoverMethod.GREEDY
-    else:
-        method = CoverMethod(method)
+    method = CoverMethod(method)
     if method is CoverMethod.EXACT_MINIMAL:
         _check_cover_cap(reps, cover_cap)
-        cover_at = functools.partial(_exact_cover, reps, sub)
+        cover_at = functools.partial(_exact_cover, reps, _subset_radii(sub))
     else:
         cover_at = functools.partial(_greedy_cover, reps, *_greedy_sequence(sub))
     levels = []
-    depth = 0
-    while True:
-        depth += 1
+    for depth in itertools.count(1):
         eps_j = c / (1 << depth)
         cover = cover_at(eps_j)
         centers = np.asarray(sorted(cover.center_indices), dtype=np.intp)
@@ -318,16 +325,7 @@ def _bound_from_profile(
         sizes = profile.size_at(radii)
         integral = deterministic_sum(np.sqrt(np.log(sizes))) * width
     bound = 4.0 * epsilon + (12.0 / math.sqrt(n_sample)) * integral
-    return DudleyResult(
-        bound=bound,
-        epsilon=float(epsilon),
-        c=c,
-        integral=integral,
-        radii=radii,
-        cover_sizes=sizes,
-        cover_method=method,
-        grid_points=grid_points,
-    )
+    return DudleyResult(bound, float(epsilon), c, integral, radii, sizes, method, grid_points)
 
 
 def dudley_bound(
@@ -346,9 +344,7 @@ def dudley_bound(
     only enlarge N, so either way the returned value stays a valid bound.
     """
     method = CoverMethod(cover_method)
-    c = float(_norms(cls).max())
-    if c <= 0.0:
-        raise DegenerateClass("all rows vanish on the sample")
+    c = _largest_norm(cls)
     profile = _cover_profile(cls, method, cover_cap)
     return _bound_from_profile(profile, c, cls.n, float(epsilon), method, grid_points)
 
@@ -387,9 +383,7 @@ def verify_dudley(
     """
     method = CoverMethod(cover_method)
     lhs = empirical_rademacher_without_abs(cls, sign_cap=sign_cap).value
-    c = float(_norms(cls).max())
-    if c <= 0.0:
-        raise DegenerateClass("all rows vanish on the sample")
+    c = _largest_norm(cls)
     profile = _cover_profile(cls, method, cover_cap)
     entries = []
     for eps in epsilon_grid:

@@ -74,14 +74,11 @@ class LinearInstance:
         else:
             w_norms = np.abs(weights).sum(axis=1)
             x_norms = np.abs(inputs).max(axis=1)
-        if w_norms.max() > self.regime.weight_radius + _NORM_TOL:
-            raise InvariantViolation(
-                f"weight norm {w_norms.max()!r} exceeds radius {self.regime.weight_radius!r}"
-            )
-        if x_norms.max() > self.regime.input_radius + _NORM_TOL:
-            raise InvariantViolation(
-                f"input norm {x_norms.max()!r} exceeds radius {self.regime.input_radius!r}"
-            )
+        for kind, norms, radius in (
+            ("weight", w_norms, self.regime.weight_radius), ("input", x_norms, self.regime.input_radius)
+        ):
+            if norms.max() > radius + _NORM_TOL:
+                raise InvariantViolation(f"{kind} norm {norms.max()!r} exceeds radius {radius!r}")
         weights.setflags(write=False)
         inputs.setflags(write=False)
         object.__setattr__(self, "weights", weights)
@@ -208,19 +205,12 @@ def verify_linear_bound(
     instance: LinearInstance, *, tol: float = 1e-10, sign_cap: int = DEFAULT_SIGN_CAP
 ) -> LinearBoundReport:
     """Exact complexity of the induced class against the regime's closed form."""
-    cls = instance.evaluated_class()
-    exact = empirical_rademacher(cls, sign_cap=sign_cap).value
-    if isinstance(instance.regime, L2Ball):
-        bound = l2_bound(instance.regime.input_radius, instance.regime.weight_radius, instance.n)
-        name = "l2"
+    exact = empirical_rademacher(instance.evaluated_class(), sign_cap=sign_cap).value
+    regime = instance.regime
+    if isinstance(regime, L2Ball):
+        bound, name = l2_bound(regime.input_radius, regime.weight_radius, instance.n), "l2"
     else:
-        bound = l1_bound(
-            instance.regime.input_radius,
-            instance.regime.weight_radius,
-            instance.n,
-            instance.d,
-        )
-        name = "l1"
+        bound, name = l1_bound(regime.input_radius, regime.weight_radius, instance.n, instance.d), "l1"
     return LinearBoundReport(
         exact, bound, bound - exact, name, instance.d, instance.n, instance.m, exact <= bound + tol
     )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import genbound
-from genbound import complexity, concentration, deviation, entropy, linear
+from genbound import cli, complexity, concentration, deviation, entropy, linear
 from genbound.cli import (
     UsageError,
     _distinct_rows,
@@ -353,6 +353,34 @@ class TestConfigErrors:
         "epsilons and epsilon_count": (
             "dudley", {"class": EVALS, "epsilons": [0.1], "epsilon_count": 3}, "dudley.epsilon_count"
         ),
+        # numpy would read each of these leaves as a number
+        "string in an array": ("rademacher", {"class": {"evals": [["0.5", True]]}}, "rademacher.class.evals"),
+        "boolean among numbers": ("rademacher", {"class": {"evals": [[True, 0.5]]}}, "rademacher.class.evals"),
+        "null in an array": (
+            "deviation",
+            {"instance": {"table": [[0.0, None]], "support": [0.0, 1.0], "probs": [0.5, 0.5], "envelope_b": 1.0},
+             "n": 2},
+            "deviation.instance.table",
+        ),
+        "boolean probability": (
+            "symmetrize",
+            {"instance": {"family": "identity", "support": [0.0, 1.0], "probs": [True, 0.0]}, "n": 2},
+            "symmetrize.instance.probs",
+        ),
+        "NaN probability": (
+            "deviation",
+            {"instance": {"table": [[0.0, 1.0]], "support": [0.0, 1.0], "probs": [float("nan"), 0.5],
+                          "envelope_b": 1.0}, "n": 2},
+            "deviation.instance.probs",
+        ),
+        "infinite value": ("rademacher", {"class": {"evals": [[float("inf"), 0.5]]}}, "rademacher.class.evals"),
+        "string population mean": (
+            "rademacher", {"class": {**EVALS, "population_means": ["0.1"]}}, "rademacher.class.population_means"
+        ),
+        "string epsilon": (
+            "tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": ["0.5"]}, "tail.epsilons[0]"
+        ),
+        "boolean dudley epsilon": ("dudley", {"class": EVALS, "epsilons": [0.1, True]}, "dudley.epsilons[1]"),
         "config not an object": ("suite", [1, 2], None),
         "negative config seed for a random spec": (
             "dudley", {"class": {"random": {"m": 2, "n": 3}}, "seed": -1}, "dudley.class.random.seed"
@@ -410,6 +438,10 @@ class TestConfigErrors:
             "tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": []}, "tail.epsilons"
         ),
         "linear count": ("linear", {"seed": 1, "count": -1}, "linear.count"),
+        "negative tail epsilons entry": (
+            "tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": [0.2, -0.5]}, "tail.epsilons[1]"
+        ),
+        "negative dudley epsilons entry": ("dudley", {"class": EVALS, "epsilons": [-0.1]}, "dudley.epsilons[0]"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -497,6 +529,31 @@ class TestDeterminism:
         report = load(out)
         again = run_experiment(report["config"])
         assert canonical_report(report) == canonical_report(again)
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("rademacher", {"class": {"evals": [[1.0, -0.25], [0.5, 0.5]]}, "out": "rapport-\u00e9.json"}),
+            ("dudley", {"class": {"random": {"m": 30, "n": 6, "seed": 2}}, "cover": "greedy", "seed": 4}),
+            ("tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": [0.2, 0.5], "trials": 1000}),
+        ],
+    )
+    def test_written_report_is_the_sorted_compact_dump(self, tmp_path, monkeypatch, command, config):
+        returned = []
+        run = cli._run
+
+        def capture(config, threads):
+            report, canonical = run(config, threads)
+            returned.append(report)
+            return report, canonical
+
+        monkeypatch.setattr(cli, "_run", capture)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", write_config(tmp_path, "c.json", config)]) == 0
+        (report,) = returned
+        out = tmp_path / config.get("out", "genbound_report.json")
+        assert out.read_text() == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        assert report["config_hash"] == config_hash(report["config"])
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genbound.complexity import empirical_rademacher_without_abs
@@ -14,6 +15,7 @@ from genbound.core import (
     InvalidRadius,
 )
 from genbound.entropy import (
+    DEFAULT_COVER_CAP,
     CoverMethod,
     build_chaining,
     covering_number_exact,
@@ -22,11 +24,47 @@ from genbound.entropy import (
     empirical_dist,
     empirical_norm,
     verify_dudley,
+    _cover_profile,
     _distance_matrix,
+    _distinct,
 )
 from genbound.instances import random_evaluated_class
 
 from conftest import oracle_cover, oracle_distance_matrix
+
+
+def reference_cover_positions(sub, epsilon):
+    """The former exact search: sizes in increasing order, index tuples in
+    lexicographic order, the first full cover wins."""
+    r = sub.shape[0]
+    within = sub <= epsilon
+    masks = [int(sum(1 << j for j in np.flatnonzero(within[c]))) for c in range(r)]
+    full = (1 << r) - 1
+    for size in range(1, r + 1):
+        for combo in itertools.combinations(range(r), size):
+            covered = 0
+            for c in combo:
+                covered |= masks[c]
+            if covered == full:
+                return combo
+    raise AssertionError("a set always covers itself")
+
+
+def reference_profile(cls):
+    """The former exact profile: one search per distinct distance."""
+    _dm, reps, sub = _distinct(cls)
+    thresholds = np.unique(sub)
+    sizes = np.empty(thresholds.size, dtype=np.int64)
+    for j, value in enumerate(thresholds):
+        sizes[j] = reps.size if value <= 0.0 else len(reference_cover_positions(sub, value))
+    return thresholds, sizes
+
+
+def tied_class(seed, distinct, rows, n):
+    """Integer-valued rows (distance ties) drawn with repetition (duplicate rows)."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, (distinct, n)).astype(np.float64)
+    return EvaluatedClass(base[rng.integers(0, distinct, rows)], 2.0)
 
 
 def line_class():
@@ -118,6 +156,43 @@ class TestCoveringExact:
         size, centers = oracle_cover(_distance_matrix(cls.evals), eps)
         assert result.size == size
         assert result.center_indices == centers
+
+    @settings(deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 10), st.integers(0, 4), st.integers(1, 4))
+    def test_profile_and_centers_match_oracle_at_every_distance(self, seed, distinct, extra, n):
+        cls = tied_class(seed, distinct, min(distinct + extra, 10), n)
+        dm = _distance_matrix(cls.evals)
+        profile = _cover_profile(cls, CoverMethod.EXACT_MINIMAL, DEFAULT_COVER_CAP)
+        np.testing.assert_array_equal(profile.thresholds, np.unique(_distinct(cls)[2]))
+        for u, size in zip(profile.thresholds, profile.sizes):
+            expected_size, centers = oracle_cover(dm, u)
+            assert size == expected_size
+            if u > 0.0:
+                result = covering_number_exact(cls, float(u))
+                assert (result.size, result.center_indices) == (expected_size, centers)
+
+    def test_profile_equals_per_threshold_search_bitwise(self):
+        for r in range(1, 13):
+            for cls in (random_evaluated_class(r, m=r, n=5), tied_class(r, r, r + 2, 3)):
+                profile = _cover_profile(cls, CoverMethod.EXACT_MINIMAL, DEFAULT_COVER_CAP)
+                thresholds, sizes = reference_profile(cls)
+                np.testing.assert_array_equal(profile.thresholds, thresholds)
+                np.testing.assert_array_equal(profile.sizes, sizes)
+                assert profile.sizes.dtype == sizes.dtype
+
+    def test_cap_plus_one_distinct_rows_raise(self):
+        cls = random_evaluated_class(5, m=DEFAULT_COVER_CAP + 1, n=4)
+        assert _distinct(cls)[1].size == DEFAULT_COVER_CAP + 1
+        c = float(np.sqrt(np.mean(cls.evals**2, axis=1)).max())
+        with pytest.raises(ExactEnumerationLimit):
+            covering_number_exact(cls, 0.1)
+        with pytest.raises(ExactEnumerationLimit):
+            dudley_bound(cls, 0.1 * c)
+        with pytest.raises(ExactEnumerationLimit):
+            build_chaining(cls, 0.1 * c, method="exact")
+        # at the cap itself the exact cover still runs
+        at_cap = EvaluatedClass(cls.evals[:DEFAULT_COVER_CAP], cls.envelope_b)
+        assert covering_number_exact(at_cap, 0.1).size >= 1
 
 
 class TestCoveringGreedy:
