@@ -78,6 +78,7 @@ from .linear import (
     massart_bound,
     sample_ball,
     verify_linear_bound,
+    verify_linear_bounds,
 )
 
 __version__ = "0.4.0"

@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import reprlib
 import sys
 import time
@@ -59,8 +60,9 @@ class UsageError(GenboundError):
 _REQUIRED = object()
 
 
-def _typed(kind, low=None):
-    """A JSON number (for ``int``, a JSON integer) converted to ``kind``, at least ``low``."""
+def _typed(kind, low=None, high=None):
+    """A JSON number (for ``int``, a JSON integer) converted to ``kind``, finite and
+    between ``low`` and ``high``."""
     accepted = int if kind is int else (int, float)
 
     def convert(value, path):
@@ -70,8 +72,12 @@ def _typed(kind, low=None):
             converted = kind(value)
         except OverflowError:
             raise UsageError(f"{path} is out of range, got {reprlib.repr(value)}") from None
-        if low is not None and not converted >= low:  # also rejects NaN
+        if kind is float and not math.isfinite(converted):
+            raise UsageError(f"{path} must be a finite number, got {converted}")
+        if low is not None and converted < low:
             raise UsageError(f"{path} must be at least {low}, got {converted}")
+        if high is not None and converted > high:
+            raise UsageError(f"{path} must be at most {high}, got {converted}")
         return converted
 
     return convert
@@ -178,7 +184,8 @@ _INSTANCE_FORMS = {
 _CAPS = {
     "sign": (_size, DEFAULT_SIGN_CAP),
     "product": (_size, DEFAULT_PRODUCT_CAP),
-    "cover": (_size, entropy.DEFAULT_COVER_CAP),
+    # the exact cover's subset table grows as 2**cap
+    "cover": (_typed(int, 1, entropy.MAX_COVER_CAP), entropy.DEFAULT_COVER_CAP),
 }
 _COMMON = {
     "command": (_text, _REQUIRED),
@@ -489,12 +496,11 @@ def _cmd_tail(cfg: dict, threads: int):
 def _cmd_linear(cfg: dict, threads: int):
     seed = cfg["seed"]
     regime = _REGIMES[cfg["regime"]](cfg["weight_radius"], cfg["input_radius"])
+    seeds = [derive_seed(seed, f"linear:{i}") for i in range(cfg["count"])]
+    instances = linear.random_linear_instances(seeds, regime, cfg["d"], cfg["n"], cfg["m"])
+    reports = linear.verify_linear_bounds(instances, tol=cfg["tol"], sign_cap=cfg["caps"]["sign"])
     found = [], []
-    for i in range(cfg["count"]):
-        instance = linear.random_linear_instance(
-            derive_seed(seed, f"linear:{i}"), regime, cfg["d"], cfg["n"], cfg["m"]
-        )
-        report = linear.verify_linear_bound(instance, tol=cfg["tol"], sign_cap=cfg["caps"]["sign"])
+    for i, report in enumerate(reports):
         row = {
             "kind": "linear",
             "x": i,
@@ -767,18 +773,21 @@ def emit_curve(results: list[dict], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# built once at import; every parse_args call fills a new namespace from the defaults
+_PARSER = argparse.ArgumentParser(
+    prog="genbound",
+    description="Certify generalization-bound inequalities on finite models.",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="JSON experiment config")
+_PARSER.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+_PARSER.add_argument("--out", default=None, help="report path (default: genbound_report.json)")
+_PARSER.add_argument("--format", choices=("json", "csv"), default="json")
+_PARSER.add_argument("--threads", type=int, default=1)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="genbound",
-        description="Certify generalization-bound inequalities on finite models.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    parser.add_argument("--out", default=None, help="report path (default: genbound_report.json)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--threads", type=int, default=1)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.config) as handle:

@@ -67,41 +67,52 @@ class ComplexityResult:
 def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
     """Exact sign averages of every class in a (K, m, n) stack: rows (absolute, signed).
 
-    One GEMM per block gives the (classes * m, sign rows) correlations; the max
-    and min over each class's m rows give both variants, as max_i |c_i| =
-    max(max_i c_i, -min_i c_i).  Max and abs are exact and rounding is
-    monotone, so maximizing before dividing by n changes no bit.  A block
-    holds at most _SIGN_CHUNK sign rows times classes; tree sums of aligned
-    power-of-two blocks combine into the tree sum over all 2**n rows.
+    Only the 2**(n-1) sign words with the top bit clear are enumerated: word
+    2**(n-1) + w is the complement of word 2**(n-1) - 1 - w, so the correlations
+    of the upper half are those of the lower half negated, in reverse order.
+    The upper half's absolute values are then the lower half's reversed, and
+    its signed ones, max_i -c_i = -min_i c_i, the lower half's minima negated
+    and reversed.  A tree sum over a power-of-two length does not change under
+    reversal, and the full tree's last addition is lower half + upper half, so
+    the totals T_abs + T_abs and T_max + T_-min are the full enumeration's bits.
+
+    Row i of every class forms one slab, so one GEMM per block gives (m, classes,
+    sign rows) correlations whose max and min over the m slabs are elementwise;
+    max_i |c_i| = max(max_i c_i, -min_i c_i).  Max and abs are exact and
+    rounding is monotone, so maximizing before dividing by n changes no bit.
+    A block holds at most _SIGN_CHUNK sign rows times classes; tree sums of
+    aligned power-of-two blocks combine into the tree sum over all rows.
     """
     K, m, n = stack.shape
     if n > sign_cap:
         raise ExactEnumerationLimit(
             f"exact sign averaging for n={n} exceeds the exact-enumeration cap of {sign_cap}"
         )
-    total = 1 << n
-    rows = min(total, _SIGN_CHUNK)
+    half = 1 << (n - 1)
+    rows = min(half, _SIGN_CHUNK)
     low = rows.bit_length() - 1  # bits that vary within a block
     per = _SIGN_CHUNK // rows  # classes per block
-    flat = np.ascontiguousarray(stack, dtype=np.float64).reshape(K * m, n)
-    sums = np.empty((2, K, total // rows))
-    signs = np.empty((n, rows))
-    signs[:low] = sign_block(low, 0, rows).T
-    for b in range(total // rows):
-        if n > low:  # the high bits are constant within a block: those of b
+    slabs = np.ascontiguousarray(stack.transpose(1, 0, 2), dtype=np.float64)
+    # (T_abs, T_max, T_-min) of each class and block
+    sums = np.empty((3, K, half // rows))
+    signs = sign_block(n, 0, rows).T  # the signs of block 0, C-contiguous
+    for b in range(half // rows):
+        if b:  # the high bits are constant within a block: those of b, whose top bit is clear
             signs[low:] = sign_block(n - low, b, b + 1).T
         for k in range(0, K, per):
-            block = flat[k * m : (k + per) * m]
+            block = slabs[:, k : k + per].reshape(-1, n)
             # numpy sends a one-row product to GEMV, which sums in another order than GEMM
             corr = (np.vstack([block, block]) @ signs)[:1] if len(block) == 1 else block @ signs
-            corr = corr.reshape(-1, m, rows)
-            absolute, hi = both = np.empty((2, corr.shape[0], rows))
-            np.negative(corr.min(axis=1, out=absolute), out=absolute)
-            np.maximum(absolute, corr.max(axis=1, out=hi), out=absolute)
+            corr = corr.reshape(m, -1, rows)
+            values = absolute, hi, neg_lo = np.empty((3, corr.shape[1], rows))
+            corr.max(axis=0, out=hi)
+            np.negative(corr.min(axis=0, out=neg_lo), out=neg_lo)
+            np.maximum(neg_lo, hi, out=absolute)
             np.abs(absolute, out=absolute)  # a -0.0 maximum becomes +0.0, as with abs first
-            both /= n
-            sums[:, k : k + per, b] = _tree_sums(both)
-    return _tree_sums(sums) / total
+            values /= n
+            sums[:, k : k + per, b] = _tree_sums(values)
+    t_abs, t_max, t_neg_min = _tree_sums(sums)
+    return np.stack([t_abs + t_abs, t_max + t_neg_min]) / (2 * half)
 
 
 def empirical_rademacher(

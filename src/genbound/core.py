@@ -347,10 +347,26 @@ def words_to_normals(words: np.ndarray) -> np.ndarray:
 
 
 def sign_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the 2**n-by-n sign matrix, in ascending bit-word order."""
-    words = np.arange(start, stop, dtype=_U64)
-    bits = (words[:, None] >> np.arange(n, dtype=_U64)[None, :]) & _U64(1)
-    return bits.astype(np.float64) * 2.0 - 1.0
+    """Rows [start, stop) of the 2**n-by-n sign matrix, in ascending bit-word order.
+
+    The matrix is filled one bit at a time in (n, rows) orientation and returned
+    as a transposed view, so ``sign_block(...).T`` is C-contiguous.  Bit b runs
+    in alternating blocks of 2**b signs, -1 first: a range aligned to pairs of
+    blocks is written block by block, a range inside one block is constant, and
+    only other ranges read the bit off their words.
+    """
+    out = np.empty((n, stop - start))
+    for bit, row in enumerate(out):
+        run = 1 << bit
+        if start % (2 * run) == 0 and row.size % (2 * run) == 0:
+            runs = row.reshape(-1, 2, run)
+            runs[:, 0] = -1.0
+            runs[:, 1] = 1.0
+        elif start // run == (stop - 1) // run:
+            row[:] = 1.0 if start >> bit & 1 else -1.0
+        else:
+            row[:] = (np.arange(start, stop, dtype=_U64) >> _U64(bit) & _U64(1)) * 2.0 - 1.0
+    return out.T
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -38,6 +38,7 @@ from .core import (
 )
 
 DEFAULT_COVER_CAP = 16  # exact minimal covers up to this many distinct rows
+MAX_COVER_CAP = 20  # the subset table of 20 distinct rows takes 2**20 * 20 * 8 bytes, 168 MB
 
 
 class CoverMethod(str, Enum):

@@ -10,7 +10,8 @@ and any finite class obeys the Massart bound on the without-abs quantity,
     (1/n) * max_i ||evals[i]||_2 * sqrt(2 ln m).
 
 Ball samplers generate valid instances; the verifier pits the exact sign
-enumeration against each closed form.
+enumeration of a whole batch of instances, in one stacked kernel call, against
+each instance's closed form.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import DEFAULT_SIGN_CAP, empirical_rademacher
+from .complexity import DEFAULT_SIGN_CAP, _sign_averages
 from .core import (
+    DimensionMismatch,
     EvaluatedClass,
     InvalidRadius,
     InvariantViolation,
@@ -77,7 +79,7 @@ class LinearInstance:
         for kind, norms, radius in (
             ("weight", w_norms, self.regime.weight_radius), ("input", x_norms, self.regime.input_radius)
         ):
-            if norms.max() > radius + _NORM_TOL:
+            if not norms.max() <= radius + _NORM_TOL:  # also rejects NaN
                 raise InvariantViolation(f"{kind} norm {norms.max()!r} exceeds radius {radius!r}")
         weights.setflags(write=False)
         inputs.setflags(write=False)
@@ -135,20 +137,21 @@ def augment_with_negations(cls: EvaluatedClass) -> EvaluatedClass:
     return EvaluatedClass(evals, cls.envelope_b, means)
 
 
-def sample_ball(kind: str, radius: float, d: int, count: int, seed: int) -> np.ndarray:
-    """Seeded points uniform in an l2, l1, or l-infinity ball of the given radius.
+def _sample_balls(kind: str, radius: float, d: int, count: int, seeds) -> np.ndarray:
+    """``count`` points from each seed's own words, all transformed in one batch.
 
-    l2 uses a Gaussian direction scaled by radius * u**(1/d); l1 uses the
-    signed exponential (simplex) method with the same radial scaling; linf is
-    coordinatewise uniform.  Outputs satisfy the norm constraint to within
-    1e-12 and are a pure function of (seed, index range).
+    Rows come seed by seed; every row is transformed on its own, so each
+    seed's points are those it would give alone.
     """
     if radius < 0.0:
         raise InvalidRadius("radius must be nonnegative")
     if d < 1:
         raise InvariantViolation("d must be at least 1")
+    words_per_point = {"l2": d + 1, "l1": 2 * d + 1, "linf": d}.get(kind)
+    if words_per_point is None:
+        raise InvariantViolation(f"unknown ball kind {kind!r}; expected l2, l1, or linf")
+    words = np.concatenate([draw_words(seed, 0, count, words_per_point) for seed in seeds])
     if kind == "l2":
-        words = draw_words(seed, 0, count, d + 1)
         g = words_to_normals(words[:, :d])
         norms = np.sqrt((g * g).sum(axis=1))
         flat = norms <= 0.0
@@ -159,7 +162,6 @@ def sample_ball(kind: str, radius: float, d: int, count: int, seed: int) -> np.n
         radial = radius * words_to_uniforms(words[:, d]) ** (1.0 / d)
         return g * (radial / norms)[:, None]
     if kind == "l1":
-        words = draw_words(seed, 0, count, 2 * d + 1)
         exponentials = -np.log(words_to_open_uniforms(words[:, :d]))
         totals = exponentials.sum(axis=1)
         flat = totals <= 0.0
@@ -170,23 +172,42 @@ def sample_ball(kind: str, radius: float, d: int, count: int, seed: int) -> np.n
         signs = words_to_signs(words[:, d : 2 * d])
         radial = radius * words_to_uniforms(words[:, 2 * d]) ** (1.0 / d)
         return signs * simplex * radial[:, None]
-    if kind == "linf":
-        words = draw_words(seed, 0, count, d)
-        return radius * (2.0 * words_to_uniforms(words) - 1.0)
-    raise InvariantViolation(f"unknown ball kind {kind!r}; expected l2, l1, or linf")
+    return radius * (2.0 * words_to_uniforms(words) - 1.0)
+
+
+def sample_ball(kind: str, radius: float, d: int, count: int, seed: int) -> np.ndarray:
+    """Seeded points uniform in an l2, l1, or l-infinity ball of the given radius.
+
+    l2 uses a Gaussian direction scaled by radius * u**(1/d); l1 uses the
+    signed exponential (simplex) method with the same radial scaling; linf is
+    coordinatewise uniform.  Outputs satisfy the norm constraint to within
+    1e-12 and are a pure function of (seed, index range).
+    """
+    return _sample_balls(kind, radius, d, count, [seed])
+
+
+def random_linear_instances(
+    seeds, regime: NormRegime, d: int, n: int, m: int
+) -> list[LinearInstance]:
+    """One valid instance per seed, weights and inputs sampled in the regime's balls.
+
+    Each instance draws from sub-seeds of its own seed, and the draws of all
+    instances are transformed in one batch per ball, so every instance equals
+    ``random_linear_instance`` of its seed.
+    """
+    if not seeds:
+        return []
+    kinds = ("l2", "l2") if isinstance(regime, L2Ball) else ("l1", "linf")
+    weights = _sample_balls(kinds[0], regime.weight_radius, d, m, [derive_seed(s, "weights") for s in seeds])
+    inputs = _sample_balls(kinds[1], regime.input_radius, d, n, [derive_seed(s, "inputs") for s in seeds])
+    return [LinearInstance(w, x, regime) for w, x in zip(weights.reshape(-1, m, d), inputs.reshape(-1, n, d))]
 
 
 def random_linear_instance(
     seed: int, regime: NormRegime, d: int, n: int, m: int
 ) -> LinearInstance:
     """A valid instance with weights and inputs sampled in the regime's balls."""
-    if isinstance(regime, L2Ball):
-        weights = sample_ball("l2", regime.weight_radius, d, m, derive_seed(seed, "weights"))
-        inputs = sample_ball("l2", regime.input_radius, d, n, derive_seed(seed, "inputs"))
-    else:
-        weights = sample_ball("l1", regime.weight_radius, d, m, derive_seed(seed, "weights"))
-        inputs = sample_ball("linf", regime.input_radius, d, n, derive_seed(seed, "inputs"))
-    return LinearInstance(weights, inputs, regime)
+    return random_linear_instances([seed], regime, d, n, m)[0]
 
 
 @dataclass(frozen=True)
@@ -201,16 +222,34 @@ class LinearBoundReport:
     passed: bool  # exact <= bound + tol
 
 
+def verify_linear_bounds(
+    instances, *, tol: float = 1e-10, sign_cap: int = DEFAULT_SIGN_CAP
+) -> list[LinearBoundReport]:
+    """Exact complexity of each instance's induced class against its regime's closed form.
+
+    The instances share one (m, n) shape, and all their classes go through
+    one stacked call of the exact sign kernel.
+    """
+    if not instances:
+        return []
+    if len({(instance.m, instance.n) for instance in instances}) > 1:
+        raise DimensionMismatch("stacked linear instances must share m and n")
+    stack = np.stack([instance.weights @ instance.inputs.T for instance in instances])
+    reports = []
+    for instance, exact in zip(instances, _sign_averages(stack, sign_cap)[0].tolist()):
+        regime = instance.regime
+        if isinstance(regime, L2Ball):
+            bound, name = l2_bound(regime.input_radius, regime.weight_radius, instance.n), "l2"
+        else:
+            bound, name = l1_bound(regime.input_radius, regime.weight_radius, instance.n, instance.d), "l1"
+        reports.append(LinearBoundReport(
+            exact, bound, bound - exact, name, instance.d, instance.n, instance.m, exact <= bound + tol
+        ))
+    return reports
+
+
 def verify_linear_bound(
     instance: LinearInstance, *, tol: float = 1e-10, sign_cap: int = DEFAULT_SIGN_CAP
 ) -> LinearBoundReport:
     """Exact complexity of the induced class against the regime's closed form."""
-    exact = empirical_rademacher(instance.evaluated_class(), sign_cap=sign_cap).value
-    regime = instance.regime
-    if isinstance(regime, L2Ball):
-        bound, name = l2_bound(regime.input_radius, regime.weight_radius, instance.n), "l2"
-    else:
-        bound, name = l1_bound(regime.input_radius, regime.weight_radius, instance.n, instance.d), "l1"
-    return LinearBoundReport(
-        exact, bound, bound - exact, name, instance.d, instance.n, instance.m, exact <= bound + tol
-    )
+    return verify_linear_bounds([instance], tol=tol, sign_cap=sign_cap)[0]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,19 @@ class TestConfigErrors:
             "tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": [0.2, -0.5]}, "tail.epsilons[1]"
         ),
         "negative dudley epsilons entry": ("dudley", {"class": EVALS, "epsilons": [-0.1]}, "dudley.epsilons[0]"),
+        # an infinite tol passes every check, and an infinite envelope overflows the sampler
+        "infinite tol": ("symmetrize", {"instance": RANDOM_INSTANCE, "n": 2, "tol": float("inf")}, "symmetrize.tol"),
+        "infinite random instance envelope": (
+            "tail",
+            {"instance": {"random": {"m": 3, "support_size": 2, "seed": 4, "envelope_b": float("inf")}},
+             "n": 4, "seed": 1},
+            "tail.instance.random.envelope_b",
+        ),
+        "infinite weight radius": ("linear", {"seed": 1, "weight_radius": float("inf")}, "linear.weight_radius"),
+        "infinite epsilons entry": ("dudley", {"class": EVALS, "epsilons": [0.1, float("inf")]}, "dudley.epsilons[1]"),
+        "cover cap above the table limit": (
+            "dudley", {"class": {"random": {"m": 30, "n": 4, "seed": 1}}, "caps": {"cover": 30}}, "dudley.caps.cover"
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -467,6 +481,25 @@ class TestConfigErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("genbound: ") and key in lines[0]
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_cover_cap_above_the_table_limit_builds_no_table(self, tmp_path, capsys, monkeypatch):
+        def refuse(sub):
+            raise AssertionError("the subset table was built")
+
+        monkeypatch.setattr(entropy, "_subset_radii", refuse)
+        config = {"class": {"random": {"m": 30, "n": 4, "seed": 1}}, "caps": {"cover": 30}}
+        cfg = write_config(tmp_path, "c.json", config)
+        tracemalloc.start()
+        try:
+            status = main(["dudley", "--config", cfg, "--out", str(tmp_path / "report.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1 and peak < 1 << 20
+        limit = entropy.MAX_COVER_CAP
+        assert capsys.readouterr().err == f"genbound: dudley.caps.cover must be at most {limit}, got 30\n"
+        parsed = _parse({"command": "dudley", "class": EVALS, "caps": {"cover": limit}})
+        assert parsed["caps"]["cover"] == limit
 
     def test_grid_points_null_matches_exact_integration(self, tmp_path):
         config = {
@@ -494,6 +527,32 @@ class TestConfigErrors:
                 assert isinstance(_parse({"command": "rademacher", **spec})["class"], EvaluatedClass)
             else:
                 assert isinstance(_parse({"command": "deviation", "n": 2, **spec})["instance"], DiscreteInstance)
+
+
+class TestParser:
+    def test_one_parser_serves_calls_that_share_no_state(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", None)  # main must not build another
+        cfg = write_config(tmp_path, "lin.json", {"seed": 3, "count": 2})
+        first, second = tmp_path / "first.csv", tmp_path / "second.json"
+        assert main(["linear", "--config", cfg, "--seed", "5", "--format", "csv", "--out", str(first)]) == 0
+        assert main(["linear", "--config", cfg, "--out", str(second)]) == 0
+        assert first.read_text().startswith("x,value,method,seed")
+        report = load(second)
+        assert report["seed"] == 3 and report["config"]["seed"] == 3
+        assert canonical_report(report) == canonical_report(run_experiment({"command": "linear", "seed": 3, "count": 2}))
+
+    def test_help_and_usage_errors_exit_as_before(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0 and capsys.readouterr().out.startswith("usage: genbound")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["linear"])
+        assert exit_info.value.code == 2 and "--config" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lineal", "--config", "c.json"])
+        assert exit_info.value.code == 2 and "invalid choice" in capsys.readouterr().err
+        cfg = write_config(tmp_path, "lin.json", {"seed": 3, "count": 1})
+        assert main(["linear", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
 
 
 class TestDeterminism:

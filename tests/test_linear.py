@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,18 +7,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genbound.complexity import empirical_rademacher, empirical_rademacher_without_abs
-from genbound.core import EvaluatedClass, InvariantViolation
+from genbound.cli import run_experiment
+from genbound.core import DimensionMismatch, EvaluatedClass, InvariantViolation, derive_seed
 from genbound.linear import (
     L1Linf,
     L2Ball,
+    LinearBoundReport,
     LinearInstance,
     augment_with_negations,
     l1_bound,
     l2_bound,
     massart_bound,
     random_linear_instance,
+    random_linear_instances,
     sample_ball,
     verify_linear_bound,
+    verify_linear_bounds,
 )
 
 
@@ -142,3 +147,78 @@ class TestL1Duality:
         corners = np.vstack([W * np.eye(d), -W * np.eye(d)])
         best = (corners @ z).max()
         assert best == pytest.approx(W * np.abs(z).max(), abs=1e-12)
+
+
+def reference_instance(seed, regime, d, n, m):
+    """One instance drawn on its own: two sample_ball calls on its sub-seeds."""
+    kinds = ("l2", "l2") if isinstance(regime, L2Ball) else ("l1", "linf")
+    weights = sample_ball(kinds[0], regime.weight_radius, d, m, derive_seed(seed, "weights"))
+    inputs = sample_ball(kinds[1], regime.input_radius, d, n, derive_seed(seed, "inputs"))
+    return LinearInstance(weights, inputs, regime)
+
+
+def reference_report(instance, tol=1e-10):
+    """One instance certified on its own: one class, one exact sign average."""
+    exact = empirical_rademacher(instance.evaluated_class()).value
+    regime = instance.regime
+    if isinstance(regime, L2Ball):
+        bound, name = l2_bound(regime.input_radius, regime.weight_radius, instance.n), "l2"
+    else:
+        bound, name = l1_bound(regime.input_radius, regime.weight_radius, instance.n, instance.d), "l1"
+    return LinearBoundReport(
+        exact, bound, bound - exact, name, instance.d, instance.n, instance.m, exact <= bound + tol
+    )
+
+
+def bits(report):
+    """A report's fields with floats as exact hex, so -0.0 and 0.0 differ."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report))
+
+
+regimes = st.sampled_from([L2Ball, L1Linf]).flatmap(
+    lambda kind: st.builds(kind, st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+)
+
+
+class TestStackedVerification:
+    @given(regimes, st.integers(1, 10), st.integers(1, 9), st.integers(1, 6), st.integers(1, 25),
+           st.integers(0, 2**63))
+    def test_equals_per_instance_recomputation_bitwise(self, regime, d, n, m, count, seed):
+        seeds = [derive_seed(seed, f"linear:{i}") for i in range(count)]
+        instances = random_linear_instances(seeds, regime, d, n, m)
+        references = [reference_instance(s, regime, d, n, m) for s in seeds]
+        for got, want in zip(instances, references, strict=True):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+        reports = verify_linear_bounds(instances)
+        assert [bits(r) for r in reports] == [bits(reference_report(i)) for i in references]
+        assert bits(verify_linear_bound(instances[-1])) == bits(reports[-1])
+
+    @pytest.mark.parametrize("regime", ["l2", "l1"])
+    def test_cli_rows_equal_per_instance_reports(self, regime):
+        config = {"command": "linear", "regime": regime, "seed": 9, "d": 5, "n": 7, "m": 3, "count": 12,
+                  "weight_radius": 0.8, "input_radius": 1.7}
+        rows = run_experiment(config)["results"]
+        kind = L2Ball if regime == "l2" else L1Linf
+        for i, row in enumerate(rows):
+            instance = reference_instance(derive_seed(9, f"linear:{i}"), kind(0.8, 1.7), 5, 7, 3)
+            want = reference_report(instance)
+            assert row["x"] == i
+            got = (row["value"], row["bound"], row["slack"], row["method"], row["passed"])
+            assert got == (want.exact, want.bound, want.slack, want.regime, want.passed)
+            assert math.copysign(1.0, row["value"]) == math.copysign(1.0, want.exact)
+
+    def test_empty_batch(self):
+        assert verify_linear_bounds([]) == []
+        assert random_linear_instances([], L2Ball(1.0, 1.0), 3, 4, 2) == []
+
+    def test_instances_of_different_shapes_are_rejected(self):
+        regime = L2Ball(1.0, 1.0)
+        with pytest.raises(DimensionMismatch):
+            verify_linear_bounds(
+                [random_linear_instance(1, regime, 3, 4, 2), random_linear_instance(2, regime, 3, 5, 2)]
+            )
+
+    def test_nan_weights_are_rejected(self):
+        with pytest.raises(InvariantViolation):
+            LinearInstance([[float("nan"), 0.0]], [[1.0, 0.0]], L2Ball(1.0, 1.0))

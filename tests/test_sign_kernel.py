@@ -21,6 +21,7 @@ from genbound.core import (
     _tree_sums,
     deterministic_sum,
     derive_seed,
+    product_orbits,
     sign_block,
 )
 from genbound.entropy import _dedup, _distance_matrix
@@ -45,6 +46,84 @@ def sign_average_reference(evals, absolute):
     n = evals.shape[1]
     corr = sign_block(n, 0, 1 << n) @ evals.T / n
     return deterministic_sum((np.abs(corr) if absolute else corr).max(axis=1)) / (1 << n)
+
+
+def reference_sign_rows(n, start, stop):
+    """Rows [start, stop) of the 2**n-by-n sign matrix, from a (rows, n) table of word bits."""
+    words = np.arange(start, stop, dtype=np.uint64)
+    bits = (words[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & np.uint64(1)
+    return bits.astype(np.float64) * 2.0 - 1.0
+
+
+def reference_sign_averages(stack):
+    """The kernel before sign-flip halving: every one of the 2**n sign words, the
+    classes' rows one after another, and the max and min over each class's rows
+    along the middle axis."""
+    K, m, n = stack.shape
+    total = 1 << n
+    rows = min(total, 1 << 14)
+    low = rows.bit_length() - 1
+    per = (1 << 14) // rows
+    flat = np.ascontiguousarray(stack, dtype=np.float64).reshape(K * m, n)
+    sums = np.empty((2, K, total // rows))
+    signs = np.empty((n, rows))
+    signs[:low] = reference_sign_rows(low, 0, rows).T
+    for b in range(total // rows):
+        if n > low:
+            signs[low:] = reference_sign_rows(n - low, b, b + 1).T
+        for k in range(0, K, per):
+            block = flat[k * m : (k + per) * m]
+            corr = (np.vstack([block, block]) @ signs)[:1] if len(block) == 1 else block @ signs
+            corr = corr.reshape(-1, m, rows)
+            absolute, hi = both = np.empty((2, corr.shape[0], rows))
+            np.negative(corr.min(axis=1, out=absolute), out=absolute)
+            np.maximum(absolute, corr.max(axis=1, out=hi), out=absolute)
+            np.abs(absolute, out=absolute)
+            both /= n
+            sums[:, k : k + per, b] = _tree_sums(both)
+    return _tree_sums(sums) / total
+
+
+def assert_same_bits(stack):
+    """The kernel equals the full-enumeration reference bit for bit, signbit included."""
+    got, want = _sign_averages(stack, SIGN_CAP), reference_sign_averages(stack)
+    assert got.shape == want.shape == (2, stack.shape[0])
+    assert got.tobytes() == want.tobytes()
+
+
+def classes_per_block(n):
+    """Classes per block of the halved kernel: 2**14 over its sign rows per block."""
+    return (1 << 14) // min(1 << (n - 1), 1 << 14)
+
+
+VALUE_KINDS = ("uniform", "integers", "zero classes", "signed zeros and ties")
+
+
+def kernel_values(rng, kind, shape):
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, shape)
+    if kind == "integers":  # many tied correlations
+        return rng.integers(-2, 3, shape).astype(np.float64)
+    if kind == "zero classes":
+        values = rng.uniform(-1.0, 1.0, shape)
+        values[rng.random(shape[0]) < 0.5] = 0.0
+        return values
+    return rng.choice([0.0, -0.0, 0.5, -0.5, 1.0], shape)
+
+
+@st.composite
+def halving_stacks(draw):
+    """Stacks with n from 1 to 18 and K on either side of the class-block edges."""
+    n = draw(st.integers(1, 18))
+    m = draw(st.integers(1, 6))
+    edge = classes_per_block(n)
+    # stay near a million correlations at the largest n
+    most = max(3, (1 << 20) // (m << n))
+    K = draw(st.sampled_from(sorted({1, 2, min(edge - 1, most) or 1, min(edge, most), min(edge + 1, most),
+                                     min(2 * edge + 1, most)})))
+    kind = draw(st.sampled_from(VALUE_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return kernel_values(rng, kind, (K, m, n))
 
 
 def assert_matches_oracle(evals, absolute, signed):
@@ -122,6 +201,60 @@ class TestKernel:
         absolute, signed = _sign_averages(cls.evals[None], SIGN_CAP)
         assert (comparison.with_abs, comparison.without_abs) == (absolute[0], signed[0])
         assert comparison.with_abs == empirical_rademacher(cls).value
+
+
+class TestSignFlipHalving:
+    """The halved kernel against a copy of the full-enumeration kernel it replaced."""
+
+    @given(halving_stacks())
+    def test_equals_full_enumeration_bitwise(self, stack):
+        assert_same_bits(stack)
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_every_n_across_the_class_block_edge(self, n):
+        K = classes_per_block(n) + 1
+        rng = np.random.default_rng(300 + n)
+        for kind in VALUE_KINDS:
+            m = 1 if kind == "uniform" and n % 2 else 3
+            assert_same_bits(kernel_values(rng, kind, (K, m, n)))
+
+    @pytest.mark.parametrize("n", [3, 9, 13])
+    def test_class_block_edges_at_small_n(self, n):
+        # the halved kernel puts twice as many classes in a block as the reference
+        edge = classes_per_block(n)
+        rng = np.random.default_rng(n)
+        for K in (edge - 1, edge, edge + 1, 2 * edge + 3):
+            assert_same_bits(rng.uniform(-1.0, 1.0, (K, 2, n)))
+
+    def test_all_zero_and_single_row_classes(self):
+        for n in (1, 2, 5, 15, 16):
+            assert_same_bits(np.zeros((3, 4, n)))
+            assert_same_bits(-np.zeros((2, 1, n)))
+            assert_same_bits(np.random.default_rng(n).uniform(-1.0, 1.0, (5, 1, n)))
+
+    @given(st.integers(2, 4), st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_orbit_stacks(self, s, n, m, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.uniform(0.1, 1.0, s)
+        reps, _ = product_orbits(probs / probs.sum(), n)
+        table = rng.integers(-2, 3, (m, s)).astype(np.float64) if seed % 2 else rng.uniform(-1.0, 1.0, (m, s))
+        assert_same_bits(table[:, reps].transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 14, 15, 16, 17])
+    def test_only_words_with_the_top_bit_clear_are_built(self, n, monkeypatch):
+        import genbound.complexity as module
+
+        built = []
+
+        def counting(bits, start, stop):
+            built.append(stop - start)
+            return sign_block(bits, start, stop)
+
+        monkeypatch.setattr(module, "sign_block", counting)
+        _sign_averages(np.ones((1, 2, n)), SIGN_CAP)
+        # the 2**(n-1) low words of block 0, then one row of high bits per further block
+        rows = min(1 << (n - 1), 1 << 14)
+        assert built == [rows] + [1] * ((1 << (n - 1)) // rows - 1)
 
 
 class TestTreeSums:
