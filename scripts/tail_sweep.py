@@ -41,7 +41,6 @@ def main():
             args.trials,
             derive_seed(args.seed, f"tail:{i}"),
             rn.value,
-            rademacher=rn,
         )
         verdict = verify_tail_bound(experiment)
         rows.append(

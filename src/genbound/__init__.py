@@ -81,4 +81,4 @@ from .linear import (
     verify_linear_bounds,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

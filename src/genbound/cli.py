@@ -31,8 +31,8 @@ from .core import (
     DEFAULT_SIGN_CAP,
     DiscreteDistribution,
     EvaluatedClass,
+    ExactEnumerationLimit,
     GenboundError,
-    InvariantViolation,
     Sample,
     derive_seed,
 )
@@ -191,9 +191,9 @@ _COMMON = {
     "command": (_text, _REQUIRED),
     "seed": _SEED,
     "out": (_optional(_text), None),
-    "tol": (_nonnegative, 1e-10),
     "caps": (_object(_CAPS), {}),
 }
+_TOL = {"tol": (_nonnegative, 1e-10)}  # for the commands whose checks compare within it
 _SEEDED = {"seed": (_int, _REQUIRED)}
 _CLASS = {"class": (_one_of(_CLASS_FORMS), _REQUIRED)}
 _INSTANCE = {"instance": (_one_of(_INSTANCE_FORMS), _REQUIRED), "n": (_size, _REQUIRED)}
@@ -205,8 +205,8 @@ _SCHEMA = {
         "method": (_choice("auto", "exact", "mc"), "auto"),
         "draws": (_int, 100_000),
     },
-    "deviation": {**_COMMON, **_INSTANCE},
-    "symmetrize": {**_COMMON, **_INSTANCE},
+    "deviation": {**_COMMON, **_TOL, **_INSTANCE},
+    "symmetrize": {**_COMMON, **_TOL, **_INSTANCE},
     "tail": {
         **_COMMON,
         **_SEEDED,
@@ -218,6 +218,7 @@ _SCHEMA = {
     },
     "linear": {
         **_COMMON,
+        **_TOL,
         **_SEEDED,
         "regime": (_choice(*_REGIMES), "l2"),
         "weight_radius": (_nonnegative, 1.0),
@@ -229,13 +230,14 @@ _SCHEMA = {
     },
     "dudley": {
         **_COMMON,
+        **_TOL,
         **_CLASS,
         "cover": (_choice("exact", "greedy"), "exact"),
         "grid_points": (_optional(_size), 256),
         "epsilons": (_optional(_radii), None),
         "epsilon_count": (_size, 16),
     },
-    "suite": {**_COMMON, **_SEEDED},
+    "suite": {**_COMMON, **_TOL, **_SEEDED},
 }
 COMMANDS = tuple(_SCHEMA)
 # keys that choose the same thing; a config gives at most one of each pair
@@ -410,57 +412,18 @@ def _cmd_symmetrize(cfg: dict, threads: int):
     return found
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` of a 2-D integer array.
-
-    Rows come out in lexicographic order, and ``distinct[inverse]`` is ``rows``.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
-
-
-_INNER_DRAWS = 2000  # sign draws per sampled tuple above the sign cap
-
-
 def _rademacher_for_instance(cfg: dict, threads: int):
-    """Exact product-measure complexity when within caps, else a seeded MC fallback.
-
-    Above the sign cap the per-sample average is itself estimated by inner sign
-    draws (still unbiased); the report flags the Monte Carlo provenance either way.
-    """
-    inst, n, draws = cfg["instance"], cfg["n"], cfg["rademacher_draws"]
-    sign_cap, product_cap = cfg["caps"]["sign"], cfg["caps"]["product"]
-    if inst.dist.size**n <= product_cap and n <= sign_cap:
+    """Exact product-measure complexity when within the caps, else a seeded Monte Carlo estimate."""
+    inst, n, caps = cfg["instance"], cfg["n"], cfg["caps"]
+    try:
         return complexity.expected_rademacher(
-            inst.support_class, inst.dist, n, product_cap=product_cap, sign_cap=sign_cap
+            inst.support_class, inst.dist, n, product_cap=caps["product"], sign_cap=caps["sign"]
         )
-    if draws < 100:
-        raise InvariantViolation("Monte Carlo estimation needs at least 100 draws")
-    rn_seed = derive_seed(cfg["seed"], "rn")
-    values = np.empty(draws, dtype=np.float64)
-
-    def fill(start: int, stop: int) -> None:
-        idx = inst.dist.draw_index_trials(rn_seed, start, stop - start, n)
-        if n <= sign_cap:
-            # the sign average is permutation invariant: one per drawn orbit
-            orbits, which = _distinct_rows(np.sort(idx, axis=1))
-            stack = inst.table[:, orbits].transpose(1, 0, 2)
-            values[start:stop] = complexity._sign_averages(stack, sign_cap)[0][which]
-            return
-        for j in range(stop - start):
-            cls = EvaluatedClass(inst.table[:, idx[j]], inst.envelope_b, validate=False)
-            # threads=1: this already runs on the chunk pool, which is not re-entrant
-            values[start + j] = complexity.empirical_rademacher_mc(
-                cls, _INNER_DRAWS, derive_seed(rn_seed, f"inner:{start + j}"), threads=1
-            ).value
-
-    complexity._run_chunks(fill, draws, threads)
-    return complexity._mc_result(values, draws, rn_seed)
+    except ExactEnumerationLimit:
+        return complexity.expected_rademacher_mc(
+            inst.support_class, inst.dist, n, cfg["rademacher_draws"], derive_seed(cfg["seed"], "rn"),
+            threads=threads, sign_cap=caps["sign"],
+        )
 
 
 def _cmd_tail(cfg: dict, threads: int):
@@ -471,7 +434,7 @@ def _cmd_tail(cfg: dict, threads: int):
     for i, eps in enumerate(epsilons):
         experiment = concentration.simulate_tail(
             inst.support_class, inst.dist, n, eps, trials, derive_seed(seed, f"tail:{i}"), rn.value,
-            rademacher=rn, threads=threads,
+            threads=threads,
         )
         verdict = concentration.verify_tail_bound(experiment)
         row = {
@@ -557,7 +520,8 @@ def _cmd_suite(cfg: dict, threads: int):
         _add(found, kind, {"kind": kind, "passed": passed, **fields})
 
     def run(config: dict, threads: int = threads):
-        parsed = _parse({"caps": cfg["caps"], "tol": cfg["tol"], **config})
+        shared = {key: cfg[key] for key in ("caps", "tol") if key in _SCHEMA[config["command"]]}
+        parsed = _parse({**shared, **config})
         return _HANDLERS[parsed["command"]](parsed, threads)
 
     def check(kind: str, config: dict) -> list[dict]:

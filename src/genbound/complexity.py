@@ -32,6 +32,7 @@ from .core import (
     PointSampler,
     Sample,
     _tree_sums,
+    derive_seed,
     deterministic_sum,
     draw_signs,
     product_orbits,
@@ -40,6 +41,7 @@ from .core import (
 
 _SIGN_CHUNK = 1 << 14
 _MC_CHUNK = 1 << 13
+_INNER_DRAWS = 2000  # sign draws per sampled tuple above the sign cap
 
 
 class Method(str, Enum):
@@ -159,6 +161,16 @@ def _mc_result(values: np.ndarray, draws: int, seed: int) -> ComplexityResult:
     return ComplexityResult(value, Method.MONTE_CARLO, draws, sqrt(variance / draws), seed)
 
 
+def _mc_estimate(
+    values_of: Callable[[int, int], np.ndarray], draws: int, seed: int, threads: int
+) -> ComplexityResult:
+    """The Monte Carlo estimate from per-draw values: ``values_of(start, stop)`` returns
+    those of draws [start, stop) and runs once per fixed chunk (``_run_chunks``)."""
+    if draws < 100:
+        raise InvariantViolation("Monte Carlo estimation needs at least 100 draws")
+    return _mc_result(np.concatenate(_run_chunks(values_of, draws, threads)), draws, seed)
+
+
 def empirical_rademacher_mc(
     cls: EvaluatedClass,
     draws: int,
@@ -174,22 +186,18 @@ def empirical_rademacher_mc(
     tree sum, so the result is bit-identical for a given (seed, draws) at any
     thread count.
     """
-    if draws < 100:
-        raise InvariantViolation("Monte Carlo estimation needs at least 100 draws")
     evals = cls.evals
     n = cls.n
-    values = np.empty(draws, dtype=np.float64)
 
-    def fill(start: int, stop: int) -> None:
+    def values_of(start: int, stop: int) -> np.ndarray:
         signs = draw_signs(seed, start, stop - start, n)
         corr = signs @ evals.T
         corr /= n
         if absolute:
             np.abs(corr, out=corr)
-        values[start:stop] = corr.max(axis=1)
+        return corr.max(axis=1)
 
-    _run_chunks(fill, draws, threads)
-    return _mc_result(values, draws, seed)
+    return _mc_estimate(values_of, draws, seed, threads)
 
 
 def _check_support_class(cls: EvaluatedClass, dist: DiscreteDistribution) -> None:
@@ -248,9 +256,23 @@ def expected_rademacher(
     )
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` of a 2-D integer array.
+
+    Rows come out in lexicographic order, and ``distinct[inverse]`` is ``rows``.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def expected_rademacher_mc(
-    class_builder: Callable[[np.ndarray], EvaluatedClass],
-    sampler: PointSampler,
+    cls: EvaluatedClass | Callable[[np.ndarray], EvaluatedClass],
+    source: DiscreteDistribution | PointSampler,
     n: int,
     draws: int,
     seed: int,
@@ -258,23 +280,41 @@ def expected_rademacher_mc(
     threads: int = 1,
     sign_cap: int = DEFAULT_SIGN_CAP,
 ) -> ComplexityResult:
-    """Mean empirical complexity over i.i.d. samples of size n from ``sampler``.
+    """Mean empirical complexity over seeded i.i.d. samples of size n, with its standard error.
 
-    Here ``class_builder`` receives the realized points (an array of n points)
-    rather than support indices.  The inner sign average stays exact.
+    With a finite data measure ``cls`` is the class on the whole support
+    (``DiscreteInstance.support_class``), and every sample's class is read off
+    its columns; this is the estimate for n past ``expected_rademacher``'s
+    caps.  With a point sampler it is a builder that receives the realized
+    points (an array of n points).  The sign average of each sample is exact
+    up to ``sign_cap``; past it, a discrete sample's average is itself the
+    unbiased estimate from ``_INNER_DRAWS`` sign draws.
     """
-    if draws < 100:
-        raise InvariantViolation("Monte Carlo estimation needs at least 100 draws")
-    values = np.empty(draws, dtype=np.float64)
+    if isinstance(source, DiscreteDistribution):
+        _check_support_class(cls, source)
 
-    def fill(start: int, stop: int) -> None:
-        pts = sampler.draw(seed, start * n, (stop - start) * n)
-        pts = pts.reshape(stop - start, n, -1) if pts.ndim == 2 else pts.reshape(stop - start, n)
-        stack = np.stack([class_builder(p).evals for p in pts])
-        values[start:stop] = _sign_averages(stack, sign_cap)[0]
+        def values_of(start: int, stop: int) -> np.ndarray:
+            idx = source.draw_index_trials(seed, start, stop - start, n)
+            if n <= sign_cap:
+                # the sign average is permutation invariant: one per drawn orbit
+                orbits, which = _distinct_rows(np.sort(idx, axis=1))
+                return _sign_averages(cls.evals[:, orbits].transpose(1, 0, 2), sign_cap)[0][which]
+            # threads=1: this already runs on the chunk pool, which is not re-entrant
+            return np.array([
+                empirical_rademacher_mc(
+                    EvaluatedClass(cls.evals[:, row], cls.envelope_b, validate=False),
+                    _INNER_DRAWS, derive_seed(seed, f"inner:{start + j}"), threads=1,
+                ).value
+                for j, row in enumerate(idx)
+            ])
 
-    _run_chunks(fill, draws, threads)
-    return _mc_result(values, draws, seed)
+    else:
+
+        def values_of(start: int, stop: int) -> np.ndarray:
+            stack = np.stack([cls(p).evals for p in source.draw_trials(seed, start, stop - start, n)])
+            return _sign_averages(stack, sign_cap)[0]
+
+    return _mc_estimate(values_of, draws, seed, threads)
 
 
 # ---------------------------------------------------------------------------

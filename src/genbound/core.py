@@ -394,6 +394,11 @@ class PointSampler:
         words = draw_words(seed, first, count, self.words_per_point)
         return self._build(words)
 
+    def draw_trials(self, seed: int, first_trial: int, count: int, n: int) -> np.ndarray:
+        """(count, n) points, or (count, n, dim) vectors; trial j holds points [j*n, (j+1)*n)."""
+        points = self.draw(seed, first_trial * n, count * n)
+        return points.reshape(count, n, *points.shape[1:])
+
 
 def uniform_box_sampler(lows: Sequence[float], highs: Sequence[float]) -> PointSampler:
     lo = np.asarray(lows, dtype=np.float64)

@@ -154,7 +154,6 @@ def test_05_mcdiarmid_tail():
                     100_000,
                     int(rng.integers(0, 2**32)),
                     rn.value,
-                    rademacher=rn,
                 )
                 verdict = verify_tail_bound(experiment)
                 if not verdict.passed:

@@ -7,15 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import genbound
 from genbound import cli, complexity, concentration, deviation, entropy, linear
 from genbound.cli import (
     UsageError,
-    _distinct_rows,
     _parse,
     canonical_report,
     config_hash,
@@ -180,6 +176,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err == "genbound: Monte Carlo estimation needs at least 100 draws\n"
 
+    @pytest.mark.parametrize(
+        "caps, method",
+        [
+            ({"product": 81}, "exact_enumeration"),  # 3**4 tuples
+            ({"product": 80}, "monte_carlo"),
+            ({"sign": 4}, "exact_enumeration"),  # n = 4
+            ({"sign": 3}, "monte_carlo"),
+        ],
+        ids=["product 81", "product 80", "sign 4", "sign 3"],
+    )
+    def test_tail_method_at_the_cap_edges(self, tmp_path, caps, method):
+        config = {
+            "instance": {"random": {"m": 2, "support_size": 3, "seed": 3}},
+            "n": 4,
+            "trials": 1000,
+            "seed": 5,
+            "caps": caps,
+            "rademacher_draws": 100,
+        }
+        out = str(tmp_path / "report.json")
+        assert main(["tail", "--config", write_config(tmp_path, "tail.json", config), "--out", out]) == 0
+        assert load(out)["results"][0]["method"] == method
+
     def test_tail_mc_fallback_above_sign_cap(self, tmp_path):
         config = {
             "instance": {"random": {"m": 3, "support_size": 2, "seed": 4}},
@@ -310,6 +329,9 @@ class TestConfigErrors:
     CASES = {
         "unknown key": ("rademacher", {"class": EVALS, "methd": "mc"}, "rademacher.methd"),
         "unknown nested key": ("rademacher", {"class": EVALS, "caps": {"sgn": 4}}, "rademacher.caps.sgn"),
+        # no check of these two commands compares within a tolerance
+        "rademacher tol": ("rademacher", {"class": EVALS, "tol": 1e6}, "unknown key rademacher.tol"),
+        "tail tol": ("tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "tol": 1e6}, "unknown key tail.tol"),
         "unknown key of a form": (
             "rademacher",
             {"class": {**EVALS, "random": {"m": 1, "n": 2, "seed": 1}}},
@@ -705,15 +727,6 @@ class TestEmitCurve:
 
 
 class TestInternals:
-    @given(arrays(np.intp, st.tuples(st.integers(1, 60), st.integers(1, 6)), elements=st.integers(0, 3)))
-    @example(np.zeros((5, 3), dtype=np.intp))  # all rows equal
-    @example(np.array([[2, 0, 1]], dtype=np.intp))  # a single row
-    def test_distinct_rows_equal_unique(self, rows):
-        distinct, inverse = _distinct_rows(rows)
-        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
-        np.testing.assert_array_equal(distinct, expected)
-        np.testing.assert_array_equal(inverse, expected_inverse.ravel())
-
     def test_import_leaves_scipy_stats_unloaded(self):
         src = str(Path(genbound.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from genbound import complexity
 from genbound.complexity import (
     ComplexityResult,
     GridFamily,
@@ -14,8 +16,12 @@ from genbound.complexity import (
     expected_rademacher,
     expected_rademacher_mc,
     grid_restricted_class,
+    _MC_CHUNK,
+    _distinct_rows,
+    _mc_result,
 )
 from genbound.core import (
+    DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
     ExactEnumerationLimit,
@@ -23,7 +29,7 @@ from genbound.core import (
     Sample,
     uniform_box_sampler,
 )
-from genbound.instances import identity_instance, random_evaluated_class
+from genbound.instances import identity_instance, random_discrete_instance, random_evaluated_class
 
 from conftest import oracle_sign_average
 
@@ -232,6 +238,49 @@ class TestExpected:
         large = expected_rademacher_mc(builder, sampler, 2, 4000, 7)
         ratio = small.std_error / large.std_error
         assert 1.0 <= ratio <= 4.0  # ~2 expected when draws quadruple
+
+
+class TestExpectedMonteCarloOnSupport:
+    """``expected_rademacher_mc`` with the class on the whole support and its measure."""
+
+    @given(arrays(np.intp, st.tuples(st.integers(1, 60), st.integers(1, 6)), elements=st.integers(0, 3)))
+    @example(np.zeros((5, 3), dtype=np.intp))  # all rows equal
+    @example(np.array([[2, 0, 1]], dtype=np.intp))  # a single row
+    def test_distinct_rows_equal_unique(self, rows):
+        distinct, inverse = _distinct_rows(rows)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(distinct, expected)
+        np.testing.assert_array_equal(inverse, expected_inverse.ravel())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_per_draw_values_across_a_chunk_edge(self, threads):
+        inst = random_discrete_instance(3, m=2, support_size=2)
+        draws, seed = _MC_CHUNK + 9, 12
+        # n at the sign cap still takes exact sign averages
+        result = expected_rademacher_mc(inst.support_class, inst.dist, 4, draws, seed, threads=threads, sign_cap=4)
+        # each draw's sign average is taken on its sorted orbit representative
+        idx = np.sort(inst.dist.draw_index_trials(seed, 0, draws, 4), axis=1)
+        values = np.array([empirical_rademacher(EvaluatedClass(inst.table[:, row], 1.0)).value for row in idx])
+        assert result == _mc_result(values, draws, seed)
+
+    def test_above_the_sign_cap(self, monkeypatch):
+        monkeypatch.setattr(complexity, "_MC_CHUNK", 64)  # chunk edges at 200 draws
+        inst = random_discrete_instance(4, m=3, support_size=2)
+        one, two = (
+            expected_rademacher_mc(inst.support_class, inst.dist, 6, 200, 5, threads=t, sign_cap=4) for t in (1, 2)
+        )
+        assert one == two and one.method is Method.MONTE_CARLO
+        exact = expected_rademacher(inst.support_class, inst.dist, 6).value
+        assert abs(one.value - exact) <= 5.0 * one.std_error
+
+    def test_class_off_the_support_raises_before_drawing(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew before checking the class")
+
+        monkeypatch.setattr(DiscreteDistribution, "draw_index_trials", draw)
+        dist = DiscreteDistribution([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+        with pytest.raises(DimensionMismatch):
+            expected_rademacher_mc(EvaluatedClass([[1.0, -1.0]], 1.0), dist, 3, 200, 1)
 
 
 class TestGridRefinement:

@@ -124,7 +124,7 @@ class TestSimulateTail:
     def test_identity_consistent_with_bound(self):
         inst = identity_instance(pm_one())
         rn = expected_rademacher(inst.support_class, inst.dist, 8)
-        exp = simulate_tail(inst.support_class, inst.dist, 8, 0.5, 100_000, 11, rn.value, rademacher=rn)
+        exp = simulate_tail(inst.support_class, inst.dist, 8, 0.5, 100_000, 11, rn.value)
         assert exp.empirical_freq <= exp.ci_upper
         assert verify_tail_bound(exp).passed
 

@@ -204,6 +204,13 @@ class TestRandomness:
         pts = dist.sampler().draw(9, 0, 300)
         assert set(np.unique(pts)) <= {2.0, 4.0, 8.0}
 
+    def test_point_trials_are_consecutive_points(self):
+        scalar = DiscreteDistribution([2.0, 4.0, 8.0], [0.2, 0.3, 0.5]).sampler()
+        for sampler, shape in ((scalar, (5, 4)), (gaussian_sampler(3), (5, 4, 3))):
+            trials = sampler.draw_trials(11, 2, 5, 4)
+            assert trials.shape == shape
+            assert np.array_equal(trials.reshape(20, -1), sampler.draw(11, 8, 20).reshape(20, -1))
+
     def test_index_trials_chunking(self):
         dist = DiscreteDistribution([0.0, 1.0, 2.0], [0.1, 0.4, 0.5])
         full = dist.draw_index_trials(13, 0, 10, 4)
