@@ -9,10 +9,8 @@ radius whose bound falls below the complexity.
 
 import argparse
 
-import numpy as np
-
 from genbound.cli import emit_curve
-from genbound.entropy import CoverMethod, verify_dudley
+from genbound.entropy import CoverMethod, default_radii, verify_dudley
 from genbound.instances import random_evaluated_class
 
 
@@ -26,8 +24,7 @@ def main():
     args = parser.parse_args()
 
     cls = random_evaluated_class(args.seed, m=args.m, n=args.n)
-    c = float(np.sqrt(np.mean(cls.evals**2, axis=1)).max())
-    grid = [(c / 2.0) * i / (args.points + 1) for i in range(1, args.points + 1)]
+    grid = default_radii(cls, args.points)
 
     rows = []
     for method in (CoverMethod.EXACT_MINIMAL, CoverMethod.GREEDY):

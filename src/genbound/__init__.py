@@ -32,6 +32,7 @@ from .core import (
     DegenerateClass,
     DimensionMismatch,
     DiscreteDistribution,
+    DrawBudgetExceeded,
     EvaluatedClass,
     ExactEnumerationLimit,
     GenboundError,
@@ -39,6 +40,7 @@ from .core import (
     InvalidEnvelope,
     InvalidRadius,
     InvariantViolation,
+    MAX_DRAW_ELEMENTS,
     MissingPopulationMeans,
     PointSampler,
     Sample,
@@ -56,11 +58,9 @@ from .deviation import (
     verify_expectation_bound,
 )
 from .entropy import (
-    ChainingTrace,
     CoverMethod,
     CoverResult,
     DudleyResult,
-    build_chaining,
     covering_number_exact,
     covering_number_greedy,
     dudley_bound,
@@ -81,4 +81,4 @@ from .linear import (
     verify_linear_bounds,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

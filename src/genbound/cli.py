@@ -338,13 +338,16 @@ def _add(found: tuple[list, list], check: str, row: dict) -> None:
 
 
 def _cmd_rademacher(cfg: dict, threads: int):
-    cls, sign_cap = cfg["class"], cfg["caps"]["sign"]
-    method = cfg["method"]
-    if method == "auto":
-        method = "exact" if cls.n <= sign_cap else "mc"
+    cls, method = cfg["class"], cfg["method"]
+    comparison = None
+    if method != "mc":  # "auto" falls back to Monte Carlo where the sign cap refuses the exact kernel
+        try:
+            comparison = complexity.check_without_abs_le_abs(cls, sign_cap=cfg["caps"]["sign"])
+        except ExactEnumerationLimit:
+            if method == "exact":
+                raise
     row = {}
-    if method == "exact":
-        comparison = complexity.check_without_abs_le_abs(cls, sign_cap=sign_cap)
+    if comparison is not None:
         value = complexity.ComplexityResult(comparison.with_abs, complexity.Method.EXACT_ENUMERATION)
         row = {"without_abs": comparison.without_abs, "comparison_slack": comparison.slack}
         if not comparison.passed:  # a passing row has no passed field
@@ -412,24 +415,18 @@ def _cmd_symmetrize(cfg: dict, threads: int):
     return found
 
 
-def _rademacher_for_instance(cfg: dict, threads: int):
-    """Exact product-measure complexity when within the caps, else a seeded Monte Carlo estimate."""
-    inst, n, caps = cfg["instance"], cfg["n"], cfg["caps"]
-    try:
-        return complexity.expected_rademacher(
+def _cmd_tail(cfg: dict, threads: int):
+    inst, n, seed, trials, caps = cfg["instance"], cfg["n"], cfg["seed"], cfg["trials"], cfg["caps"]
+    epsilons = cfg["epsilons"] if cfg["epsilons"] is not None else [cfg["epsilon"]]
+    try:  # the exact product-measure complexity within the caps, else a seeded Monte Carlo estimate
+        rn = complexity.expected_rademacher(
             inst.support_class, inst.dist, n, product_cap=caps["product"], sign_cap=caps["sign"]
         )
     except ExactEnumerationLimit:
-        return complexity.expected_rademacher_mc(
-            inst.support_class, inst.dist, n, cfg["rademacher_draws"], derive_seed(cfg["seed"], "rn"),
+        rn = complexity.expected_rademacher_mc(
+            inst.support_class, inst.dist, n, cfg["rademacher_draws"], derive_seed(seed, "rn"),
             threads=threads, sign_cap=caps["sign"],
         )
-
-
-def _cmd_tail(cfg: dict, threads: int):
-    inst, n, seed, trials = cfg["instance"], cfg["n"], cfg["seed"], cfg["trials"]
-    epsilons = cfg["epsilons"] if cfg["epsilons"] is not None else [cfg["epsilon"]]
-    rn = _rademacher_for_instance(cfg, threads)
     found = [], []
     for i, eps in enumerate(epsilons):
         experiment = concentration.simulate_tail(
@@ -482,11 +479,7 @@ def _cmd_dudley(cfg: dict, threads: int):
     cls, caps = cfg["class"], cfg["caps"]
     epsilons = cfg["epsilons"]
     if epsilons is None:
-        count = cfg["epsilon_count"]
-        c = float(np.sqrt(np.mean(cls.evals**2, axis=1)).max())
-        if c <= 0.0:
-            raise UsageError("class is degenerate on the sample; no admissible radii")
-        epsilons = [(c / 2.0) * i / (count + 1) for i in range(1, count + 1)]
+        epsilons = entropy.default_radii(cls, cfg["epsilon_count"])
     report = entropy.verify_dudley(
         cls, epsilons, cover_method=cfg["cover"], tol=cfg["tol"], grid_points=cfg["grid_points"],
         sign_cap=caps["sign"], cover_cap=caps["cover"],
@@ -587,7 +580,7 @@ def _cmd_suite(cfg: dict, threads: int):
 
     # covering consistency and the entropy integral
     cov_cls = random_evaluated_class(derive_seed(seed, "cover"), m=6, n=4)
-    c = float(np.sqrt(np.mean(cov_cls.evals**2, axis=1)).max())
+    c = entropy.largest_norm(cov_cls)
     radii = np.linspace(0.1 * c, 1.2 * c, 4).tolist()
     exact_sizes = [entropy.covering_number_exact(cov_cls, eps).size for eps in radii]
     greedy_sizes = [entropy.covering_number_greedy(cov_cls, eps).size for eps in radii]

@@ -220,9 +220,13 @@ def _capped_orbits(
         raise InvariantViolation("n must be at least 1")
     _check_support_class(cls, dist)
     probs = np.outer(dist.probs, dist.probs).ravel() if paired else dist.probs
-    budget = len(probs) ** n * per_tuple * (2**n if paired else 1)
-    if budget > cap:
-        raise ExactEnumerationLimit(f"{need.format(budget)}, above the cap of {cap}")
+    base = len(probs)
+    # any factor of 2**n or more exceeds the cap from n = cap.bit_length() on, so a large n
+    # never builds the power; the message names the count in closed form, as its digits may not fit
+    huge = (base > 1 or paired) and n >= cap.bit_length()
+    if huge or base**n * per_tuple * (2**n if paired else 1) > cap:
+        count = f"{base}^{n}" + (f" * {per_tuple}" if per_tuple > 1 else "") + (f" * 2^{n}" if paired else "")
+        raise ExactEnumerationLimit(f"{need.format(count)}, above the cap of {cap}")
     return product_orbits(probs, n)
 
 

@@ -23,6 +23,7 @@ from scipy.special import ndtri
 
 DEFAULT_SIGN_CAP = 20       # exact sign enumeration up to 2**20 vectors
 DEFAULT_PRODUCT_CAP = 10**6  # exact product-measure enumeration budget, in tuples
+MAX_DRAW_ELEMENTS = 1 << 27  # values in one drawn batch: 1 GiB as float64
 
 _U64 = np.uint64
 _MAX_SEED = (1 << 64) - 1
@@ -36,6 +37,10 @@ class GenboundError(Exception):
 
 class ExactEnumerationLimit(GenboundError):
     """An exact enumeration would exceed its configured cap."""
+
+
+class DrawBudgetExceeded(GenboundError):
+    """A batch of seeded draws would hold more than MAX_DRAW_ELEMENTS values."""
 
 
 class InvariantViolation(GenboundError):
@@ -253,11 +258,15 @@ def product_orbits(probs, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise InvariantViolation("n must be at least 1")
     p = np.asarray(probs, dtype=np.float64)
     rows = list(itertools.combinations_with_replacement(range(p.shape[0]), n))
-    factorial = [math.factorial(k) for k in range(n + 1)]
 
     def multinomial(row: tuple[int, ...]) -> float:
-        runs = (len(list(run)) for _, run in itertools.groupby(row))
-        return float(factorial[n] // math.prod(factorial[c] for c in runs))
+        # n! / prod_a c_a! as the number of ways to place each run in the positions left
+        left, ways = n, 1
+        for _, run in itertools.groupby(row):
+            count = len(list(run))
+            ways *= math.comb(left, count)
+            left -= count
+        return float(ways)
 
     reps = np.array(rows, dtype=np.intp).reshape(len(rows), n)
     weights = np.array([multinomial(row) for row in rows]) * p[reps].prod(axis=1)
@@ -295,6 +304,15 @@ def deterministic_sum(values) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_draw_budget(count: int, per_draw: int) -> None:
+    """Refuse, before any word is drawn, a batch of ``count`` draws of ``per_draw``
+    values each that holds more than MAX_DRAW_ELEMENTS values."""
+    if count * per_draw > MAX_DRAW_ELEMENTS:
+        raise DrawBudgetExceeded(
+            f"a batch of {count} draws of {per_draw} values exceeds the budget of {MAX_DRAW_ELEMENTS} values"
+        )
+
+
 def draw_words(seed: int, first_draw: int, count: int, words_per_draw: int) -> np.ndarray:
     """Raw 64-bit words for draws [first_draw, first_draw + count).
 
@@ -304,6 +322,7 @@ def draw_words(seed: int, first_draw: int, count: int, words_per_draw: int) -> n
     """
     if words_per_draw < 1:
         raise InvariantViolation("words_per_draw must be positive")
+    _check_draw_budget(count, words_per_draw)
     blocks_per_draw = -(-words_per_draw // 4)
     if count <= 0:
         return np.empty((0, words_per_draw), dtype=_U64)
@@ -337,6 +356,7 @@ def draw_signs(seed: int, first_draw: int, count: int, n: int) -> np.ndarray:
     least significant bit first.  The words are unpacked as little-endian
     bytes, so the stream does not depend on the platform.
     """
+    _check_draw_budget(count, n)  # the budget counts the signs, not their words
     words = draw_words(seed, first_draw, count, -(-n // 64))
     octets = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(octets, axis=1, count=n, bitorder="little") * 2.0 - 1.0

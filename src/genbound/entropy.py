@@ -1,4 +1,4 @@
-"""Empirical pseudometric, covering numbers, chaining, and the entropy integral.
+"""Empirical pseudometric, covering numbers, and the entropy integral.
 
 Rows of an evaluated class live in the sample-dependent pseudometric
 
@@ -17,8 +17,6 @@ without approximating the covering numbers themselves.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -82,11 +80,11 @@ def _dedup(dm: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _distinct(cls: EvaluatedClass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distance matrix, representative rows, their distance submatrix)."""
+def _distinct(cls: EvaluatedClass) -> tuple[np.ndarray, np.ndarray]:
+    """(representative rows, their distance submatrix)."""
     dm = _distance_matrix(cls.evals)
     reps = _dedup(dm)
-    return dm, reps, dm[np.ix_(reps, reps)]
+    return reps, dm[np.ix_(reps, reps)]
 
 
 def _check_cover_cap(reps: np.ndarray, cap: int) -> None:
@@ -135,13 +133,9 @@ def covering_number_exact(
     """
     if epsilon <= 0.0:
         raise InvalidRadius("cover radius must be positive")
-    _dm, reps, sub = _distinct(cls)
+    reps, sub = _distinct(cls)
     _check_cover_cap(reps, cap)
-    return _exact_cover(reps, _subset_radii(sub), epsilon)
-
-
-def _exact_cover(reps: np.ndarray, subsets: tuple[np.ndarray, np.ndarray], epsilon: float) -> CoverResult:
-    radius, sizes = subsets
+    radius, sizes = _subset_radii(sub)
     fits = radius <= epsilon
     size = int(sizes[fits].min())
     mask = int(np.flatnonzero(fits & (sizes == size))[-1])
@@ -175,13 +169,8 @@ def covering_number_greedy(cls: EvaluatedClass, epsilon: float) -> CoverResult:
     """Farthest-point-first cover; always valid, size at least the minimum."""
     if epsilon <= 0.0:
         raise InvalidRadius("cover radius must be positive")
-    _dm, reps, sub = _distinct(cls)
-    return _greedy_cover(reps, *_greedy_sequence(sub), epsilon)
-
-
-def _greedy_cover(
-    reps: np.ndarray, order: list[int], radii: np.ndarray, epsilon: float
-) -> CoverResult:
+    reps, sub = _distinct(cls)
+    order, radii = _greedy_sequence(sub)
     size = int(np.argmax(radii <= epsilon)) + 1
     centers = tuple(int(reps[p]) for p in order[:size])
     return CoverResult(float(epsilon), size, centers, CoverMethod.GREEDY)
@@ -200,7 +189,7 @@ class _CoverProfile:
 
 
 def _cover_profile(cls: EvaluatedClass, method: CoverMethod, cap: int) -> _CoverProfile:
-    _dm, reps, sub = _distinct(cls)
+    reps, sub = _distinct(cls)
     if method is CoverMethod.EXACT_MINIMAL:
         _check_cover_cap(reps, cap)
         radius, sizes = _subset_radii(sub)
@@ -218,28 +207,11 @@ def _cover_profile(cls: EvaluatedClass, method: CoverMethod, cap: int) -> _Cover
 
 
 # ---------------------------------------------------------------------------
-# Chaining
+# Entropy integral
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ChainLevel:
-    depth: int
-    epsilon: float  # c / 2**depth
-    cover: CoverResult
-    assignment: tuple[int, ...]  # per row, the nearest center's row index
-
-
-@dataclass(frozen=True, eq=False)
-class ChainingTrace:
-    """Dyadic multiscale covers with nearest-center assignments per level."""
-
-    c: float
-    levels: tuple[ChainLevel, ...]
-    target_epsilon: float
-
-
-def _largest_norm(cls: EvaluatedClass) -> float:
+def largest_norm(cls: EvaluatedClass) -> float:
     """c, the largest empirical row norm; a class whose rows all vanish has no scale."""
     c = float(np.sqrt(np.mean(cls.evals * cls.evals, axis=1)).max())
     if c <= 0.0:
@@ -247,47 +219,10 @@ def _largest_norm(cls: EvaluatedClass) -> float:
     return c
 
 
-def build_chaining(
-    cls: EvaluatedClass,
-    target_epsilon: float,
-    *,
-    method: CoverMethod | str | None = None,
-    cover_cap: int = DEFAULT_COVER_CAP,
-) -> ChainingTrace:
-    """Covers at radii c/2, c/4, ... down to the first level <= target_epsilon.
-
-    The cover is exact when the distinct-row count fits the cap (or when
-    explicitly requested), greedy otherwise.  Each row's assigned center at a
-    level is within that level's radius, so the deepest assignment is a
-    target-accuracy approximation of the whole class.
-    """
-    c = _largest_norm(cls)
-    if not 0.0 < target_epsilon < c / 2.0:
-        raise InvalidRadius(f"target epsilon must lie in (0, {c / 2.0}), got {target_epsilon}")
-    dm, reps, sub = _distinct(cls)
-    if method is None:
-        method = CoverMethod.EXACT_MINIMAL if reps.size <= cover_cap else CoverMethod.GREEDY
-    method = CoverMethod(method)
-    if method is CoverMethod.EXACT_MINIMAL:
-        _check_cover_cap(reps, cover_cap)
-        cover_at = functools.partial(_exact_cover, reps, _subset_radii(sub))
-    else:
-        cover_at = functools.partial(_greedy_cover, reps, *_greedy_sequence(sub))
-    levels = []
-    for depth in itertools.count(1):
-        eps_j = c / (1 << depth)
-        cover = cover_at(eps_j)
-        centers = np.asarray(sorted(cover.center_indices), dtype=np.intp)
-        nearest = centers[np.argmin(dm[:, centers], axis=1)]
-        levels.append(ChainLevel(depth, eps_j, cover, tuple(int(i) for i in nearest)))
-        if eps_j <= target_epsilon:
-            break
-    return ChainingTrace(c, tuple(levels), float(target_epsilon))
-
-
-# ---------------------------------------------------------------------------
-# Entropy integral
-# ---------------------------------------------------------------------------
+def default_radii(cls: EvaluatedClass, count: int) -> list[float]:
+    """``count`` evenly spaced radii inside (0, c/2): (c/2) * i / (count + 1), i = 1..count."""
+    c = largest_norm(cls)
+    return [(c / 2.0) * i / (count + 1) for i in range(1, count + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +280,7 @@ def dudley_bound(
     only enlarge N, so either way the returned value stays a valid bound.
     """
     method = CoverMethod(cover_method)
-    c = _largest_norm(cls)
+    c = largest_norm(cls)
     profile = _cover_profile(cls, method, cover_cap)
     return _bound_from_profile(profile, c, cls.n, float(epsilon), method, grid_points)
 
@@ -384,7 +319,7 @@ def verify_dudley(
     """
     method = CoverMethod(cover_method)
     lhs = empirical_rademacher_without_abs(cls, sign_cap=sign_cap).value
-    c = _largest_norm(cls)
+    c = largest_norm(cls)
     profile = _cover_profile(cls, method, cover_cap)
     entries = []
     for eps in epsilon_grid:

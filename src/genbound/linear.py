@@ -27,6 +27,7 @@ from .core import (
     EvaluatedClass,
     InvalidRadius,
     InvariantViolation,
+    _check_draw_budget,
     derive_seed,
     draw_words,
     words_to_normals,
@@ -150,6 +151,7 @@ def _sample_balls(kind: str, radius: float, d: int, count: int, seeds) -> np.nda
     words_per_point = {"l2": d + 1, "l1": 2 * d + 1, "linf": d}.get(kind)
     if words_per_point is None:
         raise InvariantViolation(f"unknown ball kind {kind!r}; expected l2, l1, or linf")
+    _check_draw_budget(len(seeds) * count, words_per_point)  # the batch over all seeds
     words = np.concatenate([draw_words(seed, 0, count, words_per_point) for seed in seeds])
     if kind == "l2":
         g = words_to_normals(words[:, :d])

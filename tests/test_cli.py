@@ -1,5 +1,8 @@
+import copy
+import functools
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import genbound
 from genbound import cli, complexity, concentration, deviation, entropy, linear
@@ -198,6 +203,30 @@ class TestCommands:
         out = str(tmp_path / "report.json")
         assert main(["tail", "--config", write_config(tmp_path, "tail.json", config), "--out", out]) == 0
         assert load(out)["results"][0]["method"] == method
+
+    @pytest.mark.parametrize(
+        "method, sign_cap, seed, status, expected",
+        [
+            ("auto", 6, None, 0, "exact_enumeration"),  # n = 6
+            ("auto", 5, 3, 0, "monte_carlo"),
+            ("auto", 5, None, 1, "genbound: rademacher.seed is required by the Monte Carlo method"),
+            ("exact", 5, 3, 1, "genbound: exact sign averaging for n=6 exceeds the exact-enumeration cap of 5"),
+            ("mc", 6, 3, 0, "monte_carlo"),
+        ],
+    )
+    def test_rademacher_method_at_the_sign_cap_edge(
+        self, tmp_path, capsys, method, sign_cap, seed, status, expected
+    ):
+        config = {"class": {"random": {"m": 3, "n": 6, "seed": 2}}, "method": method, "draws": 200,
+                  "caps": {"sign": sign_cap}}
+        if seed is not None:
+            config["seed"] = seed
+        cfg, out = write_config(tmp_path, "rad.json", config), str(tmp_path / "report.json")
+        assert main(["rademacher", "--config", cfg, "--out", out]) == status
+        if status == 0:
+            assert load(out)["results"][0]["method"] == expected
+        else:
+            assert capsys.readouterr().err == expected + "\n"
 
     def test_tail_mc_fallback_above_sign_cap(self, tmp_path):
         config = {
@@ -549,6 +578,105 @@ class TestConfigErrors:
                 assert isinstance(_parse({"command": "rademacher", **spec})["class"], EvaluatedClass)
             else:
                 assert isinstance(_parse({"command": "deviation", "n": 2, **spec})["instance"], DiscreteInstance)
+
+
+IDENTITY = {"family": "identity", "support": [0.0, 1.0], "probs": [0.5, 0.5]}
+# one small valid config per command; with n = 10**6 each stops at a cap or at
+# the draw budget (200 draws of 10**6 values), but for linear's 2 small instances
+SMALL = {
+    "rademacher": {"class": {"random": {"m": 2, "n": 3, "seed": 1}}, "draws": 200, "seed": 2, "caps": {"sign": 8}},
+    "deviation": {"instance": {"random": {"m": 2, "support_size": 2, "seed": 1}}, "n": 2, "tol": 1e-10},
+    "symmetrize": {"instance": {"table": [[0.0, 1.0]], "support": [0.0, 1.0], "probs": [0.5, 0.5],
+                                "envelope_b": 1.0}, "n": 2},
+    "tail": {"instance": IDENTITY, "n": 3, "seed": 1, "trials": 1000, "rademacher_draws": 200,
+             "caps": {"product": 4}},
+    "linear": {"seed": 1, "regime": "l1", "d": 2, "n": 3, "m": 2, "count": 2},
+    "dudley": {"class": {"evals": [[0.5, -0.5, 0.2], [0.1, 0.3, -0.4]]}, "epsilon_count": 3, "grid_points": 16,
+               "caps": {"cover": 4}},
+    "suite": {"seed": 3, "tol": 1e-10},
+}
+
+
+def _value(config: dict, path) -> object:
+    return functools.reduce(dict.__getitem__, path, config)
+
+
+def _key_paths(config: dict, prefix=()):
+    for key, value in config.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small valid config with one key dropped, retyped, pushed out of range or added."""
+    command = draw(st.sampled_from(sorted(SMALL)))
+    config = copy.deepcopy(SMALL[command])
+    kind = draw(st.sampled_from(["drop", "retype", "out of range", "add"]))
+    paths = list(_key_paths(config))
+    if kind == "out of range":
+        paths = [p for p in paths if type(_value(config, p)) in (int, float)]
+    *outer, key = draw(st.sampled_from(paths))
+    parent = _value(config, outer)
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from(["x", None, True, 1.5, [], {}, [1.0]]))
+    elif kind == "out of range":
+        parent[key] = 10**6 if key == "n" else draw(st.sampled_from([-1, 0, -0.5]))
+    else:
+        parent[draw(st.sampled_from(["extra", "seed", "n"]))] = draw(st.sampled_from([1, 0.5, "x"]))
+    return command, config
+
+
+class TestMutatedConfigs:
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_small_configs_pass(self, tmp_path, command):
+        cfg = write_config(tmp_path, "c.json", SMALL[command])
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_configs(), st.sampled_from(["1", "2"]))
+    def test_exit_zero_one_or_two_and_one_line_on_error(self, tmp_path, capsys, case, threads):
+        command, config = case
+        cfg = write_config(tmp_path, "c.json", config)
+        status = main([command, "--config", cfg, "--out", str(tmp_path / "report.json"), "--threads", threads])
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2)
+        if status == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("genbound: "), err
+
+
+class TestLargeSampleSize:
+    ONE_POINT = {"family": "identity", "support": [0.5], "probs": [1.0]}
+    CASES = {
+        "one-point deviation": ("deviation", {"instance": ONE_POINT, "n": 10**6}),
+        "deviation": ("deviation", {"instance": IDENTITY, "n": 10**6}),
+        "symmetrize": ("symmetrize", {"instance": IDENTITY, "n": 10**6}),
+        # decided above the cap without building 4**n * 2**n
+        "symmetrize at n = 10**12": ("symmetrize", {"instance": IDENTITY, "n": 10**12}),
+        "tail": ("tail", {"instance": IDENTITY, "n": 10**6, "seed": 1}),
+        "linear": ("linear", {"seed": 1, "n": 10**6}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_one_with_one_line_in_three_gigabytes(self, tmp_path, case):
+        command, config = self.CASES[case]
+        cfg = write_config(tmp_path, "c.json", config)
+        src = str(Path(genbound.__file__).resolve().parents[1])
+        # one BLAS thread, so the limit bounds genbound's own allocations
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        out = subprocess.run(
+            [sys.executable, "-m", "genbound.cli", command, "--config", cfg, "--out", str(tmp_path / "r.json")],
+            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 1 and len(out.stderr.splitlines()) == 1, out.stderr
+        assert out.stderr.startswith("genbound: ") and "Traceback" not in out.stderr
 
 
 class TestParser:

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbound import core
 from genbound.core import (
     DiscreteDistribution,
     DimensionMismatch,
+    DrawBudgetExceeded,
     EvaluatedClass,
     ExactEnumerationLimit,
     InvariantViolation,
     Sample,
     deterministic_sum,
+    draw_signs,
     draw_words,
     gaussian_sampler,
     sign_block,
@@ -210,6 +213,26 @@ class TestRandomness:
             trials = sampler.draw_trials(11, 2, 5, 4)
             assert trials.shape == shape
             assert np.array_equal(trials.reshape(20, -1), sampler.draw(11, 8, 20).reshape(20, -1))
+
+    def test_draw_budget_counts_values_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 60)
+        assert draw_words(1, 0, 12, 5).shape == (12, 5)
+        assert draw_signs(1, 0, 1, 60).shape == (1, 60)
+        dist = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("words were drawn")
+
+        monkeypatch.setattr(core, "Philox", refuse)
+        over = (
+            lambda: draw_words(1, 0, 13, 5),
+            lambda: draw_signs(1, 0, 1, 61),  # 61 signs, though they fit in one word
+            lambda: dist.draw_index_trials(1, 0, 7, 9),
+            lambda: gaussian_sampler(3).draw_trials(1, 0, 5, 5),  # 5 trials of 5 points of 3 values
+        )
+        for draw in over:
+            with pytest.raises(DrawBudgetExceeded):
+                draw()
 
     def test_index_trials_chunking(self):
         dist = DiscreteDistribution([0.0, 1.0, 2.0], [0.1, 0.4, 0.5])

@@ -17,12 +17,13 @@ from genbound.core import (
 from genbound.entropy import (
     DEFAULT_COVER_CAP,
     CoverMethod,
-    build_chaining,
     covering_number_exact,
     covering_number_greedy,
+    default_radii,
     dudley_bound,
     empirical_dist,
     empirical_norm,
+    largest_norm,
     verify_dudley,
     _cover_profile,
     _distance_matrix,
@@ -52,7 +53,7 @@ def reference_cover_positions(sub, epsilon):
 
 def reference_profile(cls):
     """The former exact profile: one search per distinct distance."""
-    _dm, reps, sub = _distinct(cls)
+    reps, sub = _distinct(cls)
     thresholds = np.unique(sub)
     sizes = np.empty(thresholds.size, dtype=np.int64)
     for j, value in enumerate(thresholds):
@@ -163,7 +164,7 @@ class TestCoveringExact:
         cls = tied_class(seed, distinct, min(distinct + extra, 10), n)
         dm = _distance_matrix(cls.evals)
         profile = _cover_profile(cls, CoverMethod.EXACT_MINIMAL, DEFAULT_COVER_CAP)
-        np.testing.assert_array_equal(profile.thresholds, np.unique(_distinct(cls)[2]))
+        np.testing.assert_array_equal(profile.thresholds, np.unique(_distinct(cls)[1]))
         for u, size in zip(profile.thresholds, profile.sizes):
             expected_size, centers = oracle_cover(dm, u)
             assert size == expected_size
@@ -182,14 +183,11 @@ class TestCoveringExact:
 
     def test_cap_plus_one_distinct_rows_raise(self):
         cls = random_evaluated_class(5, m=DEFAULT_COVER_CAP + 1, n=4)
-        assert _distinct(cls)[1].size == DEFAULT_COVER_CAP + 1
-        c = float(np.sqrt(np.mean(cls.evals**2, axis=1)).max())
+        assert _distinct(cls)[0].size == DEFAULT_COVER_CAP + 1
         with pytest.raises(ExactEnumerationLimit):
             covering_number_exact(cls, 0.1)
         with pytest.raises(ExactEnumerationLimit):
-            dudley_bound(cls, 0.1 * c)
-        with pytest.raises(ExactEnumerationLimit):
-            build_chaining(cls, 0.1 * c, method="exact")
+            dudley_bound(cls, 0.1 * largest_norm(cls))
         # at the cap itself the exact cover still runs
         at_cap = EvaluatedClass(cls.evals[:DEFAULT_COVER_CAP], cls.envelope_b)
         assert covering_number_exact(at_cap, 0.1).size >= 1
@@ -234,73 +232,6 @@ class TestCoveringGreedy:
         positive = dm[dm > 0]
         eps = 0.5 * positive.min()
         assert covering_number_exact(cls, eps).size == 3
-
-
-class TestChaining:
-    def test_single_nonzero_row(self):
-        cls = EvaluatedClass([[1.0, 1.0]], 1.0)
-        trace = build_chaining(cls, 0.2)
-        for level in trace.levels:
-            assert level.cover.size == 1
-            assert level.assignment == (0,)
-
-    def test_two_rows_merge_then_split(self):
-        # distance 0.3, largest norm c = 1
-        base = np.ones(4)
-        other = base.copy()
-        other[0] -= 0.6  # sqrt(0.36 / 4) = 0.3
-        cls = EvaluatedClass(np.vstack([base, other]), 1.0)
-        trace = build_chaining(cls, 0.2)
-        sizes = {level.depth: level.cover.size for level in trace.levels}
-        assert sizes[1] == 1  # radius 0.5 covers both
-        assert sizes[2] == 2  # radius 0.25 splits them
-
-    def test_radii_halve_and_reach_target(self):
-        cls = random_evaluated_class(1, m=4, n=5)
-        trace = build_chaining(cls, 0.07)
-        for a, b in zip(trace.levels, trace.levels[1:]):
-            assert b.epsilon == pytest.approx(a.epsilon / 2.0, rel=1e-15)
-        assert trace.levels[-1].epsilon <= 0.07
-
-    @given(st.integers(0, 10**6))
-    def test_residual_bound(self, seed):
-        cls = random_evaluated_class(seed, m=5, n=5)
-        trace = build_chaining(cls, 0.05)
-        dm = _distance_matrix(cls.evals)
-        for level in trace.levels:
-            for row, center in enumerate(level.assignment):
-                assert dm[row, center] <= level.epsilon + 1e-12
-
-    @given(st.integers(0, 10**6), st.sampled_from([None, "exact", "greedy"]))
-    def test_levels_equal_direct_covers(self, seed, method):
-        rng = np.random.default_rng(seed)
-        base = np.round(rng.uniform(-1, 1, (8, 4)), 1)
-        evals = base[rng.integers(0, 8, 12)]  # duplicate rows and distance ties
-        cls = EvaluatedClass(evals, 1.0)
-        trace = build_chaining(cls, 0.05, method=method)
-        for level in trace.levels:
-            if level.cover.method is CoverMethod.EXACT_MINIMAL:
-                assert level.cover == covering_number_exact(cls, level.epsilon)
-            else:
-                assert level.cover == covering_number_greedy(cls, level.epsilon)
-
-    def test_residual_bound_bulk(self):
-        for seed in range(500):
-            cls = random_evaluated_class(seed, m=4, n=4)
-            trace = build_chaining(cls, 0.1)
-            dm = _distance_matrix(cls.evals)
-            deepest = trace.levels[-1]
-            for row, center in enumerate(deepest.assignment):
-                assert dm[row, center] <= deepest.epsilon + 1e-12
-
-    def test_degenerate_class(self):
-        with pytest.raises(DegenerateClass):
-            build_chaining(EvaluatedClass([[0.0, 0.0]], 0.0), 0.1)
-
-    def test_invalid_target(self):
-        cls = EvaluatedClass([[1.0, 1.0]], 1.0)
-        with pytest.raises(InvalidRadius):
-            build_chaining(cls, 0.6)  # c/2 = 0.5
 
 
 class TestDudley:
@@ -368,6 +299,17 @@ class TestDudley:
     def test_verify_dudley_degenerate_class(self):
         with pytest.raises(DegenerateClass):
             verify_dudley(EvaluatedClass([[0.0, 0.0]], 0.0), [0.1])
+
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8), st.integers(1, 20))
+    def test_default_radii_split_half_the_largest_norm(self, seed, m, n, count):
+        cls = random_evaluated_class(seed, m=m, n=n)
+        c = float(np.sqrt(np.mean(cls.evals**2, axis=1)).max())
+        assert largest_norm(cls) == c
+        assert default_radii(cls, count) == [(c / 2.0) * i / (count + 1) for i in range(1, count + 1)]
+
+    def test_default_radii_of_a_degenerate_class(self):
+        with pytest.raises(DegenerateClass):
+            default_radii(EvaluatedClass([[0.0, 0.0]], 0.0), 4)
 
     @given(st.integers(0, 10**6))
     def test_profile_matches_direct_cover_calls(self, seed):

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from genbound.complexity import empirical_rademacher, empirical_rademacher_without_abs
 from genbound.cli import run_experiment
-from genbound.core import DimensionMismatch, EvaluatedClass, InvariantViolation, derive_seed
+from genbound import core
+from genbound.core import (
+    DimensionMismatch,
+    DrawBudgetExceeded,
+    EvaluatedClass,
+    InvariantViolation,
+    derive_seed,
+)
 from genbound.linear import (
     L1Linf,
     L2Ball,
@@ -211,6 +218,14 @@ class TestStackedVerification:
     def test_empty_batch(self):
         assert verify_linear_bounds([]) == []
         assert random_linear_instances([], L2Ball(1.0, 1.0), 3, 4, 2) == []
+
+    def test_draw_budget_counts_the_batch_over_all_seeds(self, monkeypatch):
+        # l2 points in d = 3 take 4 words: 2 seeds of 4 inputs are 32 values, each seed alone 16
+        monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 31)
+        regime = L2Ball(1.0, 1.0)
+        assert len(random_linear_instances([1], regime, 3, 4, 2)) == 1
+        with pytest.raises(DrawBudgetExceeded):
+            random_linear_instances([1, 2], regime, 3, 4, 2)
 
     def test_instances_of_different_shapes_are_rejected(self):
         regime = L2Ball(1.0, 1.0)

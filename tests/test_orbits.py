@@ -122,6 +122,14 @@ class TestProductOrbits:
         assert reps.tolist() == [[0, 0, 0, 0, 0]]
         assert weights.tolist() == [1.0]
 
+    @given(st.integers(1, 5), st.integers(1, 14))
+    def test_weights_are_the_exact_multinomials(self, s, n):
+        # with every probability 1 a weight is its multinomial n! / prod_a c_a!, as a float
+        reps, weights = product_orbits(np.ones(s), n)
+        for row, weight in zip(reps.tolist(), weights.tolist()):
+            counts = [row.count(a) for a in range(s)]
+            assert weight == float(math.factorial(n) // math.prod(map(math.factorial, counts)))
+
 
 class TestOrbitsMatchTuples:
     @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(2, 4), st.integers(1, 6))
@@ -167,6 +175,27 @@ class TestContracts:
                 run(tuples - 1)
         with pytest.raises(ExactEnumerationLimit):
             verify_expectation_bound(*args, product_cap=10)
+
+    @pytest.mark.parametrize("n", [4, 10**6])
+    def test_cap_messages_name_the_count_in_closed_form(self, n):
+        # 2**(10**6) has more digits than Python converts to a string
+        inst = random_discrete_instance(5, m=2, support_size=2)
+        args = (inst.support_class, inst.dist, n)
+        calls = (
+            (lambda: expected_rademacher(*args, product_cap=15), f"product enumeration needs 2^{n} tuples"),
+            (
+                lambda: audit_bounded_difference(*args, cap=2**4 * 8 - 1),
+                f"bounded-difference audit needs 2^{n} * {2 * n} perturbations",
+            ),
+            (
+                lambda: check_symmetrization_identity(*args, cap=2**12 - 1),
+                f"symmetrization check needs 4^{n} * 2^{n} enumerated terms",
+            ),
+        )
+        for run, need in calls:
+            with pytest.raises(ExactEnumerationLimit) as raised:
+                run()
+            assert str(raised.value).startswith(f"{need}, above the cap of ")
 
     @pytest.mark.parametrize("check", [verify_expectation_bound, audit_bounded_difference])
     def test_missing_population_means(self, check):
