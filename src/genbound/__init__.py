@@ -42,13 +42,9 @@ from .core import (
     InvariantViolation,
     MAX_DRAW_ELEMENTS,
     MissingPopulationMeans,
-    PointSampler,
     Sample,
     deterministic_sum,
-    gaussian_sampler,
     product_orbits,
-    sphere_sampler,
-    uniform_box_sampler,
 )
 from .deviation import (
     DeviationAudit,
@@ -81,4 +77,4 @@ from .linear import (
     verify_linear_bounds,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

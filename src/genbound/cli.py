@@ -75,9 +75,9 @@ def _typed(kind, low=None, high=None):
         if kind is float and not math.isfinite(converted):
             raise UsageError(f"{path} must be a finite number, got {converted}")
         if low is not None and converted < low:
-            raise UsageError(f"{path} must be at least {low}, got {converted}")
+            raise UsageError(f"{path} must be at least {low}, got {reprlib.repr(converted)}")
         if high is not None and converted > high:
-            raise UsageError(f"{path} must be at most {high}, got {converted}")
+            raise UsageError(f"{path} must be at most {high}, got {reprlib.repr(converted)}")
         return converted
 
     return convert
@@ -182,8 +182,8 @@ _INSTANCE_FORMS = {
     "table": {"table": (_array, _REQUIRED), **_MEASURE, "envelope_b": (_nonnegative, _REQUIRED)},
 }
 _CAPS = {
-    "sign": (_size, DEFAULT_SIGN_CAP),
-    "product": (_size, DEFAULT_PRODUCT_CAP),
+    "sign": (_typed(int, 1, complexity.MAX_SIGN_CAP), DEFAULT_SIGN_CAP),
+    "product": (_typed(int, 1, complexity.MAX_PRODUCT_CAP), DEFAULT_PRODUCT_CAP),
     # the exact cover's subset table grows as 2**cap
     "cover": (_typed(int, 1, entropy.MAX_COVER_CAP), entropy.DEFAULT_COVER_CAP),
 }

@@ -29,7 +29,6 @@ from .core import (
     EvaluatedClass,
     ExactEnumerationLimit,
     InvariantViolation,
-    PointSampler,
     Sample,
     _tree_sums,
     derive_seed,
@@ -38,6 +37,10 @@ from .core import (
     product_orbits,
     sign_block,
 )
+
+# upper bounds of the caps a config may set
+MAX_SIGN_CAP = 30  # 2**29 sign words: about 20 s for a class of 4 rows
+MAX_PRODUCT_CAP = 10**7  # up to 5.0M orbits (s = 3,162, n = 2): about a minute and 580 MB
 
 _SIGN_CHUNK = 1 << 14
 _MC_CHUNK = 1 << 13
@@ -66,6 +69,13 @@ class ComplexityResult:
             raise InvariantViolation("exact results carry no draws, std_error, or seed")
 
 
+def _check_sign_cap(n: int, sign_cap: int) -> None:
+    if n > sign_cap:
+        raise ExactEnumerationLimit(
+            f"exact sign averaging for n={n} exceeds the exact-enumeration cap of {sign_cap}"
+        )
+
+
 def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
     """Exact sign averages of every class in a (K, m, n) stack: rows (absolute, signed).
 
@@ -86,10 +96,7 @@ def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
     aligned power-of-two blocks combine into the tree sum over all rows.
     """
     K, m, n = stack.shape
-    if n > sign_cap:
-        raise ExactEnumerationLimit(
-            f"exact sign averaging for n={n} exceeds the exact-enumeration cap of {sign_cap}"
-        )
+    _check_sign_cap(n, sign_cap)
     half = 1 << (n - 1)
     rows = min(half, _SIGN_CHUNK)
     low = rows.bit_length() - 1  # bits that vary within a block
@@ -209,12 +216,15 @@ def _check_support_class(cls: EvaluatedClass, dist: DiscreteDistribution) -> Non
 def _capped_orbits(
     cls: EvaluatedClass, dist: DiscreteDistribution, n: int, cap: int,
     need: str = "product enumeration needs {} tuples", *, per_tuple: int = 1, paired: bool = False,
+    sign_cap: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of the n-fold product of ``dist``, for a check on its support class ``cls``.
 
     The cap counts the tuple enumeration the orbits replace: s**n tuples times
     ``per_tuple``, or with ``paired`` (orbits over the s**2 pair values of a
     two-sample check) s**(2n) pairs of tuples times their 2**n sign vectors.
+    A check that takes each orbit's sign average passes its ``sign_cap``, which
+    is tested after the product cap and before any orbit is built.
     """
     if n < 1:
         raise InvariantViolation("n must be at least 1")
@@ -227,6 +237,8 @@ def _capped_orbits(
     if huge or base**n * per_tuple * (2**n if paired else 1) > cap:
         count = f"{base}^{n}" + (f" * {per_tuple}" if per_tuple > 1 else "") + (f" * 2^{n}" if paired else "")
         raise ExactEnumerationLimit(f"{need.format(count)}, above the cap of {cap}")
+    if sign_cap is not None:
+        _check_sign_cap(n, sign_cap)
     return product_orbits(probs, n)
 
 
@@ -254,7 +266,7 @@ def expected_rademacher(
     over permutation orbits with multinomial weights (``core.product_orbits``);
     ``product_cap`` still counts the s**n tuples.
     """
-    reps, weights = _capped_orbits(cls, dist, n, product_cap)
+    reps, weights = _capped_orbits(cls, dist, n, product_cap, sign_cap=sign_cap)
     return ComplexityResult(
         _orbit_rademacher(cls.evals, reps, weights, sign_cap), Method.EXACT_ENUMERATION
     )
@@ -275,8 +287,8 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expected_rademacher_mc(
-    cls: EvaluatedClass | Callable[[np.ndarray], EvaluatedClass],
-    source: DiscreteDistribution | PointSampler,
+    cls: EvaluatedClass,
+    dist: DiscreteDistribution,
     n: int,
     draws: int,
     seed: int,
@@ -286,37 +298,28 @@ def expected_rademacher_mc(
 ) -> ComplexityResult:
     """Mean empirical complexity over seeded i.i.d. samples of size n, with its standard error.
 
-    With a finite data measure ``cls`` is the class on the whole support
-    (``DiscreteInstance.support_class``), and every sample's class is read off
-    its columns; this is the estimate for n past ``expected_rademacher``'s
-    caps.  With a point sampler it is a builder that receives the realized
-    points (an array of n points).  The sign average of each sample is exact
-    up to ``sign_cap``; past it, a discrete sample's average is itself the
-    unbiased estimate from ``_INNER_DRAWS`` sign draws.
+    ``cls`` is the class on the whole support (``DiscreteInstance.support_class``),
+    and every sample's class is read off its columns; this is the estimate for
+    n past ``expected_rademacher``'s caps.  The sign average of each sample is
+    exact up to ``sign_cap``; past it, it is itself the unbiased estimate from
+    ``_INNER_DRAWS`` sign draws.
     """
-    if isinstance(source, DiscreteDistribution):
-        _check_support_class(cls, source)
+    _check_support_class(cls, dist)
 
-        def values_of(start: int, stop: int) -> np.ndarray:
-            idx = source.draw_index_trials(seed, start, stop - start, n)
-            if n <= sign_cap:
-                # the sign average is permutation invariant: one per drawn orbit
-                orbits, which = _distinct_rows(np.sort(idx, axis=1))
-                return _sign_averages(cls.evals[:, orbits].transpose(1, 0, 2), sign_cap)[0][which]
-            # threads=1: this already runs on the chunk pool, which is not re-entrant
-            return np.array([
-                empirical_rademacher_mc(
-                    EvaluatedClass(cls.evals[:, row], cls.envelope_b, validate=False),
-                    _INNER_DRAWS, derive_seed(seed, f"inner:{start + j}"), threads=1,
-                ).value
-                for j, row in enumerate(idx)
-            ])
-
-    else:
-
-        def values_of(start: int, stop: int) -> np.ndarray:
-            stack = np.stack([cls(p).evals for p in source.draw_trials(seed, start, stop - start, n)])
-            return _sign_averages(stack, sign_cap)[0]
+    def values_of(start: int, stop: int) -> np.ndarray:
+        idx = dist.draw_index_trials(seed, start, stop - start, n)
+        if n <= sign_cap:
+            # the sign average is permutation invariant: one per drawn orbit
+            orbits, which = _distinct_rows(np.sort(idx, axis=1))
+            return _sign_averages(cls.evals[:, orbits].transpose(1, 0, 2), sign_cap)[0][which]
+        # threads=1: this already runs on the chunk pool, which is not re-entrant
+        return np.array([
+            empirical_rademacher_mc(
+                EvaluatedClass(cls.evals[:, row], cls.envelope_b, validate=False),
+                _INNER_DRAWS, derive_seed(seed, f"inner:{start + j}"), threads=1,
+            ).value
+            for j, row in enumerate(idx)
+        ])
 
     return _mc_estimate(values_of, draws, seed, threads)
 

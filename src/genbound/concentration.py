@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import betaincinv
@@ -26,20 +25,26 @@ from .core import (
     InvalidDelta,
     InvalidEnvelope,
     InvariantViolation,
-    PointSampler,
 )
-from .deviation import _sample_deviations, uniform_deviation
+from .deviation import _sample_deviations
 
 
 def mcdiarmid_bound(epsilon: float, n: int, b: float) -> float:
-    """exp(-eps**2 * n / (2 * b**2)), the bounded-differences tail bound."""
+    """exp(-eps**2 * n / (2 * b**2)), the bounded-differences tail bound; where
+    eps**2 or b**2 leaves the float range, the exponent is taken from logarithms."""
     if b <= 0.0:
         raise InvalidEnvelope(f"envelope must be positive, got {b}")
     if epsilon < 0.0:
         raise InvariantViolation("epsilon must be nonnegative")
     if n < 1:
         raise InvariantViolation("n must be at least 1")
-    return math.exp(-(epsilon**2) * n / (2.0 * b**2))
+    try:
+        return math.exp(-(epsilon**2) * n / (2.0 * b**2))
+    except (OverflowError, ZeroDivisionError):
+        if epsilon == 0.0:
+            return 1.0
+        log_exponent = 2.0 * (math.log(epsilon) - math.log(b)) + math.log(n / 2.0)
+        return math.exp(-math.exp(min(log_exponent, 709.0)))  # exp(709) is still finite
 
 
 def high_probability_epsilon(delta: float, n: int, b: float) -> float:
@@ -102,8 +107,8 @@ class TailExperiment:
 
 
 def simulate_tail(
-    cls: EvaluatedClass | Callable[[np.ndarray], EvaluatedClass],
-    source: DiscreteDistribution | PointSampler,
+    cls: EvaluatedClass,
+    dist: DiscreteDistribution,
     n: int,
     epsilon: float,
     trials: int,
@@ -115,42 +120,29 @@ def simulate_tail(
     """Count how often UD >= 2 * rademacher_value + epsilon over seeded trials.
 
     The complexity value is an input, fixed once for the whole experiment; the
-    caller reports its provenance.  With a finite data measure ``cls`` is
-    the class on the whole support and trials are vectorized; with a point
-    sampler it is a builder that runs per realized sample and must supply
-    population means explicitly.
+    caller reports its provenance.  ``cls`` is the class on the whole support
+    of ``dist``, with its population means, and trials are vectorized.
     """
     if trials < 1000:
         raise InvariantViolation("tail simulation needs at least 1000 trials")
     threshold = 2.0 * rademacher_value + epsilon
+    _check_support_class(cls, dist)  # _sample_deviations checks the population means
 
-    if isinstance(source, DiscreteDistribution):
-        _check_support_class(cls, source)  # _sample_deviations checks the population means
-        envelope = cls.envelope_b
-
-        def fill(start: int, stop: int) -> int:
-            idx = source.draw_index_trials(seed, start, stop - start, n)
-            return int(np.count_nonzero(_sample_deviations(cls, idx) >= threshold))
-
-    else:
-
-        def fill(start: int, stop: int) -> int:
-            samples = source.draw_trials(seed, start, stop - start, n)
-            return sum(uniform_deviation(cls(p)) >= threshold for p in samples)
-
-        envelope = cls(source.draw(seed, 0, n)).envelope_b
+    def fill(start: int, stop: int) -> int:
+        idx = dist.draw_index_trials(seed, start, stop - start, n)
+        return int(np.count_nonzero(_sample_deviations(cls, idx) >= threshold))
 
     exceed = sum(_run_chunks(fill, trials, threads))
     return TailExperiment(
         n=n,
-        b=envelope,
+        b=cls.envelope_b,
         epsilon=epsilon,
         trials=trials,
         seed=seed,
         exceed_count=exceed,
         empirical_freq=exceed / trials,
         ci_upper=clopper_pearson_upper(exceed, trials),
-        theoretical=mcdiarmid_bound(epsilon, n, envelope),
+        theoretical=mcdiarmid_bound(epsilon, n, cls.envelope_b),
         rademacher_value=rademacher_value,
     )
 

@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Philox
@@ -147,15 +146,6 @@ class DiscreteDistribution:
     def draw_index_trials(self, seed: int, first_trial: int, count: int, n: int) -> np.ndarray:
         """(count, n) support indices; trial j consumes a fixed word window."""
         return self._indices(draw_words(seed, first_trial, count, n))
-
-    def sampler(self) -> "PointSampler":
-        support = self.support
-
-        def build(words: np.ndarray) -> np.ndarray:
-            return support[self._indices(words[:, 0])]
-
-        dim = 0 if support.ndim == 1 else support.shape[1]
-        return PointSampler("discrete", dim, 1, build)
 
     def _indices(self, words: np.ndarray) -> np.ndarray:
         """Support index of each word: the inverse CDF at ``words_to_uniforms(words)``.
@@ -395,70 +385,3 @@ def derive_seed(seed: int, label: str) -> int:
 
     digest = hashlib.blake2b(f"{seed}:{label}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-@dataclass(frozen=True, eq=False)
-class PointSampler:
-    """Seeded point source with a fixed per-point budget of RNG words.
-
-    ``draw(seed, first, count)`` returns points [first, first + count) of the
-    stream; the output is a pure function of (seed, index range).
-    """
-
-    name: str
-    point_dim: int  # 0 for scalar points
-    words_per_point: int
-    _build: Callable[[np.ndarray], np.ndarray]
-
-    def draw(self, seed: int, first: int, count: int) -> np.ndarray:
-        words = draw_words(seed, first, count, self.words_per_point)
-        return self._build(words)
-
-    def draw_trials(self, seed: int, first_trial: int, count: int, n: int) -> np.ndarray:
-        """(count, n) points, or (count, n, dim) vectors; trial j holds points [j*n, (j+1)*n)."""
-        points = self.draw(seed, first_trial * n, count * n)
-        return points.reshape(count, n, *points.shape[1:])
-
-
-def uniform_box_sampler(lows: Sequence[float], highs: Sequence[float]) -> PointSampler:
-    lo = np.asarray(lows, dtype=np.float64)
-    hi = np.asarray(highs, dtype=np.float64)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise DimensionMismatch("box bounds must be equal-length vectors")
-    if np.any(lo > hi):
-        raise InvariantViolation("box lower bounds must not exceed upper bounds")
-
-    def build(words: np.ndarray) -> np.ndarray:
-        return lo + words_to_uniforms(words) * (hi - lo)
-
-    return PointSampler("uniform_box", lo.size, lo.size, build)
-
-
-def gaussian_sampler(dim: int, mean: float = 0.0, scale: float = 1.0) -> PointSampler:
-    if dim < 1:
-        raise InvariantViolation("dim must be at least 1")
-
-    def build(words: np.ndarray) -> np.ndarray:
-        return mean + scale * words_to_normals(words)
-
-    return PointSampler("gaussian", dim, dim, build)
-
-
-def sphere_sampler(dim: int, radius: float = 1.0) -> PointSampler:
-    if dim < 1:
-        raise InvariantViolation("dim must be at least 1")
-    if radius < 0.0:
-        raise InvalidRadius("sphere radius must be nonnegative")
-
-    def build(words: np.ndarray) -> np.ndarray:
-        g = words_to_normals(words)
-        norms = np.sqrt((g * g).sum(axis=1))
-        # zero-probability event; pin to a fixed axis to stay deterministic
-        flat = norms <= 0.0
-        if np.any(flat):
-            g[flat] = 0.0
-            g[flat, 0] = 1.0
-            norms[flat] = 1.0
-        return g * (radius / norms)[:, None]
-
-    return PointSampler("sphere", dim, dim, build)

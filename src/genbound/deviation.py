@@ -202,7 +202,7 @@ def verify_expectation_bound(
     Both expectations are summed over the same permutation orbits of the
     samples, each read off ``cls``, the class on the whole support.
     """
-    reps, weights = _capped_orbits(cls, dist, n, product_cap)
+    reps, weights = _capped_orbits(cls, dist, n, product_cap, sign_cap=sign_cap)
     lhs = deterministic_sum(weights * _sample_deviations(cls, reps))
     rhs = 2.0 * _orbit_rademacher(cls.evals, reps, weights, sign_cap)
     return ExpectationBoundReport(lhs, rhs, rhs - lhs, lhs <= rhs + tol)

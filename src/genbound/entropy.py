@@ -26,10 +26,12 @@ import numpy as np
 from .complexity import empirical_rademacher_without_abs
 from .core import (
     DEFAULT_SIGN_CAP,
+    MAX_DRAW_ELEMENTS,
     DegenerateClass,
     DimensionMismatch,
     EvaluatedClass,
     ExactEnumerationLimit,
+    GenboundError,
     InvalidRadius,
     InvariantViolation,
     deterministic_sum,
@@ -62,11 +64,25 @@ def empirical_dist(row_a, row_b) -> float:
 
 
 def _distance_matrix(evals: np.ndarray) -> np.ndarray:
-    """Pairwise empirical distances; the same bits as sqrt(mean(diff**2)), in place."""
-    diff = evals[:, None, :] - evals[None, :, :]
-    np.multiply(diff, diff, out=diff)
-    dm = np.add.reduce(diff, axis=2)
-    dm /= evals.shape[1]
+    """Pairwise empirical distances; the same bits as sqrt(mean(diff**2)), in place.
+
+    The m x m matrix may hold at most MAX_DRAW_ELEMENTS values.  It is filled
+    in blocks of rows whose m x n differences stay within that budget too, or
+    are one row's; each distance is reduced alone, so blocking changes no bit.
+    """
+    m, n = evals.shape
+    if m * m > MAX_DRAW_ELEMENTS:
+        raise GenboundError(
+            f"the distance matrix of {m} rows holds {m}^2 = {m * m} values, "
+            f"above the budget of {MAX_DRAW_ELEMENTS}"
+        )
+    dm = np.empty((m, m))
+    step = max(1, MAX_DRAW_ELEMENTS // (m * n))
+    for start in range(0, m, step):
+        diff = evals[start : start + step, None, :] - evals[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=2, out=dm[start : start + step])
+    dm /= n
     return np.sqrt(dm, out=dm)
 
 

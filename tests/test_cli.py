@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -115,6 +116,24 @@ class TestCommands:
         )
         out = str(tmp_path / "report.json")
         assert main(["linear", "--config", cfg, "--out", out]) == 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"instance": {"family": "identity", "support": [-1.0, 1.0], "probs": [0.5, 0.5]}, "epsilon": 1e300},
+            {"instance": {"table": [[1e-200, -1e-200]], "support": [-1.0, 1.0], "probs": [0.5, 0.5],
+                          "envelope_b": 1e-200}},
+        ],
+        ids=["eps squared overflows", "envelope squared underflows"],
+    )
+    def test_tail_bound_with_squares_outside_the_float_range(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, "tail.json", {**config, "n": 4, "seed": 1, "trials": 1000})
+        out = tmp_path / "report.json"
+        assert main(["tail", "--config", cfg, "--out", str(out)]) in (0, 2)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and len(captured.out.splitlines()) == 1
+        (row,) = load(out)["results"]
+        assert row["theoretical"] == 0.0
 
     def test_tail_mc_fallback_above_product_cap(self, tmp_path):
         cfg = write_config(
@@ -507,6 +526,16 @@ class TestConfigErrors:
         "cover cap above the table limit": (
             "dudley", {"class": {"random": {"m": 30, "n": 4, "seed": 1}}, "caps": {"cover": 30}}, "dudley.caps.cover"
         ),
+        "sign cap above the kernel limit": (
+            "rademacher", {"class": {"random": {"m": 2, "n": 100, "seed": 1}}, "caps": {"sign": 10**30}},
+            "rademacher.caps.sign",
+        ),
+        # on one support point the pair cap passes 2^1030 tuples, all of them sign vectors
+        "product cap above the orbit limit": (
+            "symmetrize", {"instance": {"family": "identity", "support": [0.5], "probs": [1.0]}, "n": 1030,
+                           "caps": {"product": 10**400}},
+            "symmetrize.caps.product",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -551,6 +580,15 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"genbound: dudley.caps.cover must be at most {limit}, got 30\n"
         parsed = _parse({"command": "dudley", "class": EVALS, "caps": {"cover": limit}})
         assert parsed["caps"]["cover"] == limit
+
+    def test_sign_and_product_caps_parse_up_to_their_bounds(self):
+        caps = {"sign": complexity.MAX_SIGN_CAP, "product": complexity.MAX_PRODUCT_CAP}
+        assert _parse({"command": "deviation", "instance": IDENTITY, "n": 2, "caps": caps})["caps"] == {
+            **caps, "cover": entropy.DEFAULT_COVER_CAP
+        }
+        for key, limit in caps.items():
+            with pytest.raises(UsageError, match=rf"^deviation\.caps\.{key} must be at most {limit}, got "):
+                _parse({"command": "deviation", "instance": IDENTITY, "n": 2, "caps": {key: limit + 1}})
 
     def test_grid_points_null_matches_exact_integration(self, tmp_path):
         config = {
@@ -658,6 +696,18 @@ class TestLargeSampleSize:
         "symmetrize at n = 10**12": ("symmetrize", {"instance": IDENTITY, "n": 10**12}),
         "tail": ("tail", {"instance": IDENTITY, "n": 10**6, "seed": 1}),
         "linear": ("linear", {"seed": 1, "n": 10**6}),
+        # the sign cap refuses before the one orbit of 10**8 zeros is built
+        "one-point deviation at n = 10**8": ("deviation", {"instance": ONE_POINT, "n": 10**8}),
+        "one-point tail at n = 10**8": ("tail", {"instance": ONE_POINT, "n": 10**8, "seed": 1}),
+        "sign cap above its bound": (
+            "rademacher", {"class": {"random": {"m": 2, "n": 100, "seed": 1}}, "caps": {"sign": 10**30}}
+        ),
+        "product cap above its bound": (
+            "symmetrize", {"instance": ONE_POINT, "n": 1030, "caps": {"product": 10**400}}
+        ),
+        "dudley of 12,000 rows": (
+            "dudley", {"class": {"random": {"m": 12000, "n": 8, "seed": 1}}, "cover": "greedy"}
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -677,6 +727,20 @@ class TestLargeSampleSize:
         )
         assert out.returncode == 1 and len(out.stderr.splitlines()) == 1, out.stderr
         assert out.stderr.startswith("genbound: ") and "Traceback" not in out.stderr
+
+    def test_one_point_deviation_at_n_1e8_is_refused_before_its_orbit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"instance": self.ONE_POINT, "n": 10**8})
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            status = main(["deviation", "--config", cfg, "--out", str(tmp_path / "report.json")])
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1 and elapsed < 2.0 and peak < 100 * 2**20
+        err = capsys.readouterr().err
+        assert err == "genbound: exact sign averaging for n=100000000 exceeds the exact-enumeration cap of 20\n"
 
 
 class TestParser:

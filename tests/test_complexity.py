@@ -27,7 +27,6 @@ from genbound.core import (
     ExactEnumerationLimit,
     InvariantViolation,
     Sample,
-    uniform_box_sampler,
 )
 from genbound.instances import identity_instance, random_discrete_instance, random_evaluated_class
 
@@ -193,12 +192,8 @@ class TestExpected:
         assert value == pytest.approx(math.fsum(terms), abs=1e-12)
 
     def test_mc_point_mass_sampler(self):
-        sampler = uniform_box_sampler([0.7], [0.7])
-
-        def builder(points):
-            return EvaluatedClass(np.asarray(points, float).reshape(1, -1), 1.0)
-
-        result = expected_rademacher_mc(builder, sampler, 2, 200, 3)
+        inst = identity_instance(DiscreteDistribution([0.7], [1.0]))
+        result = expected_rademacher_mc(inst.support_class, inst.dist, 2, 200, 3)
         direct = empirical_rademacher(EvaluatedClass([[0.7, 0.7]], 1.0)).value
         assert result.value == pytest.approx(direct, abs=1e-15)
         assert result.std_error == 0.0
@@ -207,35 +202,19 @@ class TestExpected:
         dist = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
         inst = identity_instance(dist)
         exact = expected_rademacher(inst.support_class, dist, 2).value
-        table = inst.table
-
-        def builder(points):
-            idx = (np.asarray(points) > 0).astype(int)
-            return EvaluatedClass(table[:, idx], inst.envelope_b)
-
-        sampler = dist.sampler()
-        result = expected_rademacher_mc(builder, sampler, 2, 4000, 9)
+        result = expected_rademacher_mc(inst.support_class, dist, 2, 4000, 9)
         assert abs(result.value - exact) <= 4.0 * result.std_error
 
     def test_mc_matches_exact_on_n_one(self):
-        dist = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5])
-        inst = identity_instance(dist)
-
-        def builder(points):
-            return EvaluatedClass(np.asarray(points, float).reshape(1, -1), 1.0)
-
-        result = expected_rademacher_mc(builder, dist.sampler(), 1, 500, 2)
+        inst = identity_instance(DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]))
+        result = expected_rademacher_mc(inst.support_class, inst.dist, 1, 500, 2)
         # every realized single-point sample has complexity |x| = 1
         assert result.value == 1.0 and result.std_error == 0.0
 
     def test_mc_std_error_scaling(self):
-        sampler = uniform_box_sampler([-1.0], [1.0])
-
-        def builder(points):
-            return EvaluatedClass(np.asarray(points, float).reshape(1, -1), 1.0)
-
-        small = expected_rademacher_mc(builder, sampler, 2, 1000, 7)
-        large = expected_rademacher_mc(builder, sampler, 2, 4000, 7)
+        inst = identity_instance(DiscreteDistribution(np.linspace(-1.0, 1.0, 5), np.full(5, 0.2)))
+        small = expected_rademacher_mc(inst.support_class, inst.dist, 2, 1000, 7)
+        large = expected_rademacher_mc(inst.support_class, inst.dist, 2, 4000, 7)
         ratio = small.std_error / large.std_error
         assert 1.0 <= ratio <= 4.0  # ~2 expected when draws quadruple
 

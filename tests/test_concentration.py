@@ -46,6 +46,19 @@ class TestMcdiarmidBound:
         with pytest.raises(InvalidEnvelope):
             mcdiarmid_bound(0.5, 3, 0.0)
 
+    @pytest.mark.parametrize(
+        "epsilon, n, b, expected",
+        [
+            (1e300, 4, 1.0, 0.0),  # eps**2 overflows
+            (0.5, 4, 1e-200, 0.0),  # b**2 underflows to 0
+            (0.0, 4, 1e-200, 1.0),
+            (0.5, 4, 1e200, 1.0),  # b**2 overflows: the exponent is 1.25e-400
+            (1e-170, 2, 1e-170, math.exp(-1.0)),  # both squares underflow; their ratio is 1
+        ],
+    )
+    def test_squares_outside_the_float_range(self, epsilon, n, b, expected):
+        assert mcdiarmid_bound(epsilon, n, b) == pytest.approx(expected, rel=1e-12)
+
     def test_monotonicities(self):
         eps_grid = np.linspace(0.1, 2.0, 8)
         values = [mcdiarmid_bound(e, 4, 1.0) for e in eps_grid]
@@ -147,20 +160,6 @@ class TestSimulateTail:
         support_class = EvaluatedClass(dist.support[None, :], 1.0)
         with pytest.raises(MissingPopulationMeans):
             simulate_tail(support_class, dist, 2, 0.1, 1000, 0, 0.5)
-
-    def test_sampler_path_matches_dist_path_semantics(self):
-        inst = identity_instance(pm_one())
-        rn = expected_rademacher(inst.support_class, inst.dist, 4)
-        from genbound.core import EvaluatedClass
-
-        def point_builder(points):
-            pts = np.asarray(points, float).reshape(1, -1)
-            return EvaluatedClass(pts, 1.0, [0.0])
-
-        exp = simulate_tail(
-            point_builder, inst.dist.sampler(), 4, 0.5, 2000, 21, rn.value
-        )
-        assert verify_tail_bound(exp).passed
 
 
 class TestVerifyTailBound:

@@ -17,10 +17,7 @@ from genbound.core import (
     deterministic_sum,
     draw_signs,
     draw_words,
-    gaussian_sampler,
     sign_block,
-    sphere_sampler,
-    uniform_box_sampler,
     words_to_signs,
     words_to_uniforms,
 )
@@ -181,39 +178,6 @@ class TestRandomness:
     def test_seed_changes_stream(self):
         assert not np.array_equal(draw_words(1, 0, 4, 4), draw_words(2, 0, 4, 4))
 
-    def test_samplers_deterministic_and_chunkable(self):
-        for sampler in (
-            uniform_box_sampler([-1.0, 0.0], [1.0, 2.0]),
-            gaussian_sampler(3),
-            sphere_sampler(3, radius=2.0),
-        ):
-            full = sampler.draw(11, 0, 8)
-            again = sampler.draw(11, 0, 8)
-            parts = np.vstack([sampler.draw(11, 0, 5), sampler.draw(11, 5, 3)])
-            assert np.array_equal(full, again)
-            assert np.array_equal(full, parts)
-
-    def test_sphere_sampler_norms(self):
-        pts = sphere_sampler(4, radius=2.0).draw(5, 0, 200)
-        norms = np.linalg.norm(pts, axis=1)
-        assert np.allclose(norms, 2.0, atol=1e-9)
-
-    def test_box_sampler_bounds(self):
-        pts = uniform_box_sampler([-1.0], [3.0]).draw(5, 0, 500)
-        assert np.all((pts >= -1.0) & (pts < 3.0))
-
-    def test_discrete_sampler_hits_support(self):
-        dist = DiscreteDistribution([2.0, 4.0, 8.0], [0.2, 0.3, 0.5])
-        pts = dist.sampler().draw(9, 0, 300)
-        assert set(np.unique(pts)) <= {2.0, 4.0, 8.0}
-
-    def test_point_trials_are_consecutive_points(self):
-        scalar = DiscreteDistribution([2.0, 4.0, 8.0], [0.2, 0.3, 0.5]).sampler()
-        for sampler, shape in ((scalar, (5, 4)), (gaussian_sampler(3), (5, 4, 3))):
-            trials = sampler.draw_trials(11, 2, 5, 4)
-            assert trials.shape == shape
-            assert np.array_equal(trials.reshape(20, -1), sampler.draw(11, 8, 20).reshape(20, -1))
-
     def test_draw_budget_counts_values_before_drawing(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 60)
         assert draw_words(1, 0, 12, 5).shape == (12, 5)
@@ -228,7 +192,6 @@ class TestRandomness:
             lambda: draw_words(1, 0, 13, 5),
             lambda: draw_signs(1, 0, 1, 61),  # 61 signs, though they fit in one word
             lambda: dist.draw_index_trials(1, 0, 7, 9),
-            lambda: gaussian_sampler(3).draw_trials(1, 0, 5, 5),  # 5 trials of 5 points of 3 values
         )
         for draw in over:
             with pytest.raises(DrawBudgetExceeded):

@@ -69,16 +69,6 @@ class TestGuideTable:
         assert got.shape == (37, n)
         np.testing.assert_array_equal(got, search_reference(dist, draw_words(seed, first, 37, n)))
 
-    @given(weights, st.integers(0, 2**32))
-    def test_sampler_draws_the_same_points(self, w, seed):
-        probs = np.array(w) / sum(w)
-        support = np.linspace(-1.0, 1.0, 2 * len(w)).reshape(len(w), 2)
-        dist = DiscreteDistribution(support, probs)
-        points = dist.sampler().draw(seed, 5, 300)
-        idx = dist.draw_index_trials(seed, 5, 300, 1)[:, 0]
-        np.testing.assert_array_equal(points, support[idx])
-        np.testing.assert_array_equal(idx, search_reference(dist, draw_words(seed, 5, 300, 1))[:, 0])
-
 
 def support_class(rng, m, s):
     table = rng.uniform(-1.0, 1.0, (m, s))

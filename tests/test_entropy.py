@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genbound import entropy
 from genbound.complexity import empirical_rademacher_without_abs
 from genbound.core import (
     DegenerateClass,
     DimensionMismatch,
     EvaluatedClass,
     ExactEnumerationLimit,
+    GenboundError,
     InvalidRadius,
 )
 from genbound.entropy import (
@@ -118,6 +120,28 @@ class TestPseudometric:
         diff = evals[:, None, :] - evals[None, :, :]
         reference = np.sqrt(np.mean(diff * diff, axis=2))
         np.testing.assert_array_equal(_distance_matrix(evals), reference)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (1000, 8), (64, 200), (300, 33)])
+    def test_row_blocks_give_the_bits_of_the_whole_difference_array(self, monkeypatch, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        evals = rng.normal(size=shape)
+        diff = evals[:, None, :] - evals[None, :, :]
+        np.multiply(diff, diff, out=diff)
+        whole = np.add.reduce(diff, axis=2)
+        whole /= shape[1]
+        np.sqrt(whole, out=whole)
+        m, n = shape
+        # blocks of 1, 2, 5 and all rows, or of the fewest rows a budget of m * m values allows
+        for rows in (1, 2, 5, m):
+            monkeypatch.setattr(entropy, "MAX_DRAW_ELEMENTS", max(rows * m * n, m * m))
+            assert _distance_matrix(evals).tobytes() == whole.tobytes()
+
+    def test_refuses_a_matrix_above_the_budget(self, monkeypatch):
+        monkeypatch.setattr(entropy, "MAX_DRAW_ELEMENTS", 99)
+        with pytest.raises(GenboundError) as raised:
+            _distance_matrix(np.zeros((10, 3)))
+        assert str(raised.value) == "the distance matrix of 10 rows holds 10^2 = 100 values, above the budget of 99"
+        assert _distance_matrix(np.zeros((9, 3))).shape == (9, 9)
 
 
 class TestCoveringExact:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbound import complexity
 from genbound.complexity import empirical_rademacher, expected_rademacher
 from genbound.concentration import simulate_tail
 from genbound.core import (
@@ -196,6 +197,22 @@ class TestContracts:
             with pytest.raises(ExactEnumerationLimit) as raised:
                 run()
             assert str(raised.value).startswith(f"{need}, above the cap of ")
+
+    def test_sign_cap_refuses_before_any_orbit_and_after_the_product_cap(self, monkeypatch):
+        def refuse(probs, n):
+            raise AssertionError("the orbits were built")
+
+        monkeypatch.setattr(complexity, "product_orbits", refuse)
+        inst = random_discrete_instance(5, m=2, support_size=2)
+        args = (inst.support_class, inst.dist, 4)
+        for run in (expected_rademacher, verify_expectation_bound):
+            with pytest.raises(ExactEnumerationLimit) as raised:
+                run(*args, sign_cap=3)
+            assert str(raised.value) == "exact sign averaging for n=4 exceeds the exact-enumeration cap of 3"
+            # over both caps, the product cap speaks first
+            with pytest.raises(ExactEnumerationLimit) as raised:
+                run(*args, product_cap=15, sign_cap=3)
+            assert str(raised.value).startswith("product enumeration needs 2^4 tuples, above the cap of 15")
 
     @pytest.mark.parametrize("check", [verify_expectation_bound, audit_bounded_difference])
     def test_missing_population_means(self, check):
