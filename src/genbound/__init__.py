@@ -41,7 +41,6 @@ from .core import (
     InvalidRadius,
     InvariantViolation,
     MAX_DRAW_ELEMENTS,
-    MissingPopulationMeans,
     Sample,
     deterministic_sum,
     product_orbits,
@@ -75,6 +74,7 @@ from .linear import (
     sample_ball,
     verify_linear_bound,
     verify_linear_bounds,
+    verify_random_linear_bounds,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -173,7 +173,6 @@ _CLASS_FORMS = {
     "evals": {
         "evals": (_array, _REQUIRED),
         "envelope_b": (_optional(_nonnegative), None),
-        "population_means": (_optional(_array), None),
     },
 }
 _INSTANCE_FORMS = {
@@ -262,7 +261,7 @@ def _build_class(form: str, spec: dict, seed, path: str) -> EvaluatedClass:
     envelope = spec["envelope_b"]
     if envelope is None:
         envelope = float(np.abs(spec["evals"]).max(initial=0.0))
-    return EvaluatedClass(spec["evals"], envelope, spec["population_means"])
+    return EvaluatedClass(spec["evals"], envelope)
 
 
 def _build_instance(form: str, spec: dict, seed, path: str) -> DiscreteInstance:
@@ -392,7 +391,7 @@ def _cmd_deviation(cfg: dict, threads: int):
         "max_observed_delta": audit.max_observed_delta,
         "theoretical_cap": audit.theoretical_cap,
         "perturbations_checked": audit.perturbations_checked,
-        "passed": not audit.violated,
+        "passed": audit.passed,
     }
     _add(found, "bounded_difference_audit", row)
     return found
@@ -457,8 +456,9 @@ def _cmd_linear(cfg: dict, threads: int):
     seed = cfg["seed"]
     regime = _REGIMES[cfg["regime"]](cfg["weight_radius"], cfg["input_radius"])
     seeds = [derive_seed(seed, f"linear:{i}") for i in range(cfg["count"])]
-    instances = linear.random_linear_instances(seeds, regime, cfg["d"], cfg["n"], cfg["m"])
-    reports = linear.verify_linear_bounds(instances, tol=cfg["tol"], sign_cap=cfg["caps"]["sign"])
+    reports = linear.verify_random_linear_bounds(
+        seeds, regime, cfg["d"], cfg["n"], cfg["m"], tol=cfg["tol"], sign_cap=cfg["caps"]["sign"]
+    )
     found = [], []
     for i, report in enumerate(reports):
         row = {

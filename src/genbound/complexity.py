@@ -334,9 +334,7 @@ class GridFamily:
     """A function family indexed by a box of parameters, evaluated on samples.
 
     ``evaluator(theta, sample)`` returns the length-n row of values of the
-    theta-indexed function on the sample; ``population_mean(theta)``, when
-    given, supplies its exact mean under the data measure.  The caller owns the
-    envelope bound.
+    theta-indexed function on the sample.  The caller owns the envelope bound.
     """
 
     parameter_box: tuple[tuple[float, float], ...]
@@ -344,7 +342,6 @@ class GridFamily:
     envelope_b: float
     levels: int = 12
     tolerance: float = 1e-6
-    population_mean: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self):
         box = tuple((float(lo), float(hi)) for lo, hi in self.parameter_box)
@@ -406,10 +403,7 @@ def grid_restricted_class(
     for depth in range(1, family.levels + 1):
         params = _dyadic_grid(family.parameter_box, depth)
         rows = np.stack([np.asarray(family.evaluator(p, sample), dtype=np.float64) for p in params])
-        means = None
-        if family.population_mean is not None:
-            means = np.array([family.population_mean(p) for p in params], dtype=np.float64)
-        cls = EvaluatedClass(rows, family.envelope_b, means)
+        cls = EvaluatedClass(rows, family.envelope_b)
         value = empirical_rademacher(cls, sign_cap=sign_cap).value
         trace.append(GridLevel(depth, params.shape[0], value))
         if previous is not None and abs(value - previous) < family.tolerance:

@@ -121,16 +121,17 @@ def simulate_tail(
 
     The complexity value is an input, fixed once for the whole experiment; the
     caller reports its provenance.  ``cls`` is the class on the whole support
-    of ``dist``, with its population means, and trials are vectorized.
+    of ``dist``, whose population means ``dist`` gives, and trials are vectorized.
     """
     if trials < 1000:
         raise InvariantViolation("tail simulation needs at least 1000 trials")
     threshold = 2.0 * rademacher_value + epsilon
-    _check_support_class(cls, dist)  # _sample_deviations checks the population means
+    _check_support_class(cls, dist)
+    means = dist.expectation(cls.evals)
 
     def fill(start: int, stop: int) -> int:
         idx = dist.draw_index_trials(seed, start, stop - start, n)
-        return int(np.count_nonzero(_sample_deviations(cls, idx) >= threshold))
+        return int(np.count_nonzero(_sample_deviations(cls, means, idx) >= threshold))
 
     exceed = sum(_run_chunks(fill, trials, threads))
     return TailExperiment(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 from numpy.random import Philox
@@ -44,10 +44,6 @@ class DrawBudgetExceeded(GenboundError):
 
 class InvariantViolation(GenboundError):
     """A structural invariant of an input failed."""
-
-
-class MissingPopulationMeans(GenboundError):
-    """The operation needs population means but the class carries none."""
 
 
 class InvalidEnvelope(GenboundError):
@@ -182,13 +178,13 @@ class EvaluatedClass:
     """A function class restricted to a sample: evals[i, k] = f_i(S_k).
 
     This matrix plus the envelope bound is the universal representation every
-    complexity, deviation, and entropy computation works on.  Population means,
-    when present, are exact integrals of each f_i under the data measure.
+    complexity, deviation, and entropy computation works on.  Its population
+    means belong to the data measure, which the checks that need them take.
     """
 
     evals: np.ndarray
     envelope_b: float
-    population_means: np.ndarray | None = None
+    _: KW_ONLY
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
@@ -196,10 +192,6 @@ class EvaluatedClass:
         evals.setflags(write=False)
         object.__setattr__(self, "evals", evals)
         object.__setattr__(self, "envelope_b", float(self.envelope_b))
-        if self.population_means is not None:
-            means = np.array(self.population_means, dtype=np.float64)
-            means.setflags(write=False)
-            object.__setattr__(self, "population_means", means)
         if validate:
             self._check()
 
@@ -213,11 +205,6 @@ class EvaluatedClass:
         worst = float(np.abs(self.evals).max())
         if worst > self.envelope_b + _ENVELOPE_TOL:
             raise InvariantViolation(f"|evals| reaches {worst!r}, above envelope {self.envelope_b!r}")
-        if self.population_means is not None:
-            if self.population_means.shape != (self.m,):
-                raise DimensionMismatch("population_means must have one entry per row")
-            if float(np.abs(self.population_means).max()) > self.envelope_b + _ENVELOPE_TOL:
-                raise InvariantViolation("population means exceed the envelope")
 
     @property
     def m(self) -> int:

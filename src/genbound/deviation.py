@@ -1,9 +1,9 @@
 """Uniform deviation and its exactly checkable properties.
 
 The uniform deviation of a class on a sample is the largest gap between an
-empirical mean and the matching population mean:
+empirical mean and the population mean under the data measure P (``dist``):
 
-    max_i | (1/n) * sum_k evals[i, k]  -  population_means[i] |
+    max_i | (1/n) * sum_k evals[i, k]  -  E_P f_i |
 
 On finite data models three of its properties can be certified by sheer
 enumeration: the sign-symmetrization identity for paired samples, the bound
@@ -24,50 +24,43 @@ from .complexity import _capped_orbits, _orbit_rademacher
 from .core import (
     DEFAULT_PRODUCT_CAP,
     DEFAULT_SIGN_CAP,
+    DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
-    MissingPopulationMeans,
     deterministic_sum,
 )
 
 
-def uniform_deviation(cls: EvaluatedClass) -> float:
-    """max_i |empirical mean of row i - population mean of row i|."""
-    if cls.population_means is None:
-        raise MissingPopulationMeans(
-            "uniform deviation needs population means on the evaluated class"
-        )
-    gaps = np.abs(cls.evals.mean(axis=1) - cls.population_means)
-    return float(gaps.max())
+def uniform_deviation(cls: EvaluatedClass, means) -> float:
+    """max_i |empirical mean of row i - means[i]|, with one population mean per row."""
+    means = np.asarray(means, dtype=np.float64)
+    if means.shape != (cls.m,):
+        raise DimensionMismatch(f"{means.size} population means for a class of {cls.m} rows")
+    return float(np.abs(cls.evals.mean(axis=1) - means).max())
 
 
-def _sample_deviations(cls: EvaluatedClass, samples: np.ndarray) -> np.ndarray:
+def _sample_deviations(cls: EvaluatedClass, means: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Uniform deviation on each row of a (K, n) array of support indices.
 
-    ``cls`` is the class built on the whole support.  A sample's empirical
-    means depend only on how often it holds each support point, so they are
-    summed from its count vector in support order, elementwise: the result
-    is the same for every permutation of a sample and for any position of it
-    in ``samples``.  This costs K * s * m against the K * n * m of gathering
-    the columns, a saving while the support size s is below n.
+    ``cls`` is the class on the whole support and ``means`` its population
+    means.  A sample's empirical means are summed from its count vector in
+    support order, elementwise: the result is the same for every permutation
+    of a sample and for any position of it in ``samples``.  This costs
+    K * s * m, not the K * n * m of gathering the columns: less while s < n.
     """
-    if cls.population_means is None:
-        raise MissingPopulationMeans(
-            "uniform deviation needs population means on the evaluated class"
-        )
     K, n = samples.shape
     s = cls.n
     # counts[a, k]: how often sample k holds support point a
     cells = samples * K
     cells += np.arange(K, dtype=np.intp)[:, None]
     counts = np.bincount(cells.ravel(), minlength=s * K).reshape(s, K).astype(np.float64)
-    means = np.multiply.outer(cls.evals[:, 0], counts[0])  # (m, K)
-    term = np.empty_like(means)
+    gaps = np.multiply.outer(cls.evals[:, 0], counts[0])  # (m, K)
+    term = np.empty_like(gaps)
     for a in range(1, s):
-        means += np.multiply.outer(cls.evals[:, a], counts[a], out=term)
-    means /= n
-    means -= cls.population_means[:, None]
-    return np.abs(means, out=means).max(axis=0)
+        gaps += np.multiply.outer(cls.evals[:, a], counts[a], out=term)
+    gaps /= n
+    gaps -= means[:, None]
+    return np.abs(gaps, out=gaps).max(axis=0)
 
 
 def _replacement_pairs(reps: np.ndarray, s: int) -> tuple[list[int], list[int]]:
@@ -99,7 +92,7 @@ class DeviationAudit:
     max_observed_delta: float
     theoretical_cap: float  # 2b/n
     perturbations_checked: int
-    violated: bool
+    passed: bool  # max_observed_delta <= theoretical_cap + 1e-12
 
 
 def audit_bounded_difference(
@@ -122,7 +115,7 @@ def audit_bounded_difference(
     reps, _weights = _capped_orbits(
         cls, dist, n, cap, "bounded-difference audit needs {} perturbations", per_tuple=n * s
     )
-    deviations = _sample_deviations(cls, reps)
+    deviations = _sample_deviations(cls, dist.expectation(cls.evals), reps)
     theoretical_cap = 2.0 * cls.envelope_b / n
 
     source, neighbour = _replacement_pairs(reps, s)
@@ -131,7 +124,7 @@ def audit_bounded_difference(
         max_observed_delta=max_delta,
         theoretical_cap=theoretical_cap,
         perturbations_checked=s**n * n * s,
-        violated=max_delta > theoretical_cap + 1e-12,
+        passed=max_delta <= theoretical_cap + 1e-12,
     )
 
 
@@ -203,6 +196,6 @@ def verify_expectation_bound(
     samples, each read off ``cls``, the class on the whole support.
     """
     reps, weights = _capped_orbits(cls, dist, n, product_cap, sign_cap=sign_cap)
-    lhs = deterministic_sum(weights * _sample_deviations(cls, reps))
+    lhs = deterministic_sum(weights * _sample_deviations(cls, dist.expectation(cls.evals), reps))
     rhs = 2.0 * _orbit_rademacher(cls.evals, reps, weights, sign_cap)
     return ExpectationBoundReport(lhs, rhs, rhs - lhs, lhs <= rhs + tol)

@@ -39,6 +39,7 @@ from .core import (
 
 DEFAULT_COVER_CAP = 16  # exact minimal covers up to this many distinct rows
 MAX_COVER_CAP = 20  # the subset table of 20 distinct rows takes 2**20 * 20 * 8 bytes, 168 MB
+_DIFFERENCE_BLOCK = 1 << 22  # row differences per block of the distance matrix: 32 MB
 
 
 class CoverMethod(str, Enum):
@@ -67,8 +68,8 @@ def _distance_matrix(evals: np.ndarray) -> np.ndarray:
     """Pairwise empirical distances; the same bits as sqrt(mean(diff**2)), in place.
 
     The m x m matrix may hold at most MAX_DRAW_ELEMENTS values.  It is filled
-    in blocks of rows whose m x n differences stay within that budget too, or
-    are one row's; each distance is reduced alone, so blocking changes no bit.
+    in blocks of rows with at most _DIFFERENCE_BLOCK differences, or of one
+    row; each distance is reduced alone, so blocking changes no bit.
     """
     m, n = evals.shape
     if m * m > MAX_DRAW_ELEMENTS:
@@ -77,7 +78,7 @@ def _distance_matrix(evals: np.ndarray) -> np.ndarray:
             f"above the budget of {MAX_DRAW_ELEMENTS}"
         )
     dm = np.empty((m, m))
-    step = max(1, MAX_DRAW_ELEMENTS // (m * n))
+    step = max(1, _DIFFERENCE_BLOCK // (m * n))
     for start in range(0, m, step):
         diff = evals[start : start + step, None, :] - evals[None, :, :]
         np.multiply(diff, diff, out=diff)
@@ -97,10 +98,10 @@ def _dedup(dm: np.ndarray) -> np.ndarray:
 
 
 def _distinct(cls: EvaluatedClass) -> tuple[np.ndarray, np.ndarray]:
-    """(representative rows, their distance submatrix)."""
+    """(representative rows, their distance submatrix: ``dm`` itself if no row repeats)."""
     dm = _distance_matrix(cls.evals)
     reps = _dedup(dm)
-    return reps, dm[np.ix_(reps, reps)]
+    return reps, dm if reps.size == len(dm) else dm[np.ix_(reps, reps)]
 
 
 def _check_cover_cap(reps: np.ndarray, cap: int) -> None:

@@ -3,7 +3,7 @@
 A discrete instance pins a function class down by its value table on the
 support of a finite data measure; the table row i holds f_i at every support
 point, so the product-measure checks read it as the class on the whole
-support and population means are exact weighted sums.
+support, and its population means are the measure's exact weighted sums.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class DiscreteInstance:
     table: np.ndarray  # (m, s)
     envelope_b: float
     dist: DiscreteDistribution
-    means: np.ndarray
 
     @classmethod
     def from_table(
@@ -41,9 +40,7 @@ class DiscreteInstance:
                 f"table values reach {float(np.abs(arr).max())!r}, above envelope {envelope_b!r}"
             )
         arr.setflags(write=False)
-        means = np.asarray(dist.expectation(arr), dtype=np.float64)
-        means.setflags(write=False)
-        return cls(arr, float(envelope_b), dist, means)
+        return cls(arr, float(envelope_b), dist)
 
     @property
     def m(self) -> int:
@@ -56,7 +53,7 @@ class DiscreteInstance:
         It skips re-validation: the table was checked (or the caller explicitly
         opted out so the audit can surface a bad envelope).
         """
-        return EvaluatedClass(self.table, self.envelope_b, self.means, validate=False)
+        return EvaluatedClass(self.table, self.envelope_b, validate=False)
 
 
 def random_discrete_instance(

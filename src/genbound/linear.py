@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import DEFAULT_SIGN_CAP, _sign_averages
+from .complexity import DEFAULT_SIGN_CAP, _check_sign_cap, _sign_averages
 from .core import (
     DimensionMismatch,
     EvaluatedClass,
@@ -131,11 +131,7 @@ def massart_bound(cls: EvaluatedClass) -> float:
 def augment_with_negations(cls: EvaluatedClass) -> EvaluatedClass:
     """The class together with its negations; its without-abs complexity equals
     the absolute-value complexity of the original class."""
-    evals = np.vstack([cls.evals, -cls.evals])
-    means = None
-    if cls.population_means is not None:
-        means = np.concatenate([cls.population_means, -cls.population_means])
-    return EvaluatedClass(evals, cls.envelope_b, means)
+    return EvaluatedClass(np.vstack([cls.evals, -cls.evals]), cls.envelope_b)
 
 
 def _sample_balls(kind: str, radius: float, d: int, count: int, seeds) -> np.ndarray:
@@ -255,3 +251,11 @@ def verify_linear_bound(
 ) -> LinearBoundReport:
     """Exact complexity of the induced class against the regime's closed form."""
     return verify_linear_bounds([instance], tol=tol, sign_cap=sign_cap)[0]
+
+
+def verify_random_linear_bounds(
+    seeds, regime: NormRegime, d: int, n: int, m: int, *, tol: float = 1e-10, sign_cap: int = DEFAULT_SIGN_CAP
+) -> list[LinearBoundReport]:
+    """``verify_linear_bounds`` of ``random_linear_instances``; the sign cap is tested before any draw."""
+    _check_sign_cap(n, sign_cap)
+    return verify_linear_bounds(random_linear_instances(seeds, regime, d, n, m), tol=tol, sign_cap=sign_cap)

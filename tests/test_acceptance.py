@@ -116,7 +116,7 @@ def test_04_bounded_differences():
         )
         n = int(rng.integers(1, 6))
         audit = audit_bounded_difference(inst.support_class, inst.dist, n)
-        clean = clean and not audit.violated
+        clean = clean and audit.passed
     # a constructed instance must come close to the cap, so the audit is not vacuous
     sharp = identity_instance(DiscreteDistribution([-1.0, 1.0], [0.5, 0.5]))
     sharp_audit = audit_bounded_difference(sharp.support_class, sharp.dist, 4)

@@ -445,8 +445,9 @@ class TestConfigErrors:
             "deviation.instance.probs",
         ),
         "infinite value": ("rademacher", {"class": {"evals": [[float("inf"), 0.5]]}}, "rademacher.class.evals"),
-        "string population mean": (
-            "rademacher", {"class": {**EVALS, "population_means": ["0.1"]}}, "rademacher.class.population_means"
+        "retired population means key": (
+            "rademacher", {"class": {**EVALS, "population_means": [0.0]}},
+            "unknown key rademacher.class.population_means",
         ),
         "string epsilon": (
             "tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": ["0.5"]}, "tail.epsilons[0]"
@@ -696,6 +697,8 @@ class TestLargeSampleSize:
         "symmetrize at n = 10**12": ("symmetrize", {"instance": IDENTITY, "n": 10**12}),
         "tail": ("tail", {"instance": IDENTITY, "n": 10**6, "seed": 1}),
         "linear": ("linear", {"seed": 1, "n": 10**6}),
+        # within the draw budget, so only the sign cap refuses it, before any word is drawn
+        "linear at d = 2 in l1": ("linear", {"seed": 1, "n": 10**6, "d": 2, "regime": "l1"}),
         # the sign cap refuses before the one orbit of 10**8 zeros is built
         "one-point deviation at n = 10**8": ("deviation", {"instance": ONE_POINT, "n": 10**8}),
         "one-point tail at n = 10**8": ("tail", {"instance": ONE_POINT, "n": 10**8, "seed": 1}),
@@ -710,9 +713,8 @@ class TestLargeSampleSize:
         ),
     }
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_exits_one_with_one_line_in_three_gigabytes(self, tmp_path, case):
-        command, config = self.CASES[case]
+    @staticmethod
+    def run_in_three_gigabytes(tmp_path, command, config) -> subprocess.CompletedProcess:
         cfg = write_config(tmp_path, "c.json", config)
         src = str(Path(genbound.__file__).resolve().parents[1])
         # one BLAS thread, so the limit bounds genbound's own allocations
@@ -721,12 +723,23 @@ class TestLargeSampleSize:
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
 
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "genbound.cli", command, "--config", cfg, "--out", str(tmp_path / "r.json")],
             env=env, preexec_fn=limit, capture_output=True, text=True, timeout=60,
         )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_one_with_one_line_in_three_gigabytes(self, tmp_path, case):
+        out = self.run_in_three_gigabytes(tmp_path, *self.CASES[case])
         assert out.returncode == 1 and len(out.stderr.splitlines()) == 1, out.stderr
         assert out.stderr.startswith("genbound: ") and "Traceback" not in out.stderr
+
+    def test_linear_refuses_n_above_the_sign_cap_before_drawing(self, tmp_path):
+        started = time.perf_counter()
+        out = self.run_in_three_gigabytes(tmp_path, *self.CASES["linear at d = 2 in l1"])
+        elapsed = time.perf_counter() - started
+        assert out.returncode == 1 and elapsed < 2.0, (elapsed, out.stderr)
+        assert out.stderr == "genbound: exact sign averaging for n=1000000 exceeds the exact-enumeration cap of 20\n"
 
     def test_one_point_deviation_at_n_1e8_is_refused_before_its_orbit(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"instance": self.ONE_POINT, "n": 10**8})

@@ -21,7 +21,6 @@ from genbound.core import (
     InvalidDelta,
     InvalidEnvelope,
     InvariantViolation,
-    MissingPopulationMeans,
 )
 from genbound.instances import DiscreteInstance, identity_instance, random_discrete_instance
 
@@ -152,14 +151,6 @@ class TestSimulateTail:
         inst = identity_instance(pm_one())
         with pytest.raises(InvariantViolation):
             simulate_tail(inst.support_class, inst.dist, 2, 0.1, 999, 0, 0.5)
-
-    def test_requires_means(self):
-        dist = pm_one()
-        from genbound.core import EvaluatedClass
-
-        support_class = EvaluatedClass(dist.support[None, :], 1.0)
-        with pytest.raises(MissingPopulationMeans):
-            simulate_tail(support_class, dist, 2, 0.1, 1000, 0, 0.5)
 
 
 class TestVerifyTailBound:

@@ -147,13 +147,10 @@ class TestDomainTypes:
         cls = EvaluatedClass([[2.0]], 1.0, validate=False)
         assert cls.envelope_b == 1.0
 
-    def test_evaluated_class_means_length(self):
-        with pytest.raises(DimensionMismatch):
-            EvaluatedClass([[0.5]], 1.0, [0.1, 0.2])
-
-    def test_evaluated_class_means_bound(self):
-        with pytest.raises(InvariantViolation):
-            EvaluatedClass([[0.5]], 1.0, [1.5])
+    def test_evaluated_class_takes_validate_by_keyword_only(self):
+        # a third positional argument, once the population means, no longer binds to validate
+        with pytest.raises(TypeError):
+            EvaluatedClass([[0.5]], 1.0, [0.1])
 
     def test_arrays_immutable(self):
         cls = EvaluatedClass([[0.5, -0.5]], 1.0)

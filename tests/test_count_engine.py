@@ -74,7 +74,7 @@ def support_class(rng, m, s):
     table = rng.uniform(-1.0, 1.0, (m, s))
     probs = rng.uniform(0.1, 1.0, s)
     probs /= probs.sum()
-    return EvaluatedClass(table, 1.0, table @ probs)
+    return EvaluatedClass(table, 1.0), table @ probs
 
 
 class TestCountVectorDeviation:
@@ -84,17 +84,17 @@ class TestCountVectorDeviation:
     )
     def test_matches_oracle_and_ignores_order_and_position(self, m, s, n, K, seed):
         rng = np.random.default_rng(seed)
-        cls = support_class(rng, m, s)
+        cls, means = support_class(rng, m, s)
         samples = rng.integers(0, s, (K, n))
-        got = _sample_deviations(cls, samples)
+        got = _sample_deviations(cls, means, samples)
         for k, sample in enumerate(samples):
-            expected = oracle_uniform_deviation(cls.evals[:, sample], cls.population_means)
+            expected = oracle_uniform_deviation(cls.evals[:, sample], means)
             assert got[k] == pytest.approx(expected, abs=1e-12)
         shuffled = rng.permuted(samples, axis=1)
-        np.testing.assert_array_equal(_sample_deviations(cls, shuffled), got)
+        np.testing.assert_array_equal(_sample_deviations(cls, means, shuffled), got)
         order = rng.permutation(K)
-        np.testing.assert_array_equal(_sample_deviations(cls, samples[order]), got[order])
-        np.testing.assert_array_equal(_sample_deviations(cls, samples[:1]), got[:1])
+        np.testing.assert_array_equal(_sample_deviations(cls, means, samples[order]), got[order])
+        np.testing.assert_array_equal(_sample_deviations(cls, means, samples[:1]), got[:1])
 
 
 class TestTailSimulation:
@@ -102,7 +102,8 @@ class TestTailSimulation:
         inst = random_discrete_instance(31, m=3, support_size=4)
         n, trials, seed = 6, 9000, 17  # two chunks of trials
         idx = inst.dist.draw_index_trials(seed, 0, trials, n)
-        ud = np.array([oracle_uniform_deviation(inst.table[:, row], inst.means) for row in idx])
+        means = inst.dist.expectation(inst.table)
+        ud = np.array([oracle_uniform_deviation(inst.table[:, row], means) for row in idx])
         # a threshold in the widest gap near the median keeps rounding away from it
         values = np.unique(ud)
         mid = values.size // 2

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from genbound.core import (
+    DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
     ExactEnumerationLimit,
-    MissingPopulationMeans,
 )
 from genbound.deviation import (
     audit_bounded_difference,
@@ -17,7 +19,7 @@ from genbound.deviation import (
 )
 from genbound.instances import DiscreteInstance, identity_instance, random_discrete_instance
 
-from conftest import oracle_symmetrization, oracle_uniform_deviation
+from conftest import enumerate_product, oracle_symmetrization, oracle_uniform_deviation
 
 
 def uniform01():
@@ -26,29 +28,30 @@ def uniform01():
 
 class TestUniformDeviation:
     def test_matching_mean_is_zero(self):
-        cls = EvaluatedClass([[0.5, 0.5]], 1.0, [0.5])
-        assert uniform_deviation(cls) == 0.0
+        cls = EvaluatedClass([[0.5, 0.5]], 1.0)
+        assert uniform_deviation(cls, [0.5]) == 0.0
 
     def test_identity_class(self):
         inst = identity_instance(uniform01())
-        cls = EvaluatedClass(inst.table[:, [1, 1]], inst.envelope_b, inst.means)
-        assert uniform_deviation(cls) == 0.5
+        cls = EvaluatedClass(inst.table[:, [1, 1]], inst.envelope_b)
+        assert uniform_deviation(cls, inst.dist.expectation(inst.table)) == 0.5
 
     def test_max_selection(self):
-        cls = EvaluatedClass([[0.2, 0.2], [0.7, 0.7]], 1.0, [0.0, 0.0])
-        assert uniform_deviation(cls) == pytest.approx(0.7)
+        cls = EvaluatedClass([[0.2, 0.2], [0.7, 0.7]], 1.0)
+        assert uniform_deviation(cls, [0.0, 0.0]) == pytest.approx(0.7)
 
-    def test_missing_means(self):
-        with pytest.raises(MissingPopulationMeans):
-            uniform_deviation(EvaluatedClass([[0.5]], 1.0))
+    def test_means_of_wrong_length(self):
+        for means in ([], [0.1, 0.2], [[0.1]]):
+            with pytest.raises(DimensionMismatch):
+                uniform_deviation(EvaluatedClass([[0.5]], 1.0), means)
 
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6))
     def test_matches_oracle_and_range(self, m, n, seed):
         rng = np.random.default_rng(seed)
         evals = rng.uniform(-1, 1, (m, n))
         means = rng.uniform(-1, 1, m)
-        cls = EvaluatedClass(evals, 1.0, means)
-        value = uniform_deviation(cls)
+        cls = EvaluatedClass(evals, 1.0)
+        value = uniform_deviation(cls, means)
         assert value == pytest.approx(oracle_uniform_deviation(evals, means), abs=1e-12)
         assert 0.0 <= value <= 2.0 * cls.envelope_b + 1e-12
 
@@ -60,14 +63,14 @@ class TestBoundedDifferenceAudit:
         inst = DiscreteInstance.from_table(table, 1.0, dist)
         audit = audit_bounded_difference(inst.support_class, dist, 2)
         assert audit.max_observed_delta == 0.0
-        assert not audit.violated
+        assert audit.passed
 
     def test_identity_on_unit_support(self):
         inst = identity_instance(uniform01())
         audit = audit_bounded_difference(inst.support_class, inst.dist, 2)
         assert audit.theoretical_cap == pytest.approx(1.0)
         assert audit.perturbations_checked == 4 * 2 * 2
-        assert not audit.violated
+        assert audit.passed
 
     def test_understated_envelope_is_surfaced(self):
         dist = uniform01()
@@ -75,7 +78,7 @@ class TestBoundedDifferenceAudit:
             [[0.0, 1.0]], 0.1, dist, check_envelope=False
         )
         audit = audit_bounded_difference(inst.support_class, dist, 2)
-        assert audit.violated
+        assert not audit.passed
         assert audit.max_observed_delta > audit.theoretical_cap
 
     def test_cap_attained_by_identity_on_pm_one(self):
@@ -92,7 +95,7 @@ class TestBoundedDifferenceAudit:
     def test_true_envelope_never_violates(self, seed):
         inst = random_discrete_instance(seed, m=4, support_size=3)
         audit = audit_bounded_difference(inst.support_class, inst.dist, 3)
-        assert not audit.violated
+        assert audit.passed
 
 
 class TestSymmetrization:
@@ -153,15 +156,28 @@ class TestExpectationBound:
 
     def test_expected_deviation_matches_enumeration_oracle(self):
         import itertools
-        import math
 
         inst = random_discrete_instance(123, m=3, support_size=3)
+        means = inst.dist.expectation(inst.table)
         n = 2
         report = verify_expectation_bound(inst.support_class, inst.dist, n)
         terms = []
         for indices in itertools.product(range(3), repeat=n):
             weight = math.prod(float(inst.dist.probs[k]) for k in indices)
             terms.append(
-                weight * oracle_uniform_deviation(inst.table[:, list(indices)], inst.means)
+                weight * oracle_uniform_deviation(inst.table[:, list(indices)], means)
             )
         assert report.expected_deviation == pytest.approx(math.fsum(terms), abs=1e-12)
+
+    def test_the_measure_passed_sets_the_means(self):
+        # the support class of one measure, checked under another on the same support
+        inst = random_discrete_instance(123, m=3, support_size=3)
+        dist = DiscreteDistribution(inst.dist.support, [0.6, 0.3, 0.1])
+        n = 3
+        report = verify_expectation_bound(inst.support_class, dist, n)
+        means = dist.expectation(inst.table)
+        expected = math.fsum(
+            weight * oracle_uniform_deviation(inst.table[:, list(idx)], means)
+            for idx, weight in enumerate_product(dist, n)
+        )
+        assert report.expected_deviation == pytest.approx(expected, abs=1e-12)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,10 +132,22 @@ class TestPseudometric:
         whole /= shape[1]
         np.sqrt(whole, out=whole)
         m, n = shape
-        # blocks of 1, 2, 5 and all rows, or of the fewest rows a budget of m * m values allows
+        # blocks of 1, 2, 5 and all rows
         for rows in (1, 2, 5, m):
-            monkeypatch.setattr(entropy, "MAX_DRAW_ELEMENTS", max(rows * m * n, m * m))
+            monkeypatch.setattr(entropy, "_DIFFERENCE_BLOCK", rows * m * n)
             assert _distance_matrix(evals).tobytes() == whole.tobytes()
+
+    def test_distinct_rows_peak_near_their_distance_matrix(self):
+        # 3,000 rows: a 72 MB matrix, filled in 32 MB blocks of differences and not copied
+        cls = random_evaluated_class(1, m=3000, n=8)
+        tracemalloc.start()
+        try:
+            reps, sub = _distinct(cls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reps.size == 3000 and sub.shape == (3000, 3000)
+        assert peak < 200 * 2**20, peak
 
     def test_refuses_a_matrix_above_the_budget(self, monkeypatch):
         monkeypatch.setattr(entropy, "MAX_DRAW_ELEMENTS", 99)
