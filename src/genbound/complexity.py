@@ -179,12 +179,7 @@ def _mc_estimate(
 
 
 def empirical_rademacher_mc(
-    cls: EvaluatedClass,
-    draws: int,
-    seed: int,
-    *,
-    threads: int = 1,
-    absolute: bool = True,
+    cls: EvaluatedClass, draws: int, seed: int, *, threads: int = 1
 ) -> ComplexityResult:
     """Unbiased sample mean over uniform sign draws, with its standard error.
 
@@ -200,9 +195,7 @@ def empirical_rademacher_mc(
         signs = draw_signs(seed, start, stop - start, n)
         corr = signs @ evals.T
         corr /= n
-        if absolute:
-            np.abs(corr, out=corr)
-        return corr.max(axis=1)
+        return np.abs(corr, out=corr).max(axis=1)
 
     return _mc_estimate(values_of, draws, seed, threads)
 

@@ -15,7 +15,6 @@ orbits of the product measure, with caps still counted in tuples.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,11 @@ from .complexity import _capped_orbits, _orbit_rademacher
 from .core import (
     DEFAULT_PRODUCT_CAP,
     DEFAULT_SIGN_CAP,
+    MAX_DRAW_ELEMENTS,
     DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
+    GenboundError,
     deterministic_sum,
 )
 
@@ -47,9 +48,15 @@ def _sample_deviations(cls: EvaluatedClass, means: np.ndarray, samples: np.ndarr
     support order, elementwise: the result is the same for every permutation
     of a sample and for any position of it in ``samples``.  This costs
     K * s * m, not the K * n * m of gathering the columns: less while s < n.
+    The (s, K) count matrix may hold at most MAX_DRAW_ELEMENTS values.
     """
     K, n = samples.shape
     s = cls.n
+    if s * K > MAX_DRAW_ELEMENTS:
+        raise GenboundError(
+            f"the count matrix of {K} samples on {s} support points holds {s} * {K} = {s * K} values, "
+            f"above the budget of {MAX_DRAW_ELEMENTS}"
+        )
     # counts[a, k]: how often sample k holds support point a
     cells = samples * K
     cells += np.arange(K, dtype=np.intp)[:, None]
@@ -61,28 +68,6 @@ def _sample_deviations(cls: EvaluatedClass, means: np.ndarray, samples: np.ndarr
     gaps /= n
     gaps -= means[:, None]
     return np.abs(gaps, out=gaps).max(axis=0)
-
-
-def _replacement_pairs(reps: np.ndarray, s: int) -> tuple[list[int], list[int]]:
-    """Orbit pairs (j, j') linked by a single-coordinate replacement.
-
-    Replacing one coordinate of value a by r takes orbit c to c - e_a + e_r,
-    so for sorted representatives (``product_orbits``) the pairs are: each
-    orbit, each distinct value in it, each replacement value r in range(s).
-    """
-    rows = [tuple(row) for row in reps.tolist()]
-    orbit = {row: j for j, row in enumerate(rows)}
-    source, neighbour = [], []
-    for j, row in enumerate(rows):
-        for k in range(len(row)):
-            if k and row[k] == row[k - 1]:
-                continue  # another copy of the same value reaches the same orbits
-            rest = row[:k] + row[k + 1 :]
-            for r in range(s):
-                at = bisect.bisect(rest, r)
-                source.append(j)
-                neighbour.append(orbit[rest[:at] + (r,) + rest[at:]])
-    return source, neighbour
 
 
 @dataclass(frozen=True)
@@ -104,22 +89,25 @@ def audit_bounded_difference(
 ) -> DeviationAudit:
     """Check |UD(S) - UD(S with one coordinate replaced)| <= 2b/n exhaustively.
 
-    ``cls`` is the class on the whole support.  Every sample in the n-fold
-    support, every coordinate, and every replacement value is covered: each
-    permutation orbit is compared with the orbits one replacement away.  The
-    cap and ``perturbations_checked`` count the s**n * n * s replacements.  A
-    violation is reported, not raised: it is exactly how an understated
-    envelope surfaces.
+    ``cls`` is the class on the whole support.  A sample and its replacement
+    share the multiset d of their other n - 1 coordinates, so both are among
+    the s extensions d + (r,), and the largest change over every sample,
+    coordinate and replacement value is the largest spread max_r UD(d + r) -
+    min_r UD(d + r) over all d.  Rounding is monotone, so that spread has the
+    bits of the largest |difference| within its extensions.  The cap and
+    ``perturbations_checked`` count the s**n * n * s replacements.  A violation
+    is reported, not raised: it is exactly how an understated envelope surfaces.
     """
     s = dist.size
     reps, _weights = _capped_orbits(
         cls, dist, n, cap, "bounded-difference audit needs {} perturbations", per_tuple=n * s
     )
-    deviations = _sample_deviations(cls, dist.expectation(cls.evals), reps)
+    # the sorted representatives that start with 0, less that 0, are every (n-1)-multiset d
+    rest = reps[reps[:, 0] == 0, 1:]
+    extensions = np.column_stack([np.repeat(rest, s, axis=0), np.tile(np.arange(s), len(rest))])
+    deviations = _sample_deviations(cls, dist.expectation(cls.evals), extensions).reshape(-1, s)
+    max_delta = float((deviations.max(axis=1) - deviations.min(axis=1)).max())
     theoretical_cap = 2.0 * cls.envelope_b / n
-
-    source, neighbour = _replacement_pairs(reps, s)
-    max_delta = float(np.abs(deviations[source] - deviations[neighbour]).max())
     return DeviationAudit(
         max_observed_delta=max_delta,
         theoretical_cap=theoretical_cap,

@@ -711,6 +711,15 @@ class TestLargeSampleSize:
         "dudley of 12,000 rows": (
             "dudley", {"class": {"random": {"m": 12000, "n": 8, "seed": 1}}, "cover": "greedy"}
         ),
+        # within the product cap, but the count matrices of 500,500 orbits or 1,000 trials
+        # on the support exceed the draw budget
+        "deviation on 1,000 support points": (
+            "deviation", {"instance": {"random": {"m": 2, "support_size": 1000, "seed": 1}}, "n": 2}
+        ),
+        "tail on 200,000 support points": (
+            "tail",
+            {"instance": {"random": {"m": 2, "support_size": 200000, "seed": 1}}, "n": 1, "seed": 1, "trials": 1000},
+        ),
     }
 
     @staticmethod

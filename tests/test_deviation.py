@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbound import deviation
+from genbound.complexity import _MC_CHUNK
+from genbound.concentration import simulate_tail
 from genbound.core import (
     DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
     ExactEnumerationLimit,
+    GenboundError,
 )
 from genbound.deviation import (
+    _sample_deviations,
     audit_bounded_difference,
     check_symmetrization_identity,
     uniform_deviation,
@@ -96,6 +101,38 @@ class TestBoundedDifferenceAudit:
         inst = random_discrete_instance(seed, m=4, support_size=3)
         audit = audit_bounded_difference(inst.support_class, inst.dist, 3)
         assert audit.passed
+
+
+class TestCountBudget:
+    def test_refuses_the_count_matrix_before_building_it(self, monkeypatch):
+        inst = random_discrete_instance(3, m=2, support_size=5)
+        cls, dist = inst.support_class, inst.dist
+        means = dist.expectation(cls.evals)
+        samples = np.zeros((20, 2), dtype=np.intp)
+        monkeypatch.setattr(deviation, "MAX_DRAW_ELEMENTS", 100)
+        assert _sample_deviations(cls, means, samples).shape == (20,)
+        monkeypatch.setattr(deviation, "MAX_DRAW_ELEMENTS", 99)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the count matrix was built")
+
+        monkeypatch.setattr(np, "bincount", refuse)
+        with pytest.raises(GenboundError) as raised:
+            _sample_deviations(cls, means, samples)
+        assert str(raised.value) == (
+            "the count matrix of 20 samples on 5 support points holds 5 * 20 = 100 values, "
+            "above the budget of 99"
+        )
+        # the first chunk refuses, at any thread count
+        messages = set()
+        for threads in (1, 2):
+            with pytest.raises(GenboundError) as raised:
+                simulate_tail(cls, dist, 2, 0.1, 3 * _MC_CHUNK // 2, 7, 0.0, threads=threads)
+            messages.add(str(raised.value))
+        assert messages == {
+            f"the count matrix of {_MC_CHUNK} samples on 5 support points holds "
+            f"5 * {_MC_CHUNK} = {5 * _MC_CHUNK} values, above the budget of 99"
+        }
 
 
 class TestSymmetrization:

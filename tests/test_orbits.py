@@ -26,7 +26,7 @@ from genbound.core import (
     product_orbits,
 )
 from genbound.deviation import (
-    _replacement_pairs,
+    _sample_deviations,
     audit_bounded_difference,
     check_symmetrization_identity,
     uniform_deviation,
@@ -107,16 +107,25 @@ class TestProductOrbits:
         for row, weight in zip(rows, weights):
             assert weight == pytest.approx(math.fsum(by_orbit[row]), rel=1e-13, abs=0.0)
 
-    @given(st.integers(1, 4), st.integers(1, 6))
-    def test_replacement_pairs_are_single_coordinate_replacements(self, s, n):
-        reps, _weights = product_orbits(np.full(s, 1.0 / s), n)
-        orbit = {tuple(row): j for j, row in enumerate(reps.tolist())}
-        expected = set()
-        for idx in itertools.product(range(s), repeat=n):
+    def test_audit_is_the_largest_change_under_one_replacement(self):
+        # tables scaled past the envelope make some audits fail; every delta must keep its bits
+        outcomes = set()
+        for s, n, scale in itertools.product(range(1, 5), range(1, 7), (1.0, 3.0)):
+            inst = random_discrete_instance(10 * s + n, m=3, support_size=s)
+            cls = EvaluatedClass(inst.table * scale, inst.envelope_b, validate=False)
+            means = inst.dist.expectation(cls.evals)
+            samples = np.array(list(itertools.product(range(s), repeat=n)), dtype=np.intp)
+            deviations = _sample_deviations(cls, means, samples)
+            largest = 0.0
             for k, r in itertools.product(range(n), range(s)):
-                replaced = idx[:k] + (r,) + idx[k + 1 :]
-                expected.add((orbit[tuple(sorted(idx))], orbit[tuple(sorted(replaced))]))
-        assert set(zip(*_replacement_pairs(reps, s))) == expected
+                replaced = samples.copy()
+                replaced[:, k] = r
+                gaps = np.abs(deviations - _sample_deviations(cls, means, replaced))
+                largest = max(largest, float(gaps.max()))
+            audit = audit_bounded_difference(cls, inst.dist, n)
+            assert audit.max_observed_delta == largest, (s, n, scale)
+            outcomes.add(audit.passed)
+        assert outcomes == {True, False}
 
     def test_single_point_support(self):
         reps, weights = product_orbits([1.0], 5)
