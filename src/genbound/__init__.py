@@ -77,4 +77,4 @@ from .linear import (
     verify_random_linear_bounds,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .complexity import _check_support_class, _run_chunks
 from .core import (
@@ -62,19 +61,103 @@ def high_probability_epsilon(delta: float, n: int, b: float) -> float:
 
 
 def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.99) -> float:
-    """One-sided upper confidence bound for a binomial proportion."""
+    """One-sided upper confidence bound for a binomial proportion: the beta quantile at confidence."""
     _check_counts(successes, trials, confidence)
     if successes >= trials:
         return 1.0
-    return float(betaincinv(successes + 1, trials - successes, confidence))
+    return _beta_quantile(successes + 1, trials - successes, 1.0 - confidence, upper=True)
 
 
 def clopper_pearson_lower(successes: int, trials: int, confidence: float = 0.99) -> float:
-    """One-sided lower confidence bound for a binomial proportion."""
+    """One-sided lower confidence bound for a binomial proportion: the beta quantile at 1 - confidence."""
     _check_counts(successes, trials, confidence)
     if successes <= 0:
         return 0.0
-    return float(betaincinv(successes, trials - successes + 1, 1.0 - confidence))
+    return _beta_quantile(successes, trials - successes + 1, 1.0 - confidence, upper=False)
+
+
+def _beta_quantile(a: int, b: int, alpha: float, *, upper: bool) -> float:
+    """With ``upper``, the smallest evaluated p whose computed 1 - I_p(a, b) is at most alpha, else
+    the largest evaluated p whose computed I_p(a, b) is at most alpha: the conservative end of a
+    closed bracket.  Newton steps on the log tail (against log p for the lower tail) fall back to
+    bisection outside the bracket and to one ulp where they stall."""
+    lo, hi = 0.0, 1.0
+    p = a / (a + b)
+    while True:
+        lower_tail, upper_tail, density = _beta_tails(p, a, b)
+        tail = upper_tail if upper else lower_tail
+        lo, hi = (lo, p) if (tail <= alpha) == upper else (p, hi)
+        if math.nextafter(lo, 1.0) >= hi:
+            return hi if upper else lo
+        if not (tail > 0.0 and density > 0.0):
+            guess = lo
+        elif upper:
+            guess = p + math.log(tail / alpha) * tail / density
+        else:
+            guess = p * math.exp(min(math.log(alpha / tail) * tail / (p * density), 709.0))
+        if guess == p:
+            guess = math.nextafter(p, lo if p == hi else hi)
+        p = guess if lo < guess < hi else 0.5 * (lo + hi)
+
+
+def _beta_tails(x: float, a: int, b: int) -> tuple[float, float, float]:
+    """(I_x(a, b), 1 - I_x(a, b), dI/dx), the smaller tail from its continued fraction.
+
+    The prefactor x**a * y**b / B(a, b) is Stirling's form with Loader's deviance terms, so
+    neither it nor the fraction forms 1 - x from a small x (TOMS 708's ``brcomp`` and ``bfrac``).
+    """
+    y, s = 1.0 - x, a + b
+    stirling = _stirling_error(a) + _stirling_error(b) - _stirling_error(s)
+    front = math.sqrt(a * b / s / (2.0 * math.pi)) * math.exp(
+        -_deviance(a, x * s) - _deviance(b, y * s) - stirling
+    )
+    swap = x * s > a
+    tail = front * (_beta_fraction(b, a, y, x) if swap else _beta_fraction(a, b, x, y))
+    return (1.0 - tail, tail, front / (x * y)) if swap else (tail, 1.0 - tail, front / (x * y))
+
+
+def _stirling_error(x: int) -> float:
+    """log Gamma(x) - ((x - 1/2) * log(x) - x + log(2 pi) / 2), from its series from 15 on."""
+    if x < 15:
+        return math.lgamma(x) - ((x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi))
+    r = 1.0 / (x * x)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / x
+
+
+def _deviance(k: int, mean: float) -> float:
+    """k * log(k / mean) + mean - k, near k == mean from its series in (k - mean) / (k + mean)."""
+    d = k - mean
+    if abs(d) >= 0.1 * (k + mean):
+        return k * math.log(k / mean) - d
+    v = d / (k + mean)
+    total, term, odd = d * v, 2.0 * k * v, 3
+    while True:
+        term *= v * v
+        grown = total + term / odd
+        if grown == total:
+            return total
+        total, odd = grown, odd + 2
+
+
+def _beta_fraction(a: int, b: int, x: float, y: float) -> float:
+    """I_x(a, b) over its prefactor, for x * (a + b) <= a: the continued fraction of TOMS 708's ``bfrac``."""
+    lam = a - (a + b) * x if x < y else (a + b) * y - b  # never 1 - small
+    c, c0, c1 = lam + 1.0, b / a, 1.0 / a + 1.0
+    p, s = 1.0, a + 1.0
+    an, bn = 0.0, c1 / c  # the last two convergents' terms, scaled to a last denominator of 1
+    r = bn
+    for n in range(1, 10_000):
+        t = n / a
+        w = n * (b - n) * x
+        alpha = p * (p + c0) * (a / s) ** 2 * (w * x)
+        beta = n + w / s + (t + 1.0) / (c1 + t + t) * (c + n * (y + 1.0))
+        p, s = t + 1.0, s + 2.0
+        num, den = alpha * an + beta * r, alpha * bn + beta
+        r0, r = r, num / den
+        if abs(r - r0) <= 1e-16 * r:
+            break
+        an, bn = r0 / den, 1.0 / den
+    return r
 
 
 def _check_counts(successes: int, trials: int, confidence: float) -> None:

@@ -15,6 +15,7 @@ orbits of the product measure, with caps still counted in tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,7 @@ def _sample_deviations(cls: EvaluatedClass, means: np.ndarray, samples: np.ndarr
     """
     K, n = samples.shape
     s = cls.n
-    if s * K > MAX_DRAW_ELEMENTS:
-        raise GenboundError(
-            f"the count matrix of {K} samples on {s} support points holds {s} * {K} = {s * K} values, "
-            f"above the budget of {MAX_DRAW_ELEMENTS}"
-        )
+    _check_count_matrix(s, K)
     # counts[a, k]: how often sample k holds support point a
     cells = samples * K
     cells += np.arange(K, dtype=np.intp)[:, None]
@@ -68,6 +65,14 @@ def _sample_deviations(cls: EvaluatedClass, means: np.ndarray, samples: np.ndarr
     gaps /= n
     gaps -= means[:, None]
     return np.abs(gaps, out=gaps).max(axis=0)
+
+
+def _check_count_matrix(s: int, K: int) -> None:
+    if s * K > MAX_DRAW_ELEMENTS:
+        raise GenboundError(
+            f"the count matrix of {K} samples on {s} support points holds {s} * {K} = {s * K} values, "
+            f"above the budget of {MAX_DRAW_ELEMENTS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,9 @@ def verify_expectation_bound(
     Both expectations are summed over the same permutation orbits of the
     samples, each read off ``cls``, the class on the whole support.
     """
+    s = dist.size
+    if s ** min(n, product_cap.bit_length()) <= product_cap:  # the product cap holds: budget the count matrix
+        _check_count_matrix(s, math.comb(n + s - 1, s - 1))
     reps, weights = _capped_orbits(cls, dist, n, product_cap, sign_cap=sign_cap)
     lhs = deterministic_sum(weights * _sample_deviations(cls, dist.expectation(cls.evals), reps))
     rhs = 2.0 * _orbit_rademacher(cls.evals, reps, weights, sign_cap)

@@ -941,9 +941,29 @@ class TestEmitCurve:
 
 
 class TestInternals:
-    def test_import_leaves_scipy_stats_unloaded(self):
+    def test_runs_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every import of scipy fail
+        identity = {"family": "identity", "support": [-1.0, 1.0], "probs": [0.5, 0.5]}
+        runs = []
+        for command, config in (
+            ("tail", {"instance": identity, "n": 4, "seed": 1, "epsilon": 0.1, "trials": 1000}),
+            ("linear", {"seed": 1, "regime": "l2", "count": 3}),
+            ("suite", {"seed": 2026}),
+        ):
+            runs.append((command, write_config(tmp_path, f"{command}.json", config), str(tmp_path / command)))
+        code = f"""
+import json, sys
+sys.modules["scipy"] = None
+from genbound.cli import main
+statuses = [main([command, "--config", config, "--out", out]) for command, config, out in {runs!r}]
+tail = json.load(open({runs[0][2]!r}))["results"][0]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None)
+print(json.dumps([statuses, tail["exceed_count"], loaded]))
+"""
         src = str(Path(genbound.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, genbound.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        statuses, exceed_count, loaded = json.loads(out.stdout.splitlines()[-1])
+        assert statuses == [0, 0, 0]
+        assert exceed_count > 0
+        assert loaded == []

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,14 +116,48 @@ class TestClopperPearson:
         lower = clopper_pearson_lower(k, trials, conf)
         assert binom.sf(k - 1, trials, lower) == pytest.approx(1.0 - conf, rel=1e-9)
 
-    def test_equals_beta_quantiles_bit_for_bit(self):
+    @pytest.mark.parametrize("conf", [0.9, 0.95, 0.99, 0.999])
+    def test_brackets_the_exact_binomial_tail(self, conf):
+        # at the bound scaled by 1 -+ 1e-12, the exact tail lies on either side of 1 - conf
+        alpha = 1 - Fraction(conf)
+
+        def tail(js, trials, p):
+            num, den = min(p, 1.0).as_integer_ratio()
+            terms = (math.comb(trials, j) * num**j * (den - num) ** (trials - j) for j in js)
+            return Fraction(sum(terms), den**trials)
+
+        for trials in range(1, 41):
+            for k in range(trials + 1):
+                if k < trials:
+                    upper, at_most_k = clopper_pearson_upper(k, trials, conf), range(k + 1)
+                    below, above = upper * (1 - 1e-12), upper * (1 + 1e-12)
+                    assert tail(at_most_k, trials, below) > alpha > tail(at_most_k, trials, above)
+                if k > 0:
+                    lower, at_least_k = clopper_pearson_lower(k, trials, conf), range(k, trials + 1)
+                    below, above = lower * (1 - 1e-12), lower * (1 + 1e-12)
+                    assert tail(at_least_k, trials, below) < alpha < tail(at_least_k, trials, above)
+
+    def test_agrees_with_beta_quantiles(self):
         for trials in (1, 2, 9, 100, 1000, 2999, 30_000, 100_000):
             for k in {min(k, trials) for k in (0, 1, 2, trials // 7, trials // 2, trials - 1, trials)}:
                 for conf in (0.9, 0.95, 0.99, 0.999):
                     upper = 1.0 if k == trials else beta.ppf(conf, k + 1, trials - k)
                     lower = 0.0 if k == 0 else beta.ppf(1.0 - conf, k, trials - k + 1)
-                    assert clopper_pearson_upper(k, trials, conf) == upper
-                    assert clopper_pearson_lower(k, trials, conf) == lower
+                    assert clopper_pearson_upper(k, trials, conf) == pytest.approx(upper, rel=1e-11, abs=0)
+                    assert clopper_pearson_lower(k, trials, conf) == pytest.approx(lower, rel=1e-11, abs=0)
+
+    def test_closed_forms_at_one_success_or_none(self):
+        # (1 - p)**trials is 1 - conf at the upper bound for no success, and conf at the lower bound for one
+        for trials in (1, 7, 10**3, 10**5, 10**7, 10**9):
+            for conf in (0.9, 0.99, 0.999):
+                upper = -math.expm1(math.log(1 - conf) / trials)
+                lower = -math.expm1(math.log1p(-(1 - conf)) / trials)
+                assert clopper_pearson_upper(0, trials, conf) == pytest.approx(upper, rel=1e-14, abs=0)
+                assert clopper_pearson_lower(1, trials, conf) == pytest.approx(lower, rel=1e-14, abs=0)
+
+    def test_agrees_with_beta_quantile_at_ten_million_trials(self):
+        expected = beta.ppf(0.99, 5 * 10**6 + 1, 5 * 10**6)
+        assert clopper_pearson_upper(5 * 10**6, 10**7) == pytest.approx(expected, rel=1e-11, abs=0)
 
 
 class TestSimulateTail:

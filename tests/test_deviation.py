@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genbound import deviation
+from genbound import complexity, deviation
 from genbound.complexity import _MC_CHUNK
 from genbound.concentration import simulate_tail
 from genbound.core import (
@@ -133,6 +133,20 @@ class TestCountBudget:
             f"the count matrix of {_MC_CHUNK} samples on 5 support points holds "
             f"5 * {_MC_CHUNK} = {5 * _MC_CHUNK} values, above the budget of 99"
         }
+
+
+    def test_expectation_bound_refuses_the_count_matrix_before_building_orbits(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the orbits were built")
+
+        monkeypatch.setattr(complexity, "product_orbits", refuse)
+        inst = random_discrete_instance(1, m=2, support_size=1000)
+        with pytest.raises(GenboundError) as raised:
+            verify_expectation_bound(inst.support_class, inst.dist, 2)
+        assert str(raised.value) == (
+            "the count matrix of 500500 samples on 1000 support points holds 1000 * 500500 = 500500000 values, "
+            "above the budget of 134217728"
+        )
 
 
 class TestSymmetrization:
