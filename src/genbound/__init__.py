@@ -49,7 +49,6 @@ from .deviation import (
     DeviationAudit,
     audit_bounded_difference,
     check_symmetrization_identity,
-    uniform_deviation,
     verify_expectation_bound,
 )
 from .entropy import (
@@ -59,22 +58,18 @@ from .entropy import (
     covering_number_exact,
     covering_number_greedy,
     dudley_bound,
-    empirical_dist,
-    empirical_norm,
     verify_dudley,
 )
 from .linear import (
     L1Linf,
     L2Ball,
     LinearInstance,
-    augment_with_negations,
     l1_bound,
     l2_bound,
     massart_bound,
-    sample_ball,
     verify_linear_bound,
     verify_linear_bounds,
     verify_random_linear_bounds,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

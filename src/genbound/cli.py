@@ -86,6 +86,9 @@ def _typed(kind, low=None, high=None):
 # sizes, counts and caps are at least 1, the seeds of random specs at least 0,
 # and tolerances, envelopes and radii at least 0
 _int, _size, _natural, _nonnegative = _typed(int), _typed(int, 1), _typed(int, 0), _typed(float, 0.0)
+# counts that size an array stay within bounds whose largest value runs in 3 GB
+_draws, _points, _many = _typed(int, None, 1 << 24), _typed(int, 1, 1 << 24), _typed(int, 1, 1 << 16)
+_MAX_RANDOM_VALUES = 1 << 24  # of a random spec's table; it is drawn, copied and checked
 
 
 def _text(value, path):
@@ -202,7 +205,7 @@ _SCHEMA = {
         **_COMMON,
         **_CLASS,
         "method": (_choice("auto", "exact", "mc"), "auto"),
-        "draws": (_int, 100_000),
+        "draws": (_draws, 100_000),
     },
     "deviation": {**_COMMON, **_TOL, **_INSTANCE},
     "symmetrize": {**_COMMON, **_TOL, **_INSTANCE},
@@ -210,10 +213,10 @@ _SCHEMA = {
         **_COMMON,
         **_SEEDED,
         **_INSTANCE,
-        "trials": (_int, 10_000),
+        "trials": (_draws, 10_000),
         "epsilon": (_nonnegative, 0.5),
         "epsilons": (_optional(_radii), None),
-        "rademacher_draws": (_int, 2000),
+        "rademacher_draws": (_draws, 2000),
     },
     "linear": {
         **_COMMON,
@@ -225,16 +228,16 @@ _SCHEMA = {
         "d": (_size, 4),
         "n": (_size, 6),
         "m": (_size, 5),
-        "count": (_size, 50),
+        "count": (_many, 50),
     },
     "dudley": {
         **_COMMON,
         **_TOL,
         **_CLASS,
         "cover": (_choice("exact", "greedy"), "exact"),
-        "grid_points": (_optional(_size), 256),
+        "grid_points": (_optional(_points), 256),
         "epsilons": (_optional(_radii), None),
-        "epsilon_count": (_size, 16),
+        "epsilon_count": (_many, 16),
     },
     "suite": {**_COMMON, **_TOL, **_SEEDED},
 }
@@ -251,6 +254,12 @@ def _random_args(spec: dict, seed, path: str) -> tuple[int, dict]:
         raise UsageError(f"{path}.random.seed is required when the config has no seed")
     if own is None and seed < 0:
         raise UsageError(f"{path}.random.seed falls back to the config seed {seed}, below 0")
+    width = "n" if "n" in kwargs else "support_size"
+    if kwargs["m"] * kwargs[width] > _MAX_RANDOM_VALUES:
+        raise UsageError(
+            f"{path}.random needs m * {width} = {kwargs['m']} * {kwargs[width]} values, "
+            f"above the budget of {_MAX_RANDOM_VALUES}"
+        )
     return (seed if own is None else own), kwargs
 
 
@@ -377,23 +386,9 @@ def _cmd_deviation(cfg: dict, threads: int):
     bound = deviation.verify_expectation_bound(
         cls, inst.dist, n, tol=cfg["tol"], product_cap=caps["product"], sign_cap=caps["sign"]
     )
-    row = {
-        "kind": "expectation_bound",
-        "expected_deviation": bound.expected_deviation,
-        "twice_rademacher": bound.twice_rademacher,
-        "slack": bound.slack,
-        "passed": bound.passed,
-    }
-    _add(found, "expectation_bound", row)
+    _add(found, "expectation_bound", {"kind": "expectation_bound", **vars(bound)})
     audit = deviation.audit_bounded_difference(cls, inst.dist, n, cap=caps["product"])
-    row = {
-        "kind": "bounded_difference_audit",
-        "max_observed_delta": audit.max_observed_delta,
-        "theoretical_cap": audit.theoretical_cap,
-        "perturbations_checked": audit.perturbations_checked,
-        "passed": audit.passed,
-    }
-    _add(found, "bounded_difference_audit", row)
+    _add(found, "bounded_difference_audit", {"kind": "bounded_difference_audit", **vars(audit)})
     return found
 
 
@@ -402,15 +397,8 @@ def _cmd_symmetrize(cfg: dict, threads: int):
     report = deviation.check_symmetrization_identity(
         inst.support_class, inst.dist, cfg["n"], tol=cfg["tol"], cap=cfg["caps"]["product"]
     )
-    row = {
-        "kind": "symmetrization",
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "abs_diff": report.abs_diff,
-        "passed": report.passed,
-    }
     found = [], []
-    _add(found, "symmetrization", row)
+    _add(found, "symmetrization", {"kind": "symmetrization", **vars(report)})
     return found
 
 

@@ -151,9 +151,7 @@ def _run_chunks(fill: Callable[[int, int], object], total: int, threads: int) ->
     chunking never depends on the worker count, so outputs are identical for any ``threads``.
 
     Chunks run on a pool shared by every call with the same ``threads``, so
-    consecutive calls reuse its worker threads.  The pool is not re-entrant:
-    a ``_run_chunks`` call inside ``fill`` must run at ``threads=1``, since a
-    worker waiting on chunks queued behind it in its own pool can deadlock.
+    consecutive calls reuse its worker threads.
     """
     ranges = [(s, min(s + _MC_CHUNK, total)) for s in range(0, total, _MC_CHUNK)]
     if threads <= 1 or len(ranges) == 1:
@@ -178,6 +176,13 @@ def _mc_estimate(
     return _mc_result(np.concatenate(_run_chunks(values_of, draws, threads)), draws, seed)
 
 
+def _sign_draw_values(evals: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """max_i |(1/n) sum_k sigma_k evals[i, k]| for each row sigma of ``signs``."""
+    corr = signs @ evals.T
+    corr /= evals.shape[1]
+    return np.abs(corr, out=corr).max(axis=1)
+
+
 def empirical_rademacher_mc(
     cls: EvaluatedClass, draws: int, seed: int, *, threads: int = 1
 ) -> ComplexityResult:
@@ -188,16 +193,10 @@ def empirical_rademacher_mc(
     tree sum, so the result is bit-identical for a given (seed, draws) at any
     thread count.
     """
-    evals = cls.evals
-    n = cls.n
-
-    def values_of(start: int, stop: int) -> np.ndarray:
-        signs = draw_signs(seed, start, stop - start, n)
-        corr = signs @ evals.T
-        corr /= n
-        return np.abs(corr, out=corr).max(axis=1)
-
-    return _mc_estimate(values_of, draws, seed, threads)
+    return _mc_estimate(
+        lambda start, stop: _sign_draw_values(cls.evals, draw_signs(seed, start, stop - start, cls.n)),
+        draws, seed, threads,
+    )
 
 
 def _check_support_class(cls: EvaluatedClass, dist: DiscreteDistribution) -> None:
@@ -305,12 +304,11 @@ def expected_rademacher_mc(
             # the sign average is permutation invariant: one per drawn orbit
             orbits, which = _distinct_rows(np.sort(idx, axis=1))
             return _sign_averages(cls.evals[:, orbits].transpose(1, 0, 2), sign_cap)[0][which]
-        # threads=1: this already runs on the chunk pool, which is not re-entrant
+        # empirical_rademacher_mc's value from _INNER_DRAWS sign draws, which fit in one of its chunks
         return np.array([
-            empirical_rademacher_mc(
-                EvaluatedClass(cls.evals[:, row], cls.envelope_b, validate=False),
-                _INNER_DRAWS, derive_seed(seed, f"inner:{start + j}"), threads=1,
-            ).value
+            deterministic_sum(_sign_draw_values(
+                cls.evals[:, row], draw_signs(derive_seed(seed, f"inner:{start + j}"), 0, _INNER_DRAWS, n)
+            )) / _INNER_DRAWS
             for j, row in enumerate(idx)
         ])
 

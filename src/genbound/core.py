@@ -97,11 +97,6 @@ class Sample:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def point_dim(self) -> int:
-        """0 for scalar points, else the vector dimension."""
-        return 0 if self.points.ndim == 1 else self.points.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:

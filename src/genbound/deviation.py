@@ -25,20 +25,11 @@ from .core import (
     DEFAULT_PRODUCT_CAP,
     DEFAULT_SIGN_CAP,
     MAX_DRAW_ELEMENTS,
-    DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
     GenboundError,
     deterministic_sum,
 )
-
-
-def uniform_deviation(cls: EvaluatedClass, means) -> float:
-    """max_i |empirical mean of row i - means[i]|, with one population mean per row."""
-    means = np.asarray(means, dtype=np.float64)
-    if means.shape != (cls.m,):
-        raise DimensionMismatch(f"{means.size} population means for a class of {cls.m} rows")
-    return float(np.abs(cls.evals.mean(axis=1) - means).max())
 
 
 def _sample_deviations(cls: EvaluatedClass, means: np.ndarray, samples: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .core import (
     DEFAULT_SIGN_CAP,
     MAX_DRAW_ELEMENTS,
     DegenerateClass,
-    DimensionMismatch,
     EvaluatedClass,
     ExactEnumerationLimit,
     GenboundError,
@@ -45,23 +44,6 @@ _DIFFERENCE_BLOCK = 1 << 22  # row differences per block of the distance matrix:
 class CoverMethod(str, Enum):
     EXACT_MINIMAL = "exact"
     GREEDY = "greedy"
-
-
-def empirical_norm(row) -> float:
-    """sqrt((1/n) * sum_k row[k]**2)."""
-    arr = np.asarray(row, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DimensionMismatch("empirical norm expects a nonempty vector")
-    return float(np.sqrt(np.mean(arr * arr)))
-
-
-def empirical_dist(row_a, row_b) -> float:
-    """Empirical norm of the difference; a pseudometric on rows."""
-    a = np.asarray(row_a, dtype=np.float64)
-    b = np.asarray(row_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"rows of length {a.shape} vs {b.shape}")
-    return empirical_norm(a - b)
 
 
 def _distance_matrix(evals: np.ndarray) -> np.ndarray:

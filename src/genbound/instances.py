@@ -43,10 +43,6 @@ class DiscreteInstance:
         return cls(arr, float(envelope_b), dist)
 
     @property
-    def m(self) -> int:
-        return self.table.shape[0]
-
-    @property
     def support_class(self) -> EvaluatedClass:
         """The class on the whole support: column a holds every f_i at support point a.
 

@@ -128,25 +128,21 @@ def massart_bound(cls: EvaluatedClass) -> float:
     return largest * math.sqrt(2.0 * math.log(cls.m)) / cls.n
 
 
-def augment_with_negations(cls: EvaluatedClass) -> EvaluatedClass:
-    """The class together with its negations; its without-abs complexity equals
-    the absolute-value complexity of the original class."""
-    return EvaluatedClass(np.vstack([cls.evals, -cls.evals]), cls.envelope_b)
-
-
 def _sample_balls(kind: str, radius: float, d: int, count: int, seeds) -> np.ndarray:
-    """``count`` points from each seed's own words, all transformed in one batch.
+    """``count`` points in the ``kind`` ball ("l2", "l1" or "linf") of ``radius`` from
+    each seed's own words, all transformed in one batch.
 
-    Rows come seed by seed; every row is transformed on its own, so each
+    l2 scales a Gaussian direction by radius * u**(1/d); l1 scales signed
+    exponentials normalized onto the simplex the same way; linf is
+    coordinatewise uniform.  Points satisfy the norm constraint to within
+    1e-12.  Rows come seed by seed; every row is transformed on its own, so each
     seed's points are those it would give alone.
     """
     if radius < 0.0:
         raise InvalidRadius("radius must be nonnegative")
     if d < 1:
         raise InvariantViolation("d must be at least 1")
-    words_per_point = {"l2": d + 1, "l1": 2 * d + 1, "linf": d}.get(kind)
-    if words_per_point is None:
-        raise InvariantViolation(f"unknown ball kind {kind!r}; expected l2, l1, or linf")
+    words_per_point = {"l2": d + 1, "l1": 2 * d + 1, "linf": d}[kind]
     _check_draw_budget(len(seeds) * count, words_per_point)  # the batch over all seeds
     words = np.concatenate([draw_words(seed, 0, count, words_per_point) for seed in seeds])
     if kind == "l2":
@@ -171,17 +167,6 @@ def _sample_balls(kind: str, radius: float, d: int, count: int, seeds) -> np.nda
         radial = radius * words_to_uniforms(words[:, 2 * d]) ** (1.0 / d)
         return signs * simplex * radial[:, None]
     return radius * (2.0 * words_to_uniforms(words) - 1.0)
-
-
-def sample_ball(kind: str, radius: float, d: int, count: int, seed: int) -> np.ndarray:
-    """Seeded points uniform in an l2, l1, or l-infinity ball of the given radius.
-
-    l2 uses a Gaussian direction scaled by radius * u**(1/d); l1 uses the
-    signed exponential (simplex) method with the same radial scaling; linf is
-    coordinatewise uniform.  Outputs satisfy the norm constraint to within
-    1e-12 and are a pure function of (seed, index range).
-    """
-    return _sample_balls(kind, radius, d, count, [seed])
 
 
 def random_linear_instances(

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tomllib
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from genbound.cli import (
 from genbound.core import EvaluatedClass, derive_seed
 from genbound.instances import DiscreteInstance, random_discrete_instance, random_evaluated_class
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def write_config(tmp_path, name, config):
@@ -504,6 +506,29 @@ class TestConfigErrors:
         "random class seed": (
             "rademacher", {"class": {"random": {"m": 2, "n": 3, "seed": -5}}}, "rademacher.class.random.seed"
         ),
+        # counts that size an array, each refused before it is allocated
+        "random class rows": (
+            "rademacher", {"class": {"random": {"m": 10**9, "n": 3, "seed": 1}}}, "rademacher.class.random needs"
+        ),
+        "random class columns": (
+            "rademacher", {"class": {"random": {"m": 4, "n": 10**9, "seed": 1}}}, "rademacher.class.random needs"
+        ),
+        "random instance support": (
+            "deviation", {"instance": {"random": {"m": 2, "support_size": 10**9, "seed": 1}}, "n": 2},
+            "deviation.instance.random needs",
+        ),
+        "rademacher draws": (
+            "rademacher", {"class": EVALS, "method": "mc", "seed": 1, "draws": 10**12}, "rademacher.draws"
+        ),
+        "tail trials": ("tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "trials": 10**12}, "tail.trials"),
+        "tail rademacher draws": (
+            "tail",
+            {"instance": RANDOM_INSTANCE, "n": 6, "seed": 1, "rademacher_draws": 10**12, "caps": {"product": 10}},
+            "tail.rademacher_draws",
+        ),
+        "dudley grid points": ("dudley", {"class": EVALS, "grid_points": 10**9}, "dudley.grid_points"),
+        "dudley epsilon count": ("dudley", {"class": EVALS, "epsilon_count": 10**9}, "dudley.epsilon_count"),
+        "linear count above its bound": ("linear", {"seed": 1, "count": 10**8}, "linear.count"),
         "linear n": ("linear", {"seed": 1, "n": 0}, "linear.n"),
         "symmetrize n": ("symmetrize", {"instance": RANDOM_INSTANCE, "n": -1}, "symmetrize.n"),
         "tail epsilons": (
@@ -941,6 +966,10 @@ class TestEmitCurve:
 
 
 class TestInternals:
+    def test_package_version_is_the_project_version(self):
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            assert genbound.__version__ == tomllib.load(handle)["project"]["version"]
+
     def test_runs_without_scipy(self, tmp_path):
         # a None entry in sys.modules makes every import of scipy fail
         identity = {"family": "identity", "support": [-1.0, 1.0], "probs": [0.5, 0.5]}

@@ -27,6 +27,7 @@ from genbound.core import (
     ExactEnumerationLimit,
     InvariantViolation,
     Sample,
+    derive_seed,
 )
 from genbound.instances import identity_instance, random_discrete_instance, random_evaluated_class
 
@@ -251,6 +252,23 @@ class TestExpectedMonteCarloOnSupport:
         assert one == two and one.method is Method.MONTE_CARLO
         exact = expected_rademacher(inst.support_class, inst.dist, 6).value
         assert abs(one.value - exact) <= 5.0 * one.std_error
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_above_the_sign_cap_equals_per_draw_inner_estimates(self, threads, monkeypatch):
+        inst = random_discrete_instance(4, m=3, support_size=2)
+        cls, n, draws, seed = inst.support_class, 6, 300, 5
+        # each draw's value is the inner estimate on its own sample, from the draw's own seed
+        idx = inst.dist.draw_index_trials(seed, 0, draws, n)
+        values = np.array([
+            empirical_rademacher_mc(
+                EvaluatedClass(cls.evals[:, row], cls.envelope_b, validate=False),
+                complexity._INNER_DRAWS, derive_seed(seed, f"inner:{j}"),
+            ).value
+            for j, row in enumerate(idx)
+        ])
+        monkeypatch.setattr(complexity, "_MC_CHUNK", 64)  # the draws span five chunks
+        result = expected_rademacher_mc(cls, inst.dist, n, draws, seed, threads=threads, sign_cap=4)
+        assert result == _mc_result(values, draws, seed)
 
     def test_class_off_the_support_raises_before_drawing(self, monkeypatch):
         def draw(*args):

@@ -123,7 +123,7 @@ class TestDomainTypes:
 
     def test_sample_dimensions(self):
         assert Sample([1.0, 2.0]).n == 2
-        assert Sample([[1.0, 2.0]]).point_dim == 2
+        assert Sample([[1.0, 2.0]]).points.shape == (1, 2)
 
     def test_distribution_validates_sum(self):
         with pytest.raises(InvariantViolation):

@@ -9,7 +9,6 @@ from genbound import complexity, deviation
 from genbound.complexity import _MC_CHUNK
 from genbound.concentration import simulate_tail
 from genbound.core import (
-    DimensionMismatch,
     DiscreteDistribution,
     EvaluatedClass,
     ExactEnumerationLimit,
@@ -19,7 +18,6 @@ from genbound.deviation import (
     _sample_deviations,
     audit_bounded_difference,
     check_symmetrization_identity,
-    uniform_deviation,
     verify_expectation_bound,
 )
 from genbound.instances import DiscreteInstance, identity_instance, random_discrete_instance
@@ -32,23 +30,20 @@ def uniform01():
 
 
 class TestUniformDeviation:
+    """The uniform deviation of a sample of support indices on the class on the whole support."""
+
     def test_matching_mean_is_zero(self):
         cls = EvaluatedClass([[0.5, 0.5]], 1.0)
-        assert uniform_deviation(cls, [0.5]) == 0.0
+        assert _sample_deviations(cls, np.array([0.5]), np.array([[0, 1]])).tolist() == [0.0]
 
     def test_identity_class(self):
         inst = identity_instance(uniform01())
-        cls = EvaluatedClass(inst.table[:, [1, 1]], inst.envelope_b)
-        assert uniform_deviation(cls, inst.dist.expectation(inst.table)) == 0.5
+        means = inst.dist.expectation(inst.table)
+        assert _sample_deviations(inst.support_class, means, np.array([[1, 1]])).tolist() == [0.5]
 
     def test_max_selection(self):
         cls = EvaluatedClass([[0.2, 0.2], [0.7, 0.7]], 1.0)
-        assert uniform_deviation(cls, [0.0, 0.0]) == pytest.approx(0.7)
-
-    def test_means_of_wrong_length(self):
-        for means in ([], [0.1, 0.2], [[0.1]]):
-            with pytest.raises(DimensionMismatch):
-                uniform_deviation(EvaluatedClass([[0.5]], 1.0), means)
+        assert _sample_deviations(cls, np.zeros(2), np.array([[0, 1]])) == pytest.approx([0.7])
 
     @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10**6))
     def test_matches_oracle_and_range(self, m, n, seed):
@@ -56,8 +51,9 @@ class TestUniformDeviation:
         evals = rng.uniform(-1, 1, (m, n))
         means = rng.uniform(-1, 1, m)
         cls = EvaluatedClass(evals, 1.0)
-        value = uniform_deviation(cls, means)
-        assert value == pytest.approx(oracle_uniform_deviation(evals, means), abs=1e-12)
+        sample = rng.integers(0, n, n)
+        [value] = _sample_deviations(cls, means, sample[None])
+        assert value == pytest.approx(oracle_uniform_deviation(evals[:, sample], means), abs=1e-12)
         assert 0.0 <= value <= 2.0 * cls.envelope_b + 1e-12
 
 

@@ -29,12 +29,11 @@ from genbound.deviation import (
     _sample_deviations,
     audit_bounded_difference,
     check_symmetrization_identity,
-    uniform_deviation,
     verify_expectation_bound,
 )
 from genbound.instances import random_discrete_instance
 
-from conftest import enumerate_product
+from conftest import enumerate_product, oracle_uniform_deviation
 
 # largest n per support size whose symmetrization stays within the default cap
 _SYM_MAX_N = {2: 6, 3: 4, 4: 3}
@@ -57,7 +56,7 @@ def tuple_reference(inst, n: int) -> dict:
     ud, ud_terms, rn_terms = {}, [], []
     for idx, weight in enumerate_product(inst.dist, n):
         cls = _on_sample(inst, idx)
-        ud[idx] = uniform_deviation(cls, means)
+        ud[idx] = oracle_uniform_deviation(cls.evals, means)
         ud_terms.append(weight * ud[idx])
         rn_terms.append(weight * empirical_rademacher(cls).value)
     max_delta = 0.0
