@@ -168,18 +168,38 @@ def _one_of(forms: dict):
     return convert
 
 
+def _random(width: str):
+    """A random spec: m rows of ``width`` values, m * width of them at most _MAX_RANDOM_VALUES."""
+    schema = {
+        "m": (_size, _REQUIRED),
+        "envelope_b": (_nonnegative, 1.0),
+        "seed": (_optional(_natural), None),
+        width: (_size, _REQUIRED),
+    }
+
+    def convert(value, path):
+        spec = _fields(schema, value, path)
+        if spec["m"] * spec[width] > _MAX_RANDOM_VALUES:
+            raise UsageError(
+                f"{path} needs m * {width} = {spec['m']} * {spec[width]} values, "
+                f"above the budget of {_MAX_RANDOM_VALUES}"
+            )
+        return spec
+
+    return convert
+
+
 _SEED = (_optional(_int), None)
-_RANDOM = {"m": (_size, _REQUIRED), "envelope_b": (_nonnegative, 1.0), "seed": (_optional(_natural), None)}
 _MEASURE = {"support": (_array, _REQUIRED), "probs": (_array, _REQUIRED)}
 _CLASS_FORMS = {
-    "random": {"random": (_object({**_RANDOM, "n": (_size, _REQUIRED)}), _REQUIRED)},
+    "random": {"random": (_random("n"), _REQUIRED)},
     "evals": {
         "evals": (_array, _REQUIRED),
         "envelope_b": (_optional(_nonnegative), None),
     },
 }
 _INSTANCE_FORMS = {
-    "random": {"random": (_object({**_RANDOM, "support_size": (_size, _REQUIRED)}), _REQUIRED)},
+    "random": {"random": (_random("support_size"), _REQUIRED)},
     "family": {"family": (_choice("identity"), _REQUIRED), **_MEASURE},
     "table": {"table": (_array, _REQUIRED), **_MEASURE, "envelope_b": (_nonnegative, _REQUIRED)},
 }
@@ -254,12 +274,6 @@ def _random_args(spec: dict, seed, path: str) -> tuple[int, dict]:
         raise UsageError(f"{path}.random.seed is required when the config has no seed")
     if own is None and seed < 0:
         raise UsageError(f"{path}.random.seed falls back to the config seed {seed}, below 0")
-    width = "n" if "n" in kwargs else "support_size"
-    if kwargs["m"] * kwargs[width] > _MAX_RANDOM_VALUES:
-        raise UsageError(
-            f"{path}.random needs m * {width} = {kwargs['m']} * {kwargs[width]} values, "
-            f"above the budget of {_MAX_RANDOM_VALUES}"
-        )
     return (seed if own is None else own), kwargs
 
 
@@ -285,6 +299,17 @@ def _build_instance(form: str, spec: dict, seed, path: str) -> DiscreteInstance:
     return DiscreteInstance.from_table(spec["table"], spec["envelope_b"], dist, check_envelope=False)
 
 
+def _check_batches(command: str, cfg: dict) -> None:
+    """Refuse, from a random spec's shape alone, a batch that the command would
+    refuse only after drawing the spec's table: the count matrix of a tail
+    chunk on the support, or the sign batch of a Monte Carlo rademacher."""
+    if command == "tail" and cfg["instance"][0] == "random":
+        concentration.check_tail_trials(cfg["instance"][1]["random"]["support_size"], cfg["trials"])
+    # "auto" may fall back to Monte Carlo; a class narrow enough for the exact kernel passes
+    if command == "rademacher" and cfg["class"][0] == "random" and cfg["method"] != "exact":
+        complexity.check_mc_draws(cfg["class"][1]["random"]["n"], cfg["draws"])
+
+
 def _parse(config: dict) -> dict:
     """The config converted by its command's schema, with its class or instance built.
 
@@ -297,6 +322,7 @@ def _parse(config: dict) -> dict:
     for first, second in _EXCLUSIVE:
         if cfg.get(first) is not None and second in config:
             raise UsageError(f"{command}.{first} and {command}.{second} cannot both be given")
+    _check_batches(command, cfg)
     if "class" in cfg:
         cfg["class"] = _build_class(*cfg["class"], cfg["seed"], f"{command}.class")
     if "instance" in cfg:

@@ -30,6 +30,7 @@ from .core import (
     ExactEnumerationLimit,
     InvariantViolation,
     Sample,
+    _check_draw_budget,
     _tree_sums,
     derive_seed,
     deterministic_sum,
@@ -197,6 +198,13 @@ def empirical_rademacher_mc(
         lambda start, stop: _sign_draw_values(cls.evals, draw_signs(seed, start, stop - start, cls.n)),
         draws, seed, threads,
     )
+
+
+def check_mc_draws(n: int, draws: int) -> None:
+    """Refuse, from the class width alone, the chunk of signs that
+    ``empirical_rademacher_mc`` would refuse first: a caller can check a class
+    before building it."""
+    _check_draw_budget(min(draws, _MC_CHUNK), n)
 
 
 def _check_support_class(cls: EvaluatedClass, dist: DiscreteDistribution) -> None:

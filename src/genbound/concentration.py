@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import _check_support_class, _run_chunks
+from .complexity import _MC_CHUNK, _check_support_class, _run_chunks
 from .core import (
     DiscreteDistribution,
     EvaluatedClass,
@@ -25,7 +25,7 @@ from .core import (
     InvalidEnvelope,
     InvariantViolation,
 )
-from .deviation import _sample_deviations
+from .deviation import _check_count_matrix, _sample_deviations
 
 
 def mcdiarmid_bound(epsilon: float, n: int, b: float) -> float:
@@ -187,6 +187,13 @@ class TailExperiment:
             raise InvariantViolation("empirical_freq must equal exceed_count / trials")
         if self.ci_upper < self.empirical_freq:
             raise InvariantViolation("ci_upper must dominate the empirical frequency")
+
+
+def check_tail_trials(support_size: int, trials: int) -> None:
+    """Refuse, from the support size alone, the count matrix of a chunk of
+    trials that ``simulate_tail`` would refuse: a caller can check an instance
+    before building it."""
+    _check_count_matrix(support_size, min(trials, _MC_CHUNK))
 
 
 def simulate_tail(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
@@ -284,6 +285,21 @@ def _check_draw_budget(count: int, per_draw: int) -> None:
         )
 
 
+_THREAD = threading.local()
+
+
+def _philox() -> Philox:
+    """This thread's bit generator, which ``draw_words`` resets on every call.
+
+    One per thread, built once from a fixed seed, so no call draws OS entropy
+    for a ``SeedSequence`` and no call sees another thread's state.
+    """
+    gen = getattr(_THREAD, "philox", None)
+    if gen is None:
+        gen = _THREAD.philox = Philox(0)
+    return gen
+
+
 def draw_words(seed: int, first_draw: int, count: int, words_per_draw: int) -> np.ndarray:
     """Raw 64-bit words for draws [first_draw, first_draw + count).
 
@@ -299,7 +315,16 @@ def draw_words(seed: int, first_draw: int, count: int, words_per_draw: int) -> n
         return np.empty((0, words_per_draw), dtype=_U64)
     if not 0 <= seed <= _MAX_SEED:
         raise InvariantViolation(f"seed must be an unsigned 64-bit integer, got {seed}")
-    gen = Philox(key=seed, counter=[first_draw * blocks_per_draw, 0, 0, 0])
+    gen = _philox()
+    # a fresh Philox(key=seed, counter=[first_draw * blocks_per_draw, 0, 0, 0]): empty buffer
+    gen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (first_draw * blocks_per_draw, 0, 0, 0), "key": (seed, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     raw = gen.random_raw(count * blocks_per_draw * 4)
     return raw.reshape(count, blocks_per_draw * 4)[:, :words_per_draw]
 

@@ -33,12 +33,15 @@ from .core import (
     GenboundError,
     InvalidRadius,
     InvariantViolation,
+    _tree_sums,
     deterministic_sum,
 )
 
 DEFAULT_COVER_CAP = 16  # exact minimal covers up to this many distinct rows
 MAX_COVER_CAP = 20  # the subset table of 20 distinct rows takes 2**20 * 20 * 8 bytes, 168 MB
-_DIFFERENCE_BLOCK = 1 << 22  # row differences per block of the distance matrix: 32 MB
+_DIFFERENCE_BLOCK = 1 << 17  # squared differences per block of the distance matrix: 1 MB
+_PLANE_TERMS = 128  # widest class whose distances are summed across column planes
+_GRID_BLOCK = 1 << 24  # Riemann cells per array of radii: 128 MB a temporary
 
 
 class CoverMethod(str, Enum):
@@ -46,12 +49,42 @@ class CoverMethod(str, Enum):
     GREEDY = "greedy"
 
 
-def _distance_matrix(evals: np.ndarray) -> np.ndarray:
-    """Pairwise empirical distances; the same bits as sqrt(mean(diff**2)), in place.
+def _sum_planes(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + ... + terms[-1], summed in place in the order numpy's add.reduce
+    sums at most _PLANE_TERMS values.
 
-    The m x m matrix may hold at most MAX_DRAW_ELEMENTS values.  It is filled
-    in blocks of rows with at most _DIFFERENCE_BLOCK differences, or of one
-    row; each distance is reduced alone, so blocking changes no bit.
+    numpy sums fewer than 8 values in order; up to 128 values it keeps 8 lanes,
+    lane j summing values j, j + 8, ..., combines them as ((0 + 1) + (2 + 3)) +
+    ((4 + 5) + (6 + 7)) and adds the rest in order.  Each plane here is one
+    value of many reductions at once.
+    """
+    count = len(terms)
+    rest = 1
+    if count >= 8:
+        lanes = terms[:8]
+        rest = count - count % 8
+        for i in range(8, rest, 8):
+            lanes += terms[i : i + 8]
+        lanes[0::2] += lanes[1::2]
+        lanes[0::4] += lanes[2::4]
+        terms[0] += terms[4]
+    for i in range(rest, count):
+        terms[0] += terms[i]
+    return terms[0]
+
+
+def _distance_matrix(evals: np.ndarray) -> np.ndarray:
+    """Pairwise empirical distances; the same bits as sqrt(mean(diff**2, axis=2)).
+
+    The m x m matrix may hold at most MAX_DRAW_ELEMENTS values.  Its upper
+    triangle is filled in blocks of rows, each with at most _DIFFERENCE_BLOCK
+    squared differences, or of one row, and each block is mirrored below the
+    diagonal: (x - y)**2 and (y - x)**2 are equal bit for bit.  Up to
+    _PLANE_TERMS columns a block holds one plane of squared differences per
+    column, summed across planes in numpy's order (``_sum_planes``; numpy
+    starts from 0.0, and 0.0 + x is x for a square): n vector additions
+    instead of one n-term reduction per distance.  Wider blocks are reduced
+    by numpy itself.  Each distance is summed alone, so blocking changes no bit.
     """
     m, n = evals.shape
     if m * m > MAX_DRAW_ELEMENTS:
@@ -60,12 +93,26 @@ def _distance_matrix(evals: np.ndarray) -> np.ndarray:
             f"above the budget of {MAX_DRAW_ELEMENTS}"
         )
     dm = np.empty((m, m))
-    step = max(1, _DIFFERENCE_BLOCK // (m * n))
-    for start in range(0, m, step):
-        diff = evals[start : start + step, None, :] - evals[None, :, :]
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=2, out=dm[start : start + step])
-    dm /= n
+    columns = np.ascontiguousarray(evals.T) if n <= _PLANE_TERMS else None
+    # one buffer serves every block: a block of one row holds n * m values at most
+    buffer = np.empty(min(n * m * m, max(_DIFFERENCE_BLOCK, n * m)))
+    start = 0
+    while start < m:
+        stop = min(m, start + max(1, _DIFFERENCE_BLOCK // (n * (m - start))))
+        block = buffer[: n * (stop - start) * (m - start)]
+        if columns is not None:
+            terms = block.reshape(n, stop - start, m - start)
+            np.subtract(columns[:, start:stop, None], columns[:, None, start:], out=terms)
+            np.multiply(terms, terms, out=terms)
+            sums = _sum_planes(terms)
+        else:
+            diff = block.reshape(stop - start, m - start, n)
+            np.subtract(evals[start:stop, None, :], evals[None, start:, :], out=diff)
+            np.multiply(diff, diff, out=diff)
+            sums = np.add.reduce(diff, axis=2)
+        np.divide(sums, n, out=dm[start:stop, start:])
+        dm[stop:, start:stop] = dm[start:stop, stop:].T
+        start = stop
     return np.sqrt(dm, out=dm)
 
 
@@ -154,8 +201,8 @@ def _greedy_sequence(sub: np.ndarray) -> tuple[list[int], np.ndarray]:
     nearest = sub[0].copy()
     radii = []
     while True:
-        farthest = int(np.argmax(nearest))
-        radius = float(nearest[farthest])
+        farthest = int(nearest.argmax())
+        radius = nearest.item(farthest)
         radii.append(radius)
         if radius <= 0.0:
             break
@@ -236,31 +283,62 @@ class DudleyResult:
     grid_points: int | None  # None means exact breakpoint integration
 
 
-def _bound_from_profile(
-    profile: _CoverProfile,
-    c: float,
-    n_sample: int,
-    epsilon: float,
-    method: CoverMethod,
-    grid_points: int | None,
-) -> DudleyResult:
-    if not 0.0 < epsilon < c / 2.0:
-        raise InvalidRadius(f"epsilon must lie in (0, {c / 2.0}), got {epsilon}")
+def _check_radii(epsilons: list[float], c: float, grid_points: int | None) -> None:
+    """Refuse an empty grid, a radius outside (0, c/2) or a grid of no cells."""
+    if not epsilons:
+        raise InvalidRadius("epsilon grid is empty")
+    for epsilon in epsilons:
+        if not 0.0 < epsilon < c / 2.0:
+            raise InvalidRadius(f"epsilon must lie in (0, {c / 2.0}), got {epsilon}")
+    if grid_points is not None and grid_points < 1:
+        raise InvariantViolation("grid_points must be at least 1")
+
+
+def _breakpoints(
+    profile: _CoverProfile, c: float, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The step function's pieces on [eps, c/2]: left endpoints, N there, and the exact integral."""
+    inner = [float(v) for v in profile.thresholds if epsilon < v < c / 2.0]
+    knots = np.asarray([epsilon, *inner, c / 2.0])
+    sizes = profile.size_at(knots[:-1])
+    return knots[:-1], sizes, deterministic_sum(np.sqrt(np.log(sizes)) * np.diff(knots))
+
+
+def _riemann(
+    profile: _CoverProfile, c: float, eps: np.ndarray, grid_points: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left-endpoint Riemann sums on [eps, c/2], one row per radius: cells, N there, integrals.
+
+    Each row sum is the tree of ``deterministic_sum``, so a radius gets the
+    bits of its grid alone, whichever radii share the array.
+    """
+    width = (c / 2.0 - eps) / grid_points
+    grid = eps[:, None] + width[:, None] * np.arange(grid_points, dtype=np.float64)
+    counts = profile.size_at(grid)
+    return grid, counts, _tree_sums(np.sqrt(np.log(counts))) * width
+
+
+def _integrals(
+    profile: _CoverProfile, c: float, epsilons: list[float], grid_points: int | None
+) -> np.ndarray:
+    """The integral over [eps, c/2] of each radius.
+
+    Breakpoint integration takes one radius at a time; Riemann grids are taken
+    together, in arrays of at most _GRID_BLOCK cells or of one radius.
+    """
     if grid_points is None:
-        inner = [float(v) for v in profile.thresholds if epsilon < v < c / 2.0]
-        knots = np.asarray([epsilon, *inner, c / 2.0])
-        radii = knots[:-1]
-        sizes = profile.size_at(radii)
-        integral = deterministic_sum(np.sqrt(np.log(sizes)) * np.diff(knots))
-    else:
-        if grid_points < 1:
-            raise InvariantViolation("grid_points must be at least 1")
-        width = (c / 2.0 - epsilon) / grid_points
-        radii = epsilon + width * np.arange(grid_points, dtype=np.float64)
-        sizes = profile.size_at(radii)
-        integral = deterministic_sum(np.sqrt(np.log(sizes))) * width
-    bound = 4.0 * epsilon + (12.0 / math.sqrt(n_sample)) * integral
-    return DudleyResult(bound, float(epsilon), c, integral, radii, sizes, method, grid_points)
+        return np.asarray([_breakpoints(profile, c, eps)[2] for eps in epsilons])
+    eps = np.asarray(epsilons)
+    step = max(1, _GRID_BLOCK // grid_points)
+    # only the integrals are kept, so one array of cells is alive at a time
+    return np.concatenate(
+        [_riemann(profile, c, eps[i : i + step], grid_points)[2] for i in range(0, eps.size, step)]
+    )
+
+
+def _bounds(integrals: np.ndarray, epsilons: list[float], n_sample: int) -> list[float]:
+    """4*eps + (12/sqrt(n)) * integral, per radius."""
+    return (4.0 * np.asarray(epsilons) + (12.0 / math.sqrt(n_sample)) * integrals).tolist()
 
 
 def dudley_bound(
@@ -279,9 +357,17 @@ def dudley_bound(
     only enlarge N, so either way the returned value stays a valid bound.
     """
     method = CoverMethod(cover_method)
+    epsilons = [float(epsilon)]
     c = largest_norm(cls)
+    _check_radii(epsilons, c, grid_points)
     profile = _cover_profile(cls, method, cover_cap)
-    return _bound_from_profile(profile, c, cls.n, float(epsilon), method, grid_points)
+    if grid_points is None:
+        radii, sizes, integral = _breakpoints(profile, c, epsilons[0])
+    else:
+        grid, counts, integrals = _riemann(profile, c, np.asarray(epsilons), grid_points)
+        radii, sizes, integral = grid[0], counts[0], float(integrals[0])
+    bound = _bounds(np.asarray([integral]), epsilons, cls.n)[0]
+    return DudleyResult(bound, epsilons[0], c, integral, radii, sizes, method, grid_points)
 
 
 @dataclass(frozen=True)
@@ -312,19 +398,21 @@ def verify_dudley(
 ) -> DudleyReport:
     """Certify the entropy integral bound at every admissible radius in the grid.
 
-    Every radius gets an entry with its own verdict.  The covering-number step
+    Every radius gets an entry with its own verdict.  The radii are checked
+    before any complexity or cover is computed.  The covering-number step
     function is computed once and shared by the whole radius grid; its values
     are exactly those a direct cover evaluation gives.
     """
     method = CoverMethod(cover_method)
-    lhs = empirical_rademacher_without_abs(cls, sign_cap=sign_cap).value
+    epsilons = [float(eps) for eps in epsilon_grid]
     c = largest_norm(cls)
+    _check_radii(epsilons, c, grid_points)
+    lhs = empirical_rademacher_without_abs(cls, sign_cap=sign_cap).value
     profile = _cover_profile(cls, method, cover_cap)
-    entries = []
-    for eps in epsilon_grid:
-        bound = _bound_from_profile(profile, c, cls.n, float(eps), method, grid_points).bound
-        entries.append(DudleyEntry(float(eps), bound, bound - lhs, lhs <= bound + tol))
-    if not entries:
-        raise InvalidRadius("epsilon grid is empty")
+    bounds = _bounds(_integrals(profile, c, epsilons, grid_points), epsilons, cls.n)
+    entries = [
+        DudleyEntry(eps, bound, bound - lhs, lhs <= bound + tol)
+        for eps, bound in zip(epsilons, bounds)
+    ]
     best = min(entries, key=lambda e: e.bound)
     return DudleyReport(lhs, tuple(entries), best.epsilon, method)

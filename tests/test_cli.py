@@ -745,6 +745,14 @@ class TestLargeSampleSize:
             "tail",
             {"instance": {"random": {"m": 2, "support_size": 200000, "seed": 1}}, "n": 1, "seed": 1, "trials": 1000},
         ),
+        # refused from the random spec's shape, before its table is drawn
+        "tail on a random support of 2^24 points": (
+            "tail",
+            {"instance": {"random": {"m": 1, "support_size": 1 << 24, "seed": 1}}, "n": 1, "seed": 1, "trials": 1000},
+        ),
+        "Monte Carlo rademacher on a random 1 x 2^24 class": (
+            "rademacher", {"class": {"random": {"m": 1, "n": 1 << 24, "seed": 1}}, "seed": 1, "draws": 100}
+        ),
     }
 
     @staticmethod
@@ -767,6 +775,15 @@ class TestLargeSampleSize:
         out = self.run_in_three_gigabytes(tmp_path, *self.CASES[case])
         assert out.returncode == 1 and len(out.stderr.splitlines()) == 1, out.stderr
         assert out.stderr.startswith("genbound: ") and "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "case", ["tail on a random support of 2^24 points", "Monte Carlo rademacher on a random 1 x 2^24 class"]
+    )
+    def test_wide_random_specs_are_refused_before_their_tables_are_drawn(self, tmp_path, case):
+        started = time.perf_counter()
+        out = self.run_in_three_gigabytes(tmp_path, *self.CASES[case])
+        elapsed = time.perf_counter() - started
+        assert out.returncode == 1 and elapsed < 1.0, (elapsed, out.stderr)
 
     def test_linear_refuses_n_above_the_sign_cap_before_drawing(self, tmp_path):
         started = time.perf_counter()

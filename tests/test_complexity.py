@@ -4,11 +4,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from genbound import complexity
+from genbound import complexity, core
 from genbound.complexity import (
     ComplexityResult,
     GridFamily,
     Method,
+    check_mc_draws,
     check_without_abs_le_abs,
     empirical_rademacher,
     empirical_rademacher_mc,
@@ -23,6 +24,7 @@ from genbound.complexity import (
 from genbound.core import (
     DimensionMismatch,
     DiscreteDistribution,
+    DrawBudgetExceeded,
     EvaluatedClass,
     ExactEnumerationLimit,
     InvariantViolation,
@@ -151,6 +153,21 @@ class TestEmpiricalMonteCarlo:
         large = empirical_rademacher_mc(cls, 16_000, 11)
         ratio = small.std_error / large.std_error
         assert 1.0 <= ratio <= 4.0  # ~2 expected; allow a factor-2 band
+
+
+    @pytest.mark.parametrize("draws", [100, 101, _MC_CHUNK + 1])
+    def test_draws_checked_from_the_width_as_the_estimate_checks_them(self, monkeypatch, draws):
+        monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 3 * 100)  # 100 draws of 3 signs fit
+        cls = random_evaluated_class(1, m=2, n=3)
+        outcomes = []
+        for check in (lambda: check_mc_draws(3, draws), lambda: empirical_rademacher_mc(cls, draws, 1)):
+            try:
+                check()
+                outcomes.append(None)
+            except DrawBudgetExceeded as refused:
+                outcomes.append(str(refused))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (draws == 100)
 
 
 class TestExpected:

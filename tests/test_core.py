@@ -1,10 +1,13 @@
 import math
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from genbound import core
@@ -207,7 +210,7 @@ class TestRandomness:
         def refuse(*args, **kwargs):
             raise AssertionError("words were drawn")
 
-        monkeypatch.setattr(core, "Philox", refuse)
+        monkeypatch.setattr(core, "_philox", refuse)
         over = (
             lambda: draw_words(1, 0, 13, 5),
             lambda: draw_signs(1, 0, 1, 61),  # 61 signs, though they fit in one word
@@ -216,6 +219,42 @@ class TestRandomness:
         for draw in over:
             with pytest.raises(DrawBudgetExceeded):
                 draw()
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(0, 12), st.integers(1, 13))
+    @example(0, 0, 5, 5)
+    @example(2**64 - 1, 2**40, 3, 13)
+    def test_draw_words_equal_a_fresh_philox(self, seed, first, count, words_per_draw):
+        blocks = -(-words_per_draw // 4)
+        fresh = Philox(key=seed, counter=[first * blocks, 0, 0, 0]).random_raw(count * blocks * 4)
+        expected = fresh.reshape(count, blocks * 4)[:, :words_per_draw]
+        words = draw_words(seed, first, count, words_per_draw)
+        assert words.dtype == np.uint64 and np.array_equal(words, expected)
+
+    def test_threads_drawing_interleaved_seeds_get_the_serial_words(self):
+        calls = [(seed, first, 3, 5) for first in range(0, 120, 3) for seed in (0, 2**64 - 1, 77)]
+        serial = [draw_words(*call) for call in calls]
+        threads, rounds = 4, 20  # more threads than cores, each starting at another call
+        mismatches = []
+
+        def work(offset):
+            for _ in range(rounds):
+                for i in range(len(calls)):
+                    j = (i + offset) % len(calls)
+                    if not np.array_equal(draw_words(*calls[j]), serial[j]):
+                        mismatches.append(calls[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t * 7,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert mismatches == []
 
     def test_index_trials_chunking(self):
         dist = DiscreteDistribution([0.0, 1.0, 2.0], [0.1, 0.4, 0.5])

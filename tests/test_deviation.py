@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from genbound import complexity, deviation
 from genbound.complexity import _MC_CHUNK
-from genbound.concentration import simulate_tail
+from genbound.concentration import check_tail_trials, simulate_tail
 from genbound.core import (
     DiscreteDistribution,
     EvaluatedClass,
@@ -130,6 +130,23 @@ class TestCountBudget:
             f"5 * {_MC_CHUNK} = {5 * _MC_CHUNK} values, above the budget of 99"
         }
 
+
+    @pytest.mark.parametrize("trials", [1000, 1001, _MC_CHUNK + 1])
+    def test_tail_trials_checked_from_the_support_as_simulate_tail_checks_them(self, monkeypatch, trials):
+        monkeypatch.setattr(deviation, "MAX_DRAW_ELEMENTS", 5 * 1000)  # 1,000 samples on 5 points fit
+        inst = random_discrete_instance(3, m=2, support_size=5)
+        outcomes = []
+        for check in (
+            lambda: check_tail_trials(5, trials),
+            lambda: simulate_tail(inst.support_class, inst.dist, 2, 0.1, trials, 7, 0.0),
+        ):
+            try:
+                check()
+                outcomes.append(None)
+            except GenboundError as refused:
+                outcomes.append(str(refused))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == (trials == 1000)
 
     def test_expectation_bound_refuses_the_count_matrix_before_building_orbits(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genbound import entropy
+from genbound import complexity, entropy
 from genbound.complexity import empirical_rademacher_without_abs
 from genbound.core import (
     DegenerateClass,
@@ -115,12 +115,26 @@ class TestPseudometric:
         evals = rng.uniform(-1, 1, (5, 4))
         assert np.allclose(_distance_matrix(evals), oracle_distance_matrix(evals), atol=1e-12)
 
-    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 10**6))
+    # several triangle blocks, each lane count of the column planes up to 128, and numpy's own
+    # reduction above
+    @given(st.integers(1, 200), st.integers(1, 300), st.integers(0, 10**6))
+    @example(200, 300, 0)
+    @example(130, 129, 1)
+    @example(57, 8, 2)
+    @example(3, 7, 3)
     def test_distance_matrix_equals_mean_form_bitwise(self, rows, n, seed):
         evals = np.random.default_rng(seed).uniform(-1, 1, (rows, n))
-        diff = evals[:, None, :] - evals[None, :, :]
-        reference = np.sqrt(np.mean(diff * diff, axis=2))
+        reference = np.empty((rows, rows))
+        for start in range(0, rows, 16):  # the whole difference array, 16 rows at a time
+            diff = evals[start : start + 16, None, :] - evals[None, :, :]
+            reference[start : start + 16] = np.sqrt(np.mean(diff * diff, axis=2))
         np.testing.assert_array_equal(_distance_matrix(evals), reference)
+
+    @given(st.integers(1, 200), st.integers(1, 40), st.integers(0, 10**6))
+    def test_distance_matrix_is_symmetric_with_a_positive_zero_diagonal(self, rows, n, seed):
+        dm = _distance_matrix(np.random.default_rng(seed).normal(size=(rows, n)))
+        assert dm.tobytes() == np.ascontiguousarray(dm.T).tobytes()
+        assert dm.diagonal().tobytes() == np.zeros(rows).tobytes()  # +0.0, not -0.0
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (1000, 8), (64, 200), (300, 33)])
     def test_row_blocks_give_the_bits_of_the_whole_difference_array(self, monkeypatch, shape):
@@ -138,7 +152,8 @@ class TestPseudometric:
             assert _distance_matrix(evals).tobytes() == whole.tobytes()
 
     def test_distinct_rows_peak_near_their_distance_matrix(self):
-        # 3,000 rows: a 72 MB matrix, filled in 32 MB blocks of differences and not copied
+        # 3,000 rows: a 72 MB matrix, its upper triangle filled in 1 MB blocks of squared
+        # differences and mirrored, not copied
         cls = random_evaluated_class(1, m=3000, n=8)
         tracemalloc.start()
         try:
@@ -360,6 +375,61 @@ class TestDudley:
         greedy = dudley_bound(cls, eps, CoverMethod.GREEDY, grid_points=32)
         for u, size in zip(greedy.radii, greedy.cover_sizes):
             assert covering_number_greedy(cls, float(u)).size == size
+
+    @pytest.mark.parametrize("grid_points", [1, 7, 256, None])
+    @pytest.mark.parametrize("method", list(CoverMethod))
+    @given(st.integers(0, 10**6), st.integers(1, 10), st.integers(1, 8))
+    def test_each_entry_has_the_bits_of_its_own_bound(self, method, grid_points, seed, m, n):
+        cls = random_evaluated_class(seed, m=m, n=n)
+        if largest_norm(cls) <= 0.0:
+            return
+        radii = default_radii(cls, 9) + [0.499 * largest_norm(cls), 1e-9]
+        report = verify_dudley(cls, radii, cover_method=method, grid_points=grid_points)
+        for eps, entry in zip(radii, report.entries, strict=True):
+            bound = dudley_bound(cls, eps, method, grid_points=grid_points).bound
+            assert entry.epsilon == eps and entry.bound.hex() == bound.hex()
+
+    @pytest.mark.parametrize("block", [1, 14, 35, 7 * 16])  # 1, 2, 5 and 16 radii per array
+    def test_riemann_arrays_of_few_radii_give_the_bits_of_one_array(self, monkeypatch, block):
+        cls = random_evaluated_class(4, m=9, n=5)
+        radii = default_radii(cls, 16)
+        separate = [dudley_bound(cls, eps, "greedy", grid_points=7).bound for eps in radii]
+        monkeypatch.setattr(entropy, "_GRID_BLOCK", block)
+        report = verify_dudley(cls, radii, cover_method="greedy", grid_points=7)
+        assert [entry.bound.hex() for entry in report.entries] == [bound.hex() for bound in separate]
+
+    def test_riemann_cells_peak_near_one_array_of_radii(self):
+        # 16 radii of 2^16 cells: 8 MB a temporary over all radii, 512 KB per array of one
+        cls = random_evaluated_class(4, m=9, n=5)
+        radii = default_radii(cls, 16)
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(entropy, "_GRID_BLOCK", 1 << 16)
+                verify_dudley(cls, radii, cover_method="greedy", grid_points=1 << 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak  # all radii at once peak at 32 MB
+
+    @pytest.mark.parametrize("method", list(CoverMethod))
+    def test_radii_are_checked_before_the_sign_kernel_or_the_cover(self, monkeypatch, method):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sign kernel or the cover ran")
+
+        monkeypatch.setattr(complexity, "_sign_averages", refuse)
+        monkeypatch.setattr(entropy, "_cover_profile", refuse)
+        cls = EvaluatedClass([[1.0, 1.0], [0.0, 1.0]], 1.0)  # c = 1
+        cases = {
+            (): "epsilon grid is empty",
+            (0.1, 0.0): "epsilon must lie in (0, 0.5), got 0.0",
+            (0.5,): "epsilon must lie in (0, 0.5), got 0.5",
+            (0.2, -1.0, 0.7): "epsilon must lie in (0, 0.5), got -1.0",
+        }
+        for radii, message in cases.items():
+            with pytest.raises(InvalidRadius) as raised:
+                verify_dudley(cls, radii, cover_method=method)
+            assert str(raised.value) == message
 
     def test_integral_sandwiched_by_direct_riemann_sums(self):
         import math
