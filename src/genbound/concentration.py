@@ -7,13 +7,16 @@ For classes uniformly bounded by b, the deviation functional concentrates:
 The simulator draws seeded samples, counts exceedances of the fixed threshold
 2 * R_n + eps, and compares the frequency against the closed form through a
 one-sided Clopper-Pearson interval, so a reported failure requires a
-statistically significant exceedance rather than sampling noise.
+statistically significant exceedance rather than sampling noise.  UD depends
+on a sample only through its count vector, so where the table of permutation
+orbits is small each trial draws its orbit, not its n support indices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -24,6 +27,8 @@ from .core import (
     InvalidDelta,
     InvalidEnvelope,
     InvariantViolation,
+    deterministic_sum,
+    product_orbits,
 )
 from .deviation import _check_count_matrix, _sample_deviations
 
@@ -79,10 +84,43 @@ def clopper_pearson_lower(successes: int, trials: int, confidence: float = 0.99)
 def _beta_quantile(a: int, b: int, alpha: float, *, upper: bool) -> float:
     """With ``upper``, the smallest evaluated p whose computed 1 - I_p(a, b) is at most alpha, else
     the largest evaluated p whose computed I_p(a, b) is at most alpha: the conservative end of a
-    closed bracket.  Newton steps on the log tail (against log p for the lower tail) fall back to
-    bisection outside the bracket and to one ulp where they stall."""
+    closed bracket, searched from ``_beta_start``."""
+    start = _beta_start(a, b, alpha, upper)
+    return _beta_search(a, b, alpha, upper, start if 0.0 < start < 1.0 else a / (a + b))
+
+
+def _beta_start(a: int, b: int, alpha: float, upper: bool) -> float:
+    """AS109's first approximation to the quantile (Cran, Martin & Thomas 1977), from the normal
+    quantile of its smaller tail probability: Abramowitz & Stegun 26.5.22 where both parameters
+    exceed 1, else a Wilson-Hilferty chi-square form or the leading term of a far tail.  It
+    saves the search about half its tail evaluations over a start at the mean."""
+    tail = min(alpha, 1.0 - alpha)
+    # with swap, the quantile of Beta(b, a) whose lower tail is the smaller one, reflected
+    swap = upper == (tail == alpha)
+    pp, qq = (b, a) if swap else (a, b)
+    y = -NormalDist().inv_cdf(tail)  # P(Z > y) = tail, by AS241
+    if pp > 1 and qq > 1:
+        r = (y * y - 3.0) / 6.0
+        s, t = 1.0 / (2 * pp - 1), 1.0 / (2 * qq - 1)
+        h = 2.0 / (s + t)
+        w = y * math.sqrt(h + r) / h - (t - s) * (r + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        x = pp / (pp + qq * math.exp(min(2.0 * w, 709.0)))
+    else:
+        log_beta = math.lgamma(pp) + math.lgamma(qq) - math.lgamma(pp + qq)
+        ninth = 1.0 / (9.0 * qq)
+        t = 2.0 * qq * (1.0 - ninth + y * math.sqrt(ninth)) ** 3
+        if t <= 0.0:
+            x = 1.0 - math.exp((math.log1p(-tail) + math.log(qq) + log_beta) / qq)
+        else:
+            t = (4.0 * pp + 2.0 * qq - 2.0) / t
+            x = math.exp((math.log(tail * pp) + log_beta) / pp) if t <= 1.0 else 1.0 - 2.0 / (t + 1.0)
+    return 1.0 - x if swap else x
+
+
+def _beta_search(a: int, b: int, alpha: float, upper: bool, p: float) -> float:
+    """``_beta_quantile`` from the start p in (0, 1).  Newton steps on the log tail (against log p
+    for the lower tail) fall back to bisection outside the bracket and to one ulp where they stall."""
     lo, hi = 0.0, 1.0
-    p = a / (a + b)
     while True:
         lower_tail, upper_tail, density = _beta_tails(p, a, b)
         tail = upper_tail if upper else lower_tail
@@ -189,6 +227,26 @@ class TailExperiment:
             raise InvariantViolation("ci_upper must dominate the empirical frequency")
 
 
+_ORBIT_CELLS = 1 << 14  # index cells of the largest orbit table a tail draws from
+
+
+def _draws_orbits(support_size: int, n: int, trials: int) -> bool:
+    """Whether ``simulate_tail`` draws each trial's orbit: the C(n + s - 1, n)
+    orbits hold n index cells each, at most min(trials, 2**14) in all, so the
+    table costs no more than the index draws it replaces.  C(n + s - 1, n) >= s,
+    so s * n is tested first and no large binomial is ever formed."""
+    budget = min(trials, _ORBIT_CELLS)
+    return support_size * n <= budget and math.comb(n + support_size - 1, n) * n <= budget
+
+
+def _orbit_sampler(dist: DiscreteDistribution, n: int) -> tuple[np.ndarray, DiscreteDistribution]:
+    """The representatives of ``product_orbits(dist.probs, n)`` and the law of a sample's orbit
+    over their row indices.  The weights are normalized: they sum to (sum of probs)**n, which
+    may leave 1 by n times the tolerance of ``dist``."""
+    reps, weights = product_orbits(dist.probs, n)
+    return reps, DiscreteDistribution(np.arange(len(weights)), weights / deterministic_sum(weights))
+
+
 def check_tail_trials(support_size: int, trials: int) -> None:
     """Refuse, from the support size alone, the count matrix of a chunk of
     trials that ``simulate_tail`` would refuse: a caller can check an instance
@@ -212,16 +270,32 @@ def simulate_tail(
     The complexity value is an input, fixed once for the whole experiment; the
     caller reports its provenance.  ``cls`` is the class on the whole support
     of ``dist``, whose population means ``dist`` gives, and trials are vectorized.
+
+    Within the orbit budget (``_draws_orbits``) the exceedance of each orbit of
+    ``product_orbits`` is computed once, and trial j draws one orbit from the
+    word of ``draw_words`` it owns, by the inverse CDF of the orbit weights.
+    Above it, trial j draws its n support indices (``draw_index_trials``).
     """
     if trials < 1000:
         raise InvariantViolation("tail simulation needs at least 1000 trials")
     threshold = 2.0 * rademacher_value + epsilon
     _check_support_class(cls, dist)
+    check_tail_trials(dist.size, trials)
     means = dist.expectation(cls.evals)
 
-    def fill(start: int, stop: int) -> int:
-        idx = dist.draw_index_trials(seed, start, stop - start, n)
-        return int(np.count_nonzero(_sample_deviations(cls, means, idx) >= threshold))
+    if _draws_orbits(dist.size, n, trials):
+        reps, orbits = _orbit_sampler(dist, n)
+        exceeds = np.concatenate(_run_chunks(
+            lambda start, stop: _sample_deviations(cls, means, reps[start:stop]) >= threshold,
+            len(reps), threads,
+        ))
+
+        def fill(start: int, stop: int) -> int:
+            return int(np.count_nonzero(exceeds[orbits.draw_index_trials(seed, start, stop - start, 1)]))
+    else:
+        def fill(start: int, stop: int) -> int:
+            idx = dist.draw_index_trials(seed, start, stop - start, n)
+            return int(np.count_nonzero(_sample_deviations(cls, means, idx) >= threshold))
 
     exceed = sum(_run_chunks(fill, trials, threads))
     return TailExperiment(

@@ -745,6 +745,10 @@ class TestLargeSampleSize:
             "tail",
             {"instance": {"random": {"m": 2, "support_size": 200000, "seed": 1}}, "n": 1, "seed": 1, "trials": 1000},
         ),
+        # the symmetrization cap counts the s * s pair values before their 2^40 probabilities exist
+        "symmetrize on a random support of 2^20 points": (
+            "symmetrize", {"instance": {"random": {"m": 1, "support_size": 1 << 20, "seed": 1}}, "n": 2}
+        ),
         # refused from the random spec's shape, before its table is drawn
         "tail on a random support of 2^24 points": (
             "tail",

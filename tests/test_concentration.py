@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import beta, binom
 
 from genbound.complexity import expected_rademacher
+from genbound import concentration
 from genbound.concentration import (
     TailExperiment,
     clopper_pearson_lower,
@@ -158,6 +159,59 @@ class TestClopperPearson:
     def test_agrees_with_beta_quantile_at_ten_million_trials(self):
         expected = beta.ppf(0.99, 5 * 10**6 + 1, 5 * 10**6)
         assert clopper_pearson_upper(5 * 10**6, 10**7) == pytest.approx(expected, rel=1e-11, abs=0)
+
+
+class TestClopperPearsonStart:
+    """The search starts from AS109's approximation, not from the mean a / (a + b)."""
+
+    KS = (0, 1, 2, 3, 5, 8, 13, 20, 50, 100, 232, 500, 1000, 2000, 5000, 10_000, 20_000, 30_000)
+    TRIALS = (1000, 3000, 10_000, 30_000, 100_000)
+    # where the computed tail crosses 1 - conf more than once, the two searches stop at
+    # different crossings: (successes, trials, which bound) and the ulps it moved
+    MOVED = {(13, 1000, "lower"): 2, (2, 10_000, "lower"): 2}
+
+    def grid(self):
+        for trials in self.TRIALS:
+            for k in self.KS:
+                if k > trials:
+                    continue
+                if k < trials:
+                    yield k, trials, "upper", (k + 1, trials - k)
+                if k > 0:
+                    yield k, trials, "lower", (k, trials - k + 1)
+
+    ALPHA = 1.0 - 0.99  # as clopper_pearson_upper and clopper_pearson_lower form it
+
+    def test_bounds_keep_their_bits_but_the_listed_ones(self):
+        alpha = self.ALPHA
+        moved = {}
+        for k, trials, which, (a, b) in self.grid():
+            upper = which == "upper"
+            got = clopper_pearson_upper(k, trials) if upper else clopper_pearson_lower(k, trials)
+            mean_start = concentration._beta_search(a, b, alpha, upper, a / (a + b))
+            if got != mean_start:
+                moved[(k, trials, which)] = abs(got - mean_start) / math.ulp(mean_start)
+            # either way the bound is the conservative end of a bracket of adjacent floats
+            inner = math.nextafter(got, 0.0 if upper else 1.0)
+            tails = [concentration._beta_tails(p, a, b)[1 if upper else 0] for p in (got, inner)]
+            assert tails[0] <= alpha < tails[1], (k, trials, which)
+        assert moved == self.MOVED
+
+    def test_start_saves_evaluations(self, monkeypatch):
+        calls = []
+        tails = concentration._beta_tails
+        monkeypatch.setattr(concentration, "_beta_tails", lambda *args: calls.append(1) or tails(*args))
+        counts = []
+        for start in ("mean", "as109"):
+            calls.clear()
+            for _k, _trials, which, (a, b) in self.grid():
+                upper = which == "upper"
+                if start == "mean":
+                    concentration._beta_search(a, b, self.ALPHA, upper, a / (a + b))
+                else:
+                    concentration._beta_quantile(a, b, self.ALPHA, upper=upper)
+            counts.append(len(calls))
+        assert counts[1] <= 0.7 * counts[0], counts
 
 
 class TestSimulateTail:

@@ -1,20 +1,33 @@
 """The count-vector engine for discrete draws: guide-table indices, uniform
 deviations from count vectors, and the tail simulation built on both."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from genbound.concentration import simulate_tail
+from genbound import concentration
+from genbound.complexity import _MC_CHUNK
+from genbound.concentration import (
+    _ORBIT_CELLS,
+    _draws_orbits,
+    _orbit_sampler,
+    clopper_pearson_lower,
+    clopper_pearson_upper,
+    simulate_tail,
+)
 from genbound.core import (
     DiscreteDistribution,
     EvaluatedClass,
     draw_words,
+    product_orbits,
     words_to_uniforms,
 )
 from genbound.deviation import _sample_deviations
-from genbound.instances import random_discrete_instance
+from genbound.instances import identity_instance, random_discrete_instance
 
 from conftest import oracle_uniform_deviation
 
@@ -97,19 +110,19 @@ class TestCountVectorDeviation:
         np.testing.assert_array_equal(_sample_deviations(cls, means, samples[:1]), got[:1])
 
 
+def threshold_in_a_wide_gap(ud):
+    """A threshold in the widest gap between deviations near the median, away from rounding."""
+    values = np.unique(ud)
+    mid = values.size // 2
+    gaps = np.diff(values[mid - 3 : mid + 3])
+    j = mid - 3 + int(np.argmax(gaps))
+    return (values[j] + values[j + 1]) / 2.0
+
+
 class TestTailSimulation:
-    def test_exceed_count_matches_oracle_recount(self):
-        inst = random_discrete_instance(31, m=3, support_size=4)
-        n, trials, seed = 6, 9000, 17  # two chunks of trials
-        idx = inst.dist.draw_index_trials(seed, 0, trials, n)
-        means = inst.dist.expectation(inst.table)
-        ud = np.array([oracle_uniform_deviation(inst.table[:, row], means) for row in idx])
-        # a threshold in the widest gap near the median keeps rounding away from it
-        values = np.unique(ud)
-        mid = values.size // 2
-        gaps = np.diff(values[mid - 3 : mid + 3])
-        j = mid - 3 + int(np.argmax(gaps))
-        threshold = (values[j] + values[j + 1]) / 2.0
+    def assert_recount(self, inst, n, trials, seed, ud):
+        """simulate_tail at 1 and 2 threads counts the trials whose oracle deviation ``ud`` exceeds."""
+        threshold = threshold_in_a_wide_gap(ud)
         expected = int(np.count_nonzero(ud >= threshold))
         assert 0 < expected < trials
         for threads in (1, 2):
@@ -117,3 +130,108 @@ class TestTailSimulation:
                 inst.support_class, inst.dist, n, threshold, trials, seed, 0.0, threads=threads
             )
             assert experiment.exceed_count == expected
+
+    def test_exceed_count_matches_oracle_recount(self):
+        inst = random_discrete_instance(31, m=3, support_size=4)
+        n, trials, seed = 6, 9000, 17  # two chunks of trials, 84 orbits of 6 indices
+        assert _draws_orbits(4, n, trials)
+        reps, weights = product_orbits(inst.dist.probs, n)
+        # trial j's orbit is the inverse CDF of the normalized orbit weights at the one word it owns
+        cumulative = np.cumsum(weights / weights.sum())
+        u = words_to_uniforms(draw_words(seed, 0, trials, 1)[:, 0])
+        orbit = np.minimum(np.searchsorted(cumulative, u, side="right"), len(reps) - 1)
+        means = inst.dist.expectation(inst.table)
+        orbit_ud = np.array([oracle_uniform_deviation(inst.table[:, row], means) for row in reps])
+        self.assert_recount(inst, n, trials, seed, orbit_ud[orbit])
+
+    def test_index_path_exceed_count_matches_oracle_recount(self):
+        inst = random_discrete_instance(31, m=3, support_size=4)
+        n, trials, seed = 14, 9000, 17  # 680 orbits of 14 indices: 9,520 cells, above the budget
+        assert not _draws_orbits(4, n, trials)
+        idx = inst.dist.draw_index_trials(seed, 0, trials, n)
+        means = inst.dist.expectation(inst.table)
+        ud = np.array([oracle_uniform_deviation(inst.table[:, row], means) for row in idx])
+        self.assert_recount(inst, n, trials, seed, ud)
+
+    @pytest.mark.parametrize("support_size, n", [(3, 4), (4, 10), (2, 7)])
+    def test_orbit_draws_follow_the_orbit_weights(self, support_size, n):
+        inst = random_discrete_instance(support_size * n, m=1, support_size=support_size)
+        reps, orbits = _orbit_sampler(inst.dist, n)
+        expected_reps, weights = product_orbits(inst.dist.probs, n)
+        np.testing.assert_array_equal(reps, expected_reps)
+        draws = 10**6
+        counts = np.bincount(orbits.draw_index_trials(5, 0, draws, 1).ravel(), minlength=len(reps))
+        expected = draws * weights
+        # the orbits expected fewer than 5 times share one cell
+        rare = expected < 5.0
+        observed = np.append(counts[~rare], counts[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+        if expected[-1] == 0.0:
+            observed, expected = observed[:-1], expected[:-1]
+        statistic = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2.sf(statistic, len(expected) - 1) > 1e-3, (statistic, len(expected) - 1)
+
+    @pytest.mark.parametrize("support_size, n", [(3, 4), (4, 20)])
+    def test_exceed_count_is_the_same_at_any_thread_count(self, support_size, n):
+        inst = random_discrete_instance(9, m=3, support_size=support_size)
+        trials = 2 * _MC_CHUNK + 5000  # 1,771 orbits of 20 indices are above the budget
+        assert _draws_orbits(support_size, n, trials) == (n == 4)
+        counts = {
+            simulate_tail(inst.support_class, inst.dist, n, 0.1, trials, 3, 0.1, threads=threads).exceed_count
+            for threads in (1, 2, 8)
+        }
+        assert len(counts) == 1
+
+    def test_budget_edges(self, monkeypatch):
+        # C(n + 1, n) * n = 33 * 32 = 1,056 index cells on two support points
+        assert _draws_orbits(2, 32, 1056) and not _draws_orbits(2, 32, 1055)
+        # one support point: one orbit of n cells, at most 2**14 at any trial count
+        assert _draws_orbits(1, _ORBIT_CELLS, 10**6) and not _draws_orbits(1, _ORBIT_CELLS + 1, 10**6)
+
+        def refuse(*args):
+            raise AssertionError("a binomial was formed")
+
+        monkeypatch.setattr(math, "comb", refuse)
+        assert not _draws_orbits(1 << 24, 2, 10**6)  # s * n alone is above the budget
+        monkeypatch.undo()
+
+        tables = []
+        monkeypatch.setattr(
+            concentration, "product_orbits", lambda *args: tables.append(args) or product_orbits(*args)
+        )
+        inst = random_discrete_instance(2, m=2, support_size=2)
+        for trials, orbit_path in ((1056, True), (1055, False)):
+            tables.clear()
+            simulate_tail(inst.support_class, inst.dist, 32, 0.1, trials, 1, 0.0)
+            assert len(tables) == orbit_path
+
+    def test_orbit_weights_of_a_measure_at_its_tolerance_are_normalized(self):
+        # the weights sum to (1 + 5e-13)**127, outside a measure's tolerance unless normalized
+        dist = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5 + 5e-13])
+        inst = identity_instance(dist)
+        assert _draws_orbits(2, 127, _ORBIT_CELLS)
+        experiment = simulate_tail(inst.support_class, dist, 127, 0.1, _ORBIT_CELLS, 4, 0.0)
+        assert 0 < experiment.exceed_count < _ORBIT_CELLS
+
+    def test_interval_covers_the_exact_tail_probability(self):
+        confidence = 0.9999  # each one-sided bound; 48 cases miss with probability about 1%
+        misses = []
+        for case in range(16):
+            rng = np.random.default_rng(case)
+            s, n = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+            inst = random_discrete_instance(case, m=int(rng.integers(1, 5)), support_size=s)
+            reps, weights = product_orbits(inst.dist.probs, n)
+            means = inst.dist.expectation(inst.table)
+            ud = np.array([oracle_uniform_deviation(inst.table[:, row], means) for row in reps])
+            values = np.unique(ud)
+            for q in (0.25, 0.5, 0.75):  # thresholds between distinct deviations across the range
+                j = min(int(q * (values.size - 1)), values.size - 2)
+                threshold = (values[j] + values[j + 1]) / 2.0
+                exact = math.fsum(weights[ud >= threshold])
+                trials = 20_000
+                exceed = simulate_tail(inst.support_class, inst.dist, n, threshold, trials, case, 0.0).exceed_count
+                lower = clopper_pearson_lower(exceed, trials, confidence)
+                upper = clopper_pearson_upper(exceed, trials, confidence)
+                if not lower <= exact <= upper:
+                    misses.append((case, q, lower, exact, upper))
+        assert not misses
