@@ -86,6 +86,12 @@ def _typed(kind, low=None, high=None):
 # sizes, counts and caps are at least 1, the seeds of random specs at least 0,
 # and tolerances, envelopes and radii at least 0
 _int, _size, _natural, _nonnegative = _typed(int), _typed(int, 1), _typed(int, 0), _typed(float, 0.0)
+# Every array value, envelope and linear radius is at most _MAX_MAGNITUDE in
+# absolute value, which keeps each kernel finite: the largest number one forms
+# is a squared distance, n * (2b)^2 over n columns, and at 2^24 columns that is
+# about 7e207 (a linear value, a weight radius times an input radius, is 1e200).
+_MAX_MAGNITUDE = 1e100
+_magnitude = _typed(float, 0.0, _MAX_MAGNITUDE)
 # counts that size an array stay within bounds whose largest value runs in 3 GB
 _draws, _points, _many = _typed(int, None, 1 << 24), _typed(int, 1, 1 << 24), _typed(int, 1, 1 << 16)
 _MAX_RANDOM_VALUES = 1 << 24  # of a random spec's table; it is drawn, copied and checked
@@ -98,7 +104,8 @@ def _text(value, path):
 
 
 def _array(value, path):
-    """A rectangular nested list of finite JSON numbers, as a float64 array."""
+    """A rectangular nested list of JSON numbers, each of magnitude at most
+    _MAX_MAGNITUDE, as a float64 array."""
     try:
         array = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -107,9 +114,12 @@ def _array(value, path):
     leaves = [value]
     for _ in range(array.ndim):
         leaves = list(itertools.chain.from_iterable(leaves))
-    if not (set(map(type, leaves)) <= {int, float} and np.isfinite(array).all()):
-        leaf = next(leaf for leaf in leaves if type(leaf) not in (int, float) or not np.isfinite(leaf))
-        raise UsageError(f"{path} must be an array of finite numbers, got {reprlib.repr(leaf)}")
+    if not (set(map(type, leaves)) <= {int, float} and (np.abs(array) <= _MAX_MAGNITUDE).all()):
+        leaf = next(x for x in leaves if type(x) not in (int, float) or not abs(x) <= _MAX_MAGNITUDE)
+        raise UsageError(
+            f"{path} must be an array of numbers of magnitude at most {_MAX_MAGNITUDE:g}, "
+            f"got {reprlib.repr(leaf)}"
+        )
     return array
 
 
@@ -172,7 +182,7 @@ def _random(width: str):
     """A random spec: m rows of ``width`` values, m * width of them at most _MAX_RANDOM_VALUES."""
     schema = {
         "m": (_size, _REQUIRED),
-        "envelope_b": (_nonnegative, 1.0),
+        "envelope_b": (_magnitude, 1.0),
         "seed": (_optional(_natural), None),
         width: (_size, _REQUIRED),
     }
@@ -195,13 +205,13 @@ _CLASS_FORMS = {
     "random": {"random": (_random("n"), _REQUIRED)},
     "evals": {
         "evals": (_array, _REQUIRED),
-        "envelope_b": (_optional(_nonnegative), None),
+        "envelope_b": (_optional(_magnitude), None),
     },
 }
 _INSTANCE_FORMS = {
     "random": {"random": (_random("support_size"), _REQUIRED)},
     "family": {"family": (_choice("identity"), _REQUIRED), **_MEASURE},
-    "table": {"table": (_array, _REQUIRED), **_MEASURE, "envelope_b": (_nonnegative, _REQUIRED)},
+    "table": {"table": (_array, _REQUIRED), **_MEASURE, "envelope_b": (_magnitude, _REQUIRED)},
 }
 _CAPS = {
     "sign": (_typed(int, 1, complexity.MAX_SIGN_CAP), DEFAULT_SIGN_CAP),
@@ -243,8 +253,8 @@ _SCHEMA = {
         **_TOL,
         **_SEEDED,
         "regime": (_choice(*_REGIMES), "l2"),
-        "weight_radius": (_nonnegative, 1.0),
-        "input_radius": (_nonnegative, 1.0),
+        "weight_radius": (_magnitude, 1.0),
+        "input_radius": (_magnitude, 1.0),
         "d": (_size, 4),
         "n": (_size, 6),
         "m": (_size, 5),
@@ -331,10 +341,15 @@ def _parse(config: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each takes a parsed config and returns (results, violations)
+# Command handlers: each takes a parsed config and returns its JSON-ready rows
 # ---------------------------------------------------------------------------
 
 
+# the check that a row of each kind certifies; any other kind names its own check
+_CHECKS = {
+    "rademacher": "without_abs_le_abs", "tail": "tail_bound",
+    "linear": "linear_bound", "dudley": "dudley_bound",
+}
 # the message of each check's violation, formatted from its failed row; a
 # check not listed here is its own message
 _MESSAGES = {
@@ -358,17 +373,19 @@ _MESSAGES = {
 }
 
 
-def _add(found: tuple[list, list], check: str, row: dict) -> None:
-    """Add a check's JSON-ready row to ``found``, a (results, violations) pair.
-
-    A row whose ``passed`` is false also becomes a violation of ``check``
-    whose payload is the row.  A row without ``passed`` records no verdict.
-    """
-    results, violations = found
-    results.append(row)
-    if not row.get("passed", True):
-        message = _MESSAGES.get(check, check).format_map(row)
-        violations.append({"check": check, "message": message, "payload": row})
+def _violations(rows: list[dict]) -> list[dict]:
+    """One violation per row whose ``passed`` is false, in row order, with the
+    row as its payload.  A row without ``passed`` records no verdict, and a
+    suite row that carries ``rows`` stands for those rows."""
+    violations = []
+    for row in rows:
+        if "rows" in row:
+            violations += _violations(row["rows"])
+        elif not row.get("passed", True):
+            check = _CHECKS.get(row["kind"], row["kind"])
+            message = _MESSAGES.get(check, check).format_map(row)
+            violations.append({"check": check, "message": message, "payload": row})
+    return violations
 
 
 def _cmd_rademacher(cfg: dict, threads: int):
@@ -390,8 +407,7 @@ def _cmd_rademacher(cfg: dict, threads: int):
         if cfg["seed"] is None:
             raise UsageError("rademacher.seed is required by the Monte Carlo method")
         value = complexity.empirical_rademacher_mc(cls, cfg["draws"], cfg["seed"], threads=threads)
-    found = [], []
-    result = {
+    return [{
         "kind": "rademacher",
         "x": cls.n,
         "value": value.value,
@@ -400,22 +416,20 @@ def _cmd_rademacher(cfg: dict, threads: int):
         "draws": value.draws,
         "std_error": value.std_error,
         **row,
-    }
-    _add(found, "without_abs_le_abs", result)
-    return found
+    }]
 
 
 def _cmd_deviation(cfg: dict, threads: int):
     inst, n, caps = cfg["instance"], cfg["n"], cfg["caps"]
     cls = inst.support_class
-    found = [], []
     bound = deviation.verify_expectation_bound(
         cls, inst.dist, n, tol=cfg["tol"], product_cap=caps["product"], sign_cap=caps["sign"]
     )
-    _add(found, "expectation_bound", {"kind": "expectation_bound", **vars(bound)})
     audit = deviation.audit_bounded_difference(cls, inst.dist, n, cap=caps["product"])
-    _add(found, "bounded_difference_audit", {"kind": "bounded_difference_audit", **vars(audit)})
-    return found
+    return [
+        {"kind": "expectation_bound", **vars(bound)},
+        {"kind": "bounded_difference_audit", **vars(audit)},
+    ]
 
 
 def _cmd_symmetrize(cfg: dict, threads: int):
@@ -423,9 +437,7 @@ def _cmd_symmetrize(cfg: dict, threads: int):
     report = deviation.check_symmetrization_identity(
         inst.support_class, inst.dist, cfg["n"], tol=cfg["tol"], cap=cfg["caps"]["product"]
     )
-    found = [], []
-    _add(found, "symmetrization", {"kind": "symmetrization", **vars(report)})
-    return found
+    return [{"kind": "symmetrization", **vars(report)}]
 
 
 def _cmd_tail(cfg: dict, threads: int):
@@ -440,14 +452,14 @@ def _cmd_tail(cfg: dict, threads: int):
             inst.support_class, inst.dist, n, cfg["rademacher_draws"], derive_seed(seed, "rn"),
             threads=threads, sign_cap=caps["sign"],
         )
-    found = [], []
+    rows = []
     for i, eps in enumerate(epsilons):
         experiment = concentration.simulate_tail(
             inst.support_class, inst.dist, n, eps, trials, derive_seed(seed, f"tail:{i}"), rn.value,
             threads=threads,
         )
         verdict = concentration.verify_tail_bound(experiment)
-        row = {
+        rows.append({
             "kind": "tail",
             "x": eps,
             "value": experiment.empirical_freq,
@@ -461,9 +473,8 @@ def _cmd_tail(cfg: dict, threads: int):
             "method": rn.method.value,
             "seed": experiment.seed,
             "passed": verdict.passed,
-        }
-        _add(found, "tail_bound", row)
-    return found
+        })
+    return rows
 
 
 def _cmd_linear(cfg: dict, threads: int):
@@ -473,9 +484,8 @@ def _cmd_linear(cfg: dict, threads: int):
     reports = linear.verify_random_linear_bounds(
         seeds, regime, cfg["d"], cfg["n"], cfg["m"], tol=cfg["tol"], sign_cap=cfg["caps"]["sign"]
     )
-    found = [], []
-    for i, report in enumerate(reports):
-        row = {
+    return [
+        {
             "kind": "linear",
             "x": i,
             "value": report.exact,
@@ -485,8 +495,8 @@ def _cmd_linear(cfg: dict, threads: int):
             "seed": seed,
             "passed": report.passed,
         }
-        _add(found, "linear_bound", row)
-    return found
+        for i, report in enumerate(reports)
+    ]
 
 
 def _cmd_dudley(cfg: dict, threads: int):
@@ -498,9 +508,8 @@ def _cmd_dudley(cfg: dict, threads: int):
         cls, epsilons, cover_method=cfg["cover"], tol=cfg["tol"], grid_points=cfg["grid_points"],
         sign_cap=caps["sign"], cover_cap=caps["cover"],
     )
-    found = [], []
-    for entry in report.entries:
-        row = {
+    return [
+        {
             "kind": "dudley",
             "x": entry.epsilon,
             "value": entry.bound,
@@ -510,8 +519,8 @@ def _cmd_dudley(cfg: dict, threads: int):
             "seed": cfg["seed"] or 0,
             "passed": entry.passed,
         }
-        _add(found, "dudley_bound", row)
-    return found
+        for entry in report.entries
+    ]
 
 
 def _cmd_suite(cfg: dict, threads: int):
@@ -521,10 +530,10 @@ def _cmd_suite(cfg: dict, threads: int):
     handler, and its row carries the handler's rows; the other checks run here.
     """
     seed = cfg["seed"]
-    found = results, violations = [], []
+    results = []
 
     def record(kind: str, passed: bool, **fields):
-        _add(found, kind, {"kind": kind, "passed": passed, **fields})
+        results.append({"kind": kind, "passed": passed, **fields})
 
     def run(config: dict, threads: int = threads):
         shared = {key: cfg[key] for key in ("caps", "tol") if key in _SCHEMA[config["command"]]}
@@ -532,9 +541,9 @@ def _cmd_suite(cfg: dict, threads: int):
         return _HANDLERS[parsed["command"]](parsed, threads)
 
     def check(kind: str, config: dict) -> list[dict]:
-        rows, failed = run(config)
-        results.append({"kind": kind, "passed": not failed, "command": config["command"], "rows": rows})
-        violations.extend(failed)
+        rows = run(config)
+        passed = not _violations(rows)
+        results.append({"kind": kind, "passed": passed, "command": config["command"], "rows": rows})
         return rows
 
     def random_spec(label: str, **shape) -> dict:
@@ -544,7 +553,7 @@ def _cmd_suite(cfg: dict, threads: int):
     rademacher = {"command": "rademacher", "class": random_spec("class", m=3, n=6)}
     mc_config = {**rademacher, "method": "mc", "draws": 20_000, "seed": derive_seed(seed, "mc")}
     exact = check("without_abs_le_abs", {**rademacher, "method": "exact"})[0]
-    mc = run(mc_config)[0][0]
+    mc = run(mc_config)[0]
     record(
         "rademacher_mc_consistency",
         abs(mc["value"] - exact["value"]) <= 5.0 * mc["std_error"],
@@ -631,9 +640,9 @@ def _cmd_suite(cfg: dict, threads: int):
     mc1, mc4, tail1, tail4 = (run(c, t) for c in (mc_config, tail_config) for t in (1, 4))
     record(
         "determinism", mc1 == mc4 and tail1 == tail4,
-        mc_value=mc1[0][0]["value"], exceed_count=tail1[0][0]["exceed_count"],
+        mc_value=mc1[0]["value"], exceed_count=tail1[0]["exceed_count"],
     )
-    return found
+    return results
 
 
 _HANDLERS = {
@@ -664,7 +673,7 @@ def _run(config: dict, threads: int) -> tuple[dict, str]:
     """The report of ``run_experiment`` and the canonical string of its config."""
     started = time.perf_counter()
     cfg = _parse(config)
-    results, violations = _HANDLERS[cfg["command"]](cfg, threads)
+    results = _HANDLERS[cfg["command"]](cfg, threads)
     canonical = _canonical(config)
     return {
         "command": cfg["command"],
@@ -672,7 +681,7 @@ def _run(config: dict, threads: int) -> tuple[dict, str]:
         "seed": config.get("seed"),
         "config": config,
         "results": results,
-        "violations": violations,
+        "violations": _violations(results),
         "wall_ms": (time.perf_counter() - started) * 1000.0,
     }, canonical
 

@@ -365,23 +365,11 @@ class GridFamily:
 
 
 @dataclass(frozen=True)
-class GridLevel:
-    depth: int
-    grid_size: int
-    value: float
-
-
-@dataclass(frozen=True, eq=False)
 class GridRefinement:
-    """Deepest grid class plus the per-depth complexity trace."""
+    """The complexity of the grid class at each depth, from depth 1 on."""
 
-    evaluated_class: EvaluatedClass
-    trace: tuple[GridLevel, ...]
+    values: tuple[float, ...]
     converged: bool
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(level.value for level in self.trace)
 
 
 def _dyadic_grid(box: tuple[tuple[float, float], ...], depth: int) -> np.ndarray:
@@ -398,25 +386,21 @@ def grid_restricted_class(
 ) -> GridRefinement:
     """Restrict the family to nested dyadic parameter grids of increasing depth.
 
-    Grids are nested, so the complexity trace is monotone nondecreasing; the
+    Grids are nested, so the values are monotone nondecreasing; the
     refinement stops early once successive depths differ by less than the
     family tolerance, else runs to the depth cap with converged=False.
     """
-    trace: list[GridLevel] = []
-    previous = None
+    values: list[float] = []
     converged = False
-    cls = None
     for depth in range(1, family.levels + 1):
         params = _dyadic_grid(family.parameter_box, depth)
         rows = np.stack([np.asarray(family.evaluator(p, sample), dtype=np.float64) for p in params])
         cls = EvaluatedClass(rows, family.envelope_b)
-        value = empirical_rademacher(cls, sign_cap=sign_cap).value
-        trace.append(GridLevel(depth, params.shape[0], value))
-        if previous is not None and abs(value - previous) < family.tolerance:
+        values.append(empirical_rademacher(cls, sign_cap=sign_cap).value)
+        if len(values) > 1 and abs(values[-1] - values[-2]) < family.tolerance:
             converged = True
             break
-        previous = value
-    return GridRefinement(cls, tuple(trace), converged)
+    return GridRefinement(tuple(values), converged)
 
 
 # ---------------------------------------------------------------------------

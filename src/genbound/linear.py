@@ -81,7 +81,7 @@ class LinearInstance:
             ("weight", w_norms, self.regime.weight_radius), ("input", x_norms, self.regime.input_radius)
         ):
             if not norms.max() <= radius + _NORM_TOL:  # also rejects NaN
-                raise InvariantViolation(f"{kind} norm {norms.max()!r} exceeds radius {radius!r}")
+                raise InvariantViolation(f"{kind} norm {float(norms.max())!r} exceeds radius {radius!r}")
         weights.setflags(write=False)
         inputs.setflags(write=False)
         object.__setattr__(self, "weights", weights)

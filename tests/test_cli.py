@@ -8,6 +8,7 @@ import sys
 import time
 import tomllib
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,8 +370,28 @@ class TestViolations:
         assert [r["x"] for r in report["results"]] == epsilons
         assert sum(not r["passed"] for r in report["results"]) == 1
 
+    def test_suite_reports_nested_and_inline_failures_in_row_order(self, tmp_path, capsys, monkeypatch):
+        # one failure inside the symmetrize handler's rows, one in the suite's own epsilon_roundtrip row
+        with_tol(monkeypatch, deviation, "check_symmetrization_identity", -1.0)
+        monkeypatch.setattr(concentration, "mcdiarmid_bound", lambda *args: 0.0)
+        cfg = write_config(tmp_path, "c.json", {"seed": 1})
+        out = str(tmp_path / "report.json")
+        assert main(["suite", "--config", cfg, "--out", out]) == 2
+        report = load(out)
+        rows = {row["kind"]: row for row in report["results"]}
+        assert [row["kind"] for row in report["results"] if not row["passed"]] == [
+            "symmetrization", "epsilon_roundtrip"
+        ]
+        assert [v["check"] for v in report["violations"]] == ["symmetrization", "epsilon_roundtrip"]
+        nested = rows["symmetrization"]["rows"]
+        assert len(nested) == 1 and nested[0]["passed"] is False
+        assert [v["payload"] for v in report["violations"]] == [nested[0], rows["epsilon_roundtrip"]]
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"VIOLATION [{v['check']}]: {v['message']}" for v in report["violations"]]
+
 
 EVALS = {"evals": [[1.0, -1.0]]}
+HUGE_TABLE = {"table": [[1e308, -1e308]], "support": [0.0, 1.0], "probs": [0.5, 0.5], "envelope_b": 1e308}
 RANDOM_INSTANCE = {"random": {"m": 3, "support_size": 2, "seed": 4}}
 
 
@@ -562,6 +583,36 @@ class TestConfigErrors:
                            "caps": {"product": 10**400}},
             "symmetrize.caps.product",
         ),
+        # finite values above the magnitude bound of 1e100, each of which overflowed a kernel: a
+        # NaN verdict, a report holding Infinity or NaN, an infinite radius, a rejected draw or a traceback
+        "huge evals": ("rademacher", {"class": {"evals": [[1e308, -1e308]]}}, "rademacher.class.evals"),
+        "huge symmetrize table": ("symmetrize", {"instance": HUGE_TABLE, "n": 2}, "symmetrize.instance.table"),
+        "huge deviation table": ("deviation", {"instance": HUGE_TABLE, "n": 2}, "deviation.instance.table"),
+        "huge dudley evals": ("dudley", {"class": {"evals": [[1e154, -1e154], [0.5, 0.25]]}}, "dudley.class.evals"),
+        "huge linear radii": (
+            "linear", {"seed": 1, "weight_radius": 1e308, "input_radius": 1e308}, "linear.weight_radius"
+        ),
+        "huge input radius": ("linear", {"seed": 1, "input_radius": 1e101}, "linear.input_radius"),
+        "huge support": (
+            "tail", {"instance": {"table": [[1.0, -1.0]], "support": [1e308, -1e308], "probs": [0.5, 0.5],
+                                  "envelope_b": 1.0}, "n": 2, "seed": 1},
+            "tail.instance.support",
+        ),
+        "huge table envelope": (
+            "deviation", {"instance": {"table": [[0.0, 1.0]], "support": [0.0, 1.0], "probs": [0.5, 0.5],
+                                       "envelope_b": 1e308}, "n": 2},
+            "deviation.instance.envelope_b",
+        ),
+        "huge evals envelope": ("rademacher", {"class": {**EVALS, "envelope_b": 1e101}}, "rademacher.class.envelope_b"),
+        "huge random class envelope": (
+            "rademacher", {"class": {"random": {"m": 2, "n": 3, "seed": 1, "envelope_b": 1e308}}},
+            "rademacher.class.random.envelope_b",
+        ),
+        "huge random instance envelope": (
+            "tail", {"instance": {"random": {"m": 2, "support_size": 3, "seed": 1, "envelope_b": 1e308}},
+                     "n": 3, "seed": 1},
+            "tail.instance.random.envelope_b",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -642,6 +693,42 @@ class TestConfigErrors:
                 assert isinstance(_parse({"command": "rademacher", **spec})["class"], EvaluatedClass)
             else:
                 assert isinstance(_parse({"command": "deviation", "n": 2, **spec})["instance"], DiscreteInstance)
+
+
+class TestMagnitudeBound:
+    """Each command at the magnitude bound of 1e100 writes only finite numbers."""
+
+    TABLE = {"table": [[1e100, -1e100], [-1e100, 0.5]], "support": [-1e100, 1e100], "probs": [0.5, 0.5],
+             "envelope_b": 1e100}
+    RANDOM = {"random": {"m": 3, "support_size": 4, "seed": 1, "envelope_b": 1e100}}
+    EVALS_BOUND = [[1e100, -1e100, 0.5], [0.5, 0.25, -1e100], [-1e100, 1e100, 1e100]]
+    AT = {
+        "rademacher": ("rademacher", {"class": {"evals": EVALS_BOUND}}),
+        "rademacher mc": ("rademacher", {"class": {"evals": EVALS_BOUND}, "method": "mc", "seed": 1, "draws": 500}),
+        "deviation": ("deviation", {"instance": TABLE, "n": 3}),
+        "symmetrize": ("symmetrize", {"instance": RANDOM, "n": 3}),
+        "tail": ("tail", {"instance": TABLE, "n": 4, "seed": 1, "trials": 1000, "epsilons": [0.5, 1e100]}),
+        "tail mc": (
+            "tail", {"instance": RANDOM, "n": 12, "seed": 1, "trials": 1000, "rademacher_draws": 200,
+                     "caps": {"product": 10}},
+        ),
+        "linear l2": ("linear", {"seed": 1, "weight_radius": 1e100, "input_radius": 1e100, "count": 5}),
+        "linear l1": ("linear", {"seed": 1, "regime": "l1", "weight_radius": 1e100, "input_radius": 1e100,
+                                 "count": 5}),
+        "dudley": ("dudley", {"class": {"evals": EVALS_BOUND}, "epsilon_count": 4}),
+        "dudley greedy": (
+            "dudley", {"class": {"random": {"m": 30, "n": 8, "seed": 1, "envelope_b": 1e100}}, "cover": "greedy",
+                       "grid_points": None},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", AT)
+    def test_report_holds_only_finite_numbers(self, case):
+        command, config = self.AT[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow in a kernel warns before it reaches the report
+            report = run_experiment({"command": command, **config})
+        json.dumps(report, allow_nan=False)
 
 
 IDENTITY = {"family": "identity", "support": [0.0, 1.0], "probs": [0.5, 0.5]}

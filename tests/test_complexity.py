@@ -333,7 +333,7 @@ class TestGridRefinement:
         )
         refinement = grid_restricted_class(family, Sample([1.0, 1.0]))
         assert refinement.converged
-        assert len(refinement.trace) == 2
+        assert len(refinement.values) == 2
 
     def test_linear_family_hits_corner_value(self):
         refinement = grid_restricted_class(self.linear_family(), Sample([1.0, 1.0]))
@@ -345,7 +345,7 @@ class TestGridRefinement:
         family = self.linear_family(levels=3, tolerance=0.0)
         refinement = grid_restricted_class(family, Sample([1.0, -0.5]))
         assert not refinement.converged
-        assert len(refinement.trace) == 3
+        assert len(refinement.values) == 3
 
     def test_trace_monotone(self):
         family = self.linear_family(levels=4, tolerance=0.0)

@@ -116,6 +116,10 @@ class TestLinearInstance:
         with pytest.raises(InvariantViolation):
             LinearInstance([[0.5, 0.5]], [[2.0, 0.0]], L1Linf(1.0, 1.0))
 
+    def test_names_the_norm_as_a_float(self):
+        with pytest.raises(InvariantViolation, match=r"^input norm 2\.0 exceeds radius 1\.0$"):
+            LinearInstance([[0.5, 0.5]], [[2.0, 0.0]], L1Linf(1.0, 1.0))
+
     def test_aligned_instance(self):
         instance = LinearInstance([[1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]], L2Ball(1.0, 1.0))
         report = verify_linear_bound(instance)
