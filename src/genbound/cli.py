@@ -504,6 +504,11 @@ def _cmd_dudley(cfg: dict, threads: int):
     epsilons = cfg["epsilons"]
     if epsilons is None:
         epsilons = entropy.default_radii(cls, cfg["epsilon_count"])
+    else:  # the admissible radii depend on the class, so the schema cannot check them
+        half = entropy.largest_norm(cls) / 2.0
+        for i, eps in enumerate(epsilons):
+            if not 0.0 < eps < half:
+                raise UsageError(f"dudley.epsilons[{i}] must lie in (0, {half}), got {eps}")
     report = entropy.verify_dudley(
         cls, epsilons, cover_method=cfg["cover"], tol=cfg["tol"], grid_points=cfg["grid_points"],
         sign_cap=caps["sign"], cover_cap=caps["cover"],

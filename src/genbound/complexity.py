@@ -34,7 +34,7 @@ from .core import (
     _tree_sums,
     derive_seed,
     deterministic_sum,
-    draw_signs,
+    draw_words,
     product_orbits,
     sign_block,
 )
@@ -45,6 +45,7 @@ MAX_PRODUCT_CAP = 10**7  # up to 5.0M orbits (s = 3,162, n = 2): about a minute 
 
 _SIGN_CHUNK = 1 << 14
 _MC_CHUNK = 1 << 13
+_TABLE_VALUES = 1 << 17  # byte-table values alive at once in _sign_sums
 _INNER_DRAWS = 2000  # sign draws per sampled tuple above the sign cap
 
 
@@ -177,18 +178,76 @@ def _mc_estimate(
     return _mc_result(np.concatenate(_run_chunks(values_of, draws, threads)), draws, seed)
 
 
-def _sign_draw_values(evals: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """max_i |(1/n) sum_k sigma_k evals[i, k]| for each row sigma of ``signs``.
+def _sign_words(seed: int, first_draw: int, count: int, n: int) -> np.ndarray:
+    """The packed signs of draws [first_draw, first_draw + count): ceil(n / 64) words each.
 
-    The maximum is m elementwise passes over the columns of ``|corr|``: exact, and
+    Sign k of a draw is +1 when bit k % 64 of its word k // 64 is set, least
+    significant bit first.  The draw budget counts the signs, not their words.
+    """
+    _check_draw_budget(count, n)
+    return draw_words(seed, first_draw, count, -(-n // 64))
+
+
+def _byte_tables(columns: np.ndarray) -> np.ndarray:
+    """(B, rows, 256) signed sums of the (rows, 8 * B) ``columns``, 8 to a byte position.
+
+    Entry [b, i, v] is the sum over the 8 columns of byte position b of
+    +columns[i, k] where bit k % 8 of v is set and -columns[i, k] where it is
+    clear, added left to right: each column doubles the table, clear bit first.
+    """
+    rows, width = columns.shape
+    per_byte = columns.reshape(rows, width // 8, 8).transpose(1, 0, 2)
+    tables = np.zeros((width // 8, rows, 1))
+    for bit in range(8):
+        column = per_byte[:, :, bit : bit + 1]
+        tables = np.concatenate([tables - column, tables + column], axis=2)
+    return tables
+
+
+def _sign_sums(evals: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(m, draws) sums sum_k sigma_k evals[i, k] of each draw's packed signs (``_sign_words``).
+
+    The words are read as little-endian bytes, so the sums do not depend on the
+    platform.  A draw's sum is the rows of its bytes' tables (``_byte_tables``)
+    added in byte order, with no float sign matrix and no BLAS call.  Columns
+    past n are zero, so the bits past sign n of the last byte select +0 or -0.
+    Tables are built per block of rows and byte positions of at most
+    _TABLE_VALUES values, whatever m and n are.
+    """
+    m, n = evals.shape
+    width = -(-n // 8)
+    octets = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
+    index = octets[:, :width].T.astype(np.intp, order="C")  # (byte positions, draws)
+    padded = np.zeros((m, 8 * width))
+    padded[:, :n] = evals
+    rows = min(m, _TABLE_VALUES // 256)
+    span = _TABLE_VALUES // (256 * rows)  # byte positions per block
+    sums = np.empty((m, len(words)))
+    term = np.empty((rows, len(words)))
+    for i in range(0, m, rows):
+        out = sums[i : i + rows]
+        part = term[: len(out)]
+        for b in range(0, width, span):
+            for position, table in enumerate(_byte_tables(padded[i : i + rows, 8 * b : 8 * (b + span)]), b):
+                # every index is a byte, so "clip" clips none; unlike "raise", it writes to out unbuffered
+                table.take(index[position], axis=1, out=part if position else out, mode="clip")
+                if position:
+                    out += part
+    return sums
+
+
+def _sign_draw_values(evals: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """max_i |(1/n) sum_k sigma_k evals[i, k]| for each draw's packed signs ``words``.
+
+    The maximum is m elementwise passes over the rows of ``|sums|``: exact, and
     for classes of a few rows faster than reducing a short axis once per draw.
     """
-    corr = signs @ evals.T
+    corr = _sign_sums(evals, words)
     corr /= evals.shape[1]
     np.abs(corr, out=corr)
-    best = corr[:, 0].copy()
-    for column in corr.T[1:]:
-        np.maximum(best, column, out=best)
+    best = corr[0].copy()
+    for row in corr[1:]:
+        np.maximum(best, row, out=best)
     return best
 
 
@@ -198,12 +257,13 @@ def empirical_rademacher_mc(
     """Unbiased sample mean over uniform sign draws, with its standard error.
 
     Draw j's signs are the packed bits of a fixed RNG word window
-    (``core.draw_signs``), and per-draw values are reduced by the fixed-order
-    tree sum, so the result is bit-identical for a given (seed, draws) at any
-    thread count.
+    (``_sign_words``), its value is summed from byte tables in a fixed order
+    (``_sign_sums``), and per-draw values are reduced by the fixed-order tree
+    sum, so the result is bit-identical for a given (seed, draws) at any
+    thread count and on any BLAS.
     """
     return _mc_estimate(
-        lambda start, stop: _sign_draw_values(cls.evals, draw_signs(seed, start, stop - start, cls.n)),
+        lambda start, stop: _sign_draw_values(cls.evals, _sign_words(seed, start, stop - start, cls.n)),
         draws, seed, threads,
     )
 
@@ -322,7 +382,7 @@ def expected_rademacher_mc(
         # empirical_rademacher_mc's value from _INNER_DRAWS sign draws, which fit in one of its chunks
         return np.array([
             deterministic_sum(_sign_draw_values(
-                cls.evals[:, row], draw_signs(derive_seed(seed, f"inner:{start + j}"), 0, _INNER_DRAWS, n)
+                cls.evals[:, row], _sign_words(derive_seed(seed, f"inner:{start + j}"), 0, _INNER_DRAWS, n)
             )) / _INNER_DRAWS
             for j, row in enumerate(idx)
         ])

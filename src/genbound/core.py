@@ -5,7 +5,7 @@ sample is an m-by-n matrix of values plus an envelope bound, and data
 distributions have finite support, so expectations over the sample measure and
 its n-fold product are exactly computable.  Monte Carlo paths draw their
 randomness from counter-based Philox streams in which draw ``j`` owns a fixed
-window of counter blocks.  Results at a fixed seed therefore do not depend on
+window of words.  Results at a fixed seed therefore do not depend on
 how work is chunked across threads.
 """
 
@@ -230,18 +230,18 @@ def product_orbits(probs, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise InvariantViolation("n must be at least 1")
     p = np.asarray(probs, dtype=np.float64)
     rows = list(itertools.combinations_with_replacement(range(p.shape[0]), n))
-
-    def multinomial(row: tuple[int, ...]) -> float:
-        # n! / prod_a c_a! as the number of ways to place each run in the positions left
-        left, ways = n, 1
-        for _, run in itertools.groupby(row):
-            count = len(list(run))
-            ways *= math.comb(left, count)
-            left -= count
-        return float(ways)
-
     reps = np.array(rows, dtype=np.intp).reshape(len(rows), n)
-    weights = np.array([multinomial(row) for row in rows]) * p[reps].prod(axis=1)
+    # n! / prod_a c_a! exactly, from the length of each run of equal indices: in
+    # int64 while n! fits (n <= 20), in Python ints above, rounded to float once
+    last = np.ones(reps.shape, dtype=bool)  # the last cell of each run
+    last[:, :-1] = reps[:, 1:] != reps[:, :-1]
+    # a row's last cell ends a run, so the gap to the run end before it holds across rows too
+    ends = np.flatnonzero(last)
+    lengths = ends - np.append(-1, ends[:-1])
+    factorial = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64 if n <= 20 else object)
+    runs = last.sum(axis=1)
+    ways = factorial[n] // np.multiply.reduceat(factorial[lengths], np.cumsum(runs) - runs)
+    weights = ways.astype(np.float64) * p[reps].prod(axis=1)
     return reps, weights
 
 
@@ -303,30 +303,32 @@ def _philox() -> Philox:
 def draw_words(seed: int, first_draw: int, count: int, words_per_draw: int) -> np.ndarray:
     """Raw 64-bit words for draws [first_draw, first_draw + count).
 
-    Every draw owns ceil(words_per_draw / 4) Philox counter blocks, so the
-    words backing draw j are a pure function of (seed, j) and any chunking of
-    the draw range reproduces them exactly.
+    Draw j owns words [j * w, (j + 1) * w) of the ``Philox(key=seed)`` stream,
+    for w = ``words_per_draw``, so the words backing draw j are a pure
+    function of (seed, j) and any chunking of the draw range reproduces them
+    exactly.  A call starts at counter block first_draw * w // 4 and skips the
+    first first_draw * w % 4 words of that block, so it generates only the
+    words its draws use and the rest of the blocks at its two ends.
     """
     if words_per_draw < 1:
         raise InvariantViolation("words_per_draw must be positive")
     _check_draw_budget(count, words_per_draw)
-    blocks_per_draw = -(-words_per_draw // 4)
     if count <= 0:
         return np.empty((0, words_per_draw), dtype=_U64)
     if not 0 <= seed <= _MAX_SEED:
         raise InvariantViolation(f"seed must be an unsigned 64-bit integer, got {seed}")
+    block, skip = divmod(first_draw * words_per_draw, 4)
     gen = _philox()
-    # a fresh Philox(key=seed, counter=[first_draw * blocks_per_draw, 0, 0, 0]): empty buffer
+    # a fresh Philox(key=seed, counter=[block, 0, 0, 0]): empty buffer
     gen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (first_draw * blocks_per_draw, 0, 0, 0), "key": (seed, 0)},
+        "state": {"counter": (block, 0, 0, 0), "key": (seed, 0)},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    raw = gen.random_raw(count * blocks_per_draw * 4)
-    return raw.reshape(count, blocks_per_draw * 4)[:, :words_per_draw]
+    return gen.random_raw(skip + count * words_per_draw)[skip:].reshape(count, words_per_draw)
 
 
 def words_to_uniforms(words: np.ndarray) -> np.ndarray:
@@ -342,20 +344,6 @@ def words_to_open_uniforms(words: np.ndarray) -> np.ndarray:
 def words_to_signs(words: np.ndarray) -> np.ndarray:
     """Fair signs in {-1.0, +1.0} from the top bit, one sign per word."""
     return (words >> _U64(63)).astype(np.float64) * 2.0 - 1.0
-
-
-def draw_signs(seed: int, first_draw: int, count: int, n: int) -> np.ndarray:
-    """(count, n) fair signs in {-1.0, +1.0} for draws [first_draw, first_draw + count).
-
-    Draw j owns ceil(n / 64) words of ``draw_words``, and each word serves 64
-    signs: sign k of draw j is +1 when bit k % 64 of word k // 64 is set,
-    least significant bit first.  The words are unpacked as little-endian
-    bytes, so the stream does not depend on the platform.
-    """
-    _check_draw_budget(count, n)  # the budget counts the signs, not their words
-    words = draw_words(seed, first_draw, count, -(-n // 64))
-    octets = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(octets, axis=1, count=n, bitorder="little") * 2.0 - 1.0
 
 
 # Wichura's AS241 (PPND16): numerator and denominator, highest power first, for |u - 1/2| <= 0.425,

@@ -71,6 +71,40 @@ def enumerate_product(dist, n, *, cap=DEFAULT_PRODUCT_CAP):
         yield idx, float(math.prod(probs[k] for k in idx))
 
 
+def unpack_signs(words, n):
+    """(draws, n) signs in {-1.0, +1.0} of packed sign words, the packed-bit contract.
+
+    Sign k of a draw is +1 when bit k % 64 of its word k // 64 is set, least
+    significant bit first; the words are unpacked as little-endian bytes, so
+    the signs do not depend on the platform.
+    """
+    octets = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little") * 2.0 - 1.0
+
+
+def oracle_product_orbits(probs, n):
+    """``(reps, weights)`` of the n-fold product, each multinomial from its runs in Python ints.
+
+    The row-by-row form that ``core.product_orbits`` computes in one pass; it
+    must give the same bits.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    rows = list(itertools.combinations_with_replacement(range(p.shape[0]), n))
+
+    def multinomial(row):
+        # n! / prod_a c_a! as the number of ways to place each run in the positions left
+        left, ways = n, 1
+        for _, run in itertools.groupby(row):
+            count = len(list(run))
+            ways *= math.comb(left, count)
+            left -= count
+        return float(ways)
+
+    reps = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+    weights = np.array([multinomial(row) for row in rows]) * p[reps].prod(axis=1)
+    return reps, weights
+
+
 def oracle_sign_average(evals, absolute=True):
     """Brute-force sign average via itertools; the complexity oracle."""
     evals = np.asarray(evals, dtype=float)

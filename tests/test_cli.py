@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -560,6 +561,11 @@ class TestConfigErrors:
             "tail", {"instance": RANDOM_INSTANCE, "n": 4, "seed": 1, "epsilons": [0.2, -0.5]}, "tail.epsilons[1]"
         ),
         "negative dudley epsilons entry": ("dudley", {"class": EVALS, "epsilons": [-0.1]}, "dudley.epsilons[0]"),
+        # radii lie in (0, c/2), where c = 1 is the class's largest norm
+        "zero dudley radius": ("dudley", {"class": EVALS, "epsilons": [0.1, 0.0]}, "dudley.epsilons[1] must lie in (0, 0.5)"),
+        "dudley radius past half the largest norm": (
+            "dudley", {"class": EVALS, "epsilons": [1e300]}, "dudley.epsilons[0] must lie in (0, 0.5), got 1e+300"
+        ),
         # an infinite tol passes every check, and an infinite envelope overflows the sampler
         "infinite tol": ("symmetrize", {"instance": RANDOM_INSTANCE, "n": 2, "tol": float("inf")}, "symmetrize.tol"),
         "infinite random instance envelope": (
@@ -944,6 +950,49 @@ class TestDeterminism:
         one = run_experiment(config, threads=1)
         eight = run_experiment(config, threads=8)
         assert canonical_report(one) == canonical_report(eight)
+
+    def test_monte_carlo_rademacher_at_n70_is_thread_invariant(self):
+        # 70 signs take two words a draw, and 20,000 draws three chunks
+        config = {
+            "command": "rademacher", "class": {"random": {"m": 5, "n": 70, "seed": 3}},
+            "method": "mc", "seed": 8, "draws": 20_000,
+        }
+        one, two = (run_experiment(config, threads=threads) for threads in (1, 2))
+        assert one["results"][0]["method"] == "monte_carlo"
+        assert canonical_report(one) == canonical_report(two)
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64 kernels")
+    def test_monte_carlo_rademacher_bits_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # through 0.14.0 a sign matrix times evals.T by GEMM moved the n = 130 value under Prescott
+        configs = []
+        for m, n, seed in ((4, 21, 21), (4, 70, 70), (3, 130, 0)):
+            config = {"class": {"random": {"m": m, "n": n, "seed": seed}}, "method": "mc", "seed": 5, "draws": 3000}
+            configs.append(write_config(tmp_path, f"n{n}.json", config))
+        code = """
+import json, sys
+from genbound.cli import canonical_report, main
+reports = []
+for config in sys.argv[1:]:
+    assert main(["rademacher", "--config", config, "--out", config + ".out"]) == 0
+    reports.append(canonical_report(json.load(open(config + ".out"))))
+print(json.dumps(reports))
+"""
+        src = str(Path(genbound.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+        def reports(coretype=None):
+            # the core type is set in the child's environment only
+            child = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
+            out = subprocess.run(
+                [sys.executable, "-c", code, *configs], env=child, capture_output=True, text=True, timeout=120
+            )
+            assert out.returncode == 0, out.stderr
+            return json.loads(out.stdout.splitlines()[-1])
+
+        default = reports()
+        for coretype in ("Prescott", "Nehalem", "SandyBridge", "Haswell"):
+            assert reports(coretype) == default, coretype
 
     def test_rerun_from_embedded_config(self, tmp_path):
         cfg = write_config(

@@ -21,6 +21,8 @@ from genbound.complexity import (
     _distinct_rows,
     _mc_result,
     _sign_draw_values,
+    _sign_sums,
+    _sign_words,
 )
 from genbound.core import (
     DimensionMismatch,
@@ -31,7 +33,6 @@ from genbound.core import (
     InvariantViolation,
     Sample,
     derive_seed,
-    draw_signs,
 )
 from genbound.instances import identity_instance, random_discrete_instance, random_evaluated_class
 
@@ -159,19 +160,19 @@ class TestEmpiricalMonteCarlo:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 24, 25])
     def test_sign_draw_values_keep_the_bits_of_the_row_maximum(self, m):
-        def row_maximum(evals, signs):  # the expression the column maxima replace
-            corr = signs @ evals.T
+        def row_maximum(evals, words):  # the expression the row maxima replace
+            corr = _sign_sums(evals, words)
             corr /= evals.shape[1]
-            return np.abs(corr, out=corr).max(axis=1)
+            return np.abs(corr, out=corr).max(axis=0)
 
         rng = np.random.default_rng(m)
         for n in range(1, 65):
             evals = rng.uniform(-1.0, 1.0, (m, n))
             evals[rng.random((m, n)) < 0.2] = -0.0  # signed zeros, and zero averages at small n
             evals[rng.random((m, n)) < 0.2] = 0.0
-            signs = draw_signs(n, 0, 300, n)
-            got = _sign_draw_values(evals, signs)
-            assert got.tobytes() == row_maximum(evals, signs).tobytes()
+            words = _sign_words(n, 0, 300, n)
+            got = _sign_draw_values(evals, words)
+            assert got.tobytes() == row_maximum(evals, words).tobytes()
 
     @pytest.mark.parametrize("draws", [100, 101, _MC_CHUNK + 1])
     def test_draws_checked_from_the_width_as_the_estimate_checks_them(self, monkeypatch, draws):

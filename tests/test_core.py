@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from genbound import core
+from genbound import complexity, core
 from genbound.core import (
     DiscreteDistribution,
     DimensionMismatch,
@@ -20,7 +20,6 @@ from genbound.core import (
     InvariantViolation,
     Sample,
     deterministic_sum,
-    draw_signs,
     draw_words,
     sign_block,
     words_to_normals,
@@ -204,7 +203,7 @@ class TestRandomness:
     def test_draw_budget_counts_values_before_drawing(self, monkeypatch):
         monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 60)
         assert draw_words(1, 0, 12, 5).shape == (12, 5)
-        assert draw_signs(1, 0, 1, 60).shape == (1, 60)
+        assert complexity._sign_words(1, 0, 1, 60).shape == (1, 1)
         dist = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
 
         def refuse(*args, **kwargs):
@@ -213,7 +212,7 @@ class TestRandomness:
         monkeypatch.setattr(core, "_philox", refuse)
         over = (
             lambda: draw_words(1, 0, 13, 5),
-            lambda: draw_signs(1, 0, 1, 61),  # 61 signs, though they fit in one word
+            lambda: complexity._sign_words(1, 0, 1, 61),  # 61 signs, though they fit in one word
             lambda: dist.draw_index_trials(1, 0, 7, 9),
         )
         for draw in over:
@@ -223,12 +222,23 @@ class TestRandomness:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(0, 12), st.integers(1, 13))
     @example(0, 0, 5, 5)
     @example(2**64 - 1, 2**40, 3, 13)
+    @example(7, 3, 5, 1)  # starts at word 3 of block 0
+    @example(7, 5, 4, 3)  # starts at word 3 of block 3
     def test_draw_words_equal_a_fresh_philox(self, seed, first, count, words_per_draw):
-        blocks = -(-words_per_draw // 4)
-        fresh = Philox(key=seed, counter=[first * blocks, 0, 0, 0]).random_raw(count * blocks * 4)
-        expected = fresh.reshape(count, blocks * 4)[:, :words_per_draw]
+        # draw j is words [j * w, (j + 1) * w) of the stream: word i is word i % 4 of block i // 4
+        block, skip = divmod(first * words_per_draw, 4)
+        fresh = Philox(key=seed, counter=[block, 0, 0, 0]).random_raw(skip + count * words_per_draw)
+        expected = fresh[skip:].reshape(count, words_per_draw)
         words = draw_words(seed, first, count, words_per_draw)
         assert words.dtype == np.uint64 and np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("words_per_draw", [1, 2, 3, 4, 5, 9, 10])
+    def test_draw_j_is_window_j_of_the_stream_under_any_chunking(self, words_per_draw):
+        w, total = words_per_draw, 23
+        stream = Philox(key=2026).random_raw(total * w).reshape(total, w)
+        for cuts in ([0, 23], [0, 1, 23], [0, 3, 4, 5, 11, 22, 23], list(range(24))):
+            parts = [draw_words(2026, a, b - a, w) for a, b in zip(cuts, cuts[1:])]
+            np.testing.assert_array_equal(np.concatenate(parts), stream)
 
     def test_threads_drawing_interleaved_seeds_get_the_serial_words(self):
         calls = [(seed, first, 3, 5) for first in range(0, 120, 3) for seed in (0, 2**64 - 1, 77)]

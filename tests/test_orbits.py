@@ -33,7 +33,7 @@ from genbound.deviation import (
 )
 from genbound.instances import random_discrete_instance
 
-from conftest import enumerate_product, oracle_uniform_deviation
+from conftest import enumerate_product, oracle_product_orbits, oracle_uniform_deviation
 
 # largest n per support size whose symmetrization stays within the default cap
 _SYM_MAX_N = {2: 6, 3: 4, 4: 3}
@@ -130,6 +130,26 @@ class TestProductOrbits:
         reps, weights = product_orbits([1.0], 5)
         assert reps.tolist() == [[0, 0, 0, 0, 0]]
         assert weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize(
+        "s, n",
+        [(s, n) for s in range(1, 7) for n in range(1, 11)]
+        + [(2, n) for n in (19, 20, 21, 22, 64, 300, 1029)]
+        + [(3, 21), (4, 10), (9, 3), (30, 3), (1, 40), (1000, 2)],
+    )
+    def test_equal_the_row_by_row_multinomials_bit_for_bit(self, s, n):
+        # n = 20 is the last n whose n! fits in int64; Python ints take over above it
+        probs = _probs(s + n, s)
+        reps, weights = product_orbits(probs, n)
+        expected_reps, expected_weights = oracle_product_orbits(probs, n)
+        assert reps.dtype == expected_reps.dtype and np.array_equal(reps, expected_reps)
+        assert weights.dtype == np.float64 and weights.tobytes() == expected_weights.tobytes()
+
+    def test_multinomial_past_the_float_range_overflows_as_before(self):
+        # C(1030, 515) is above the largest float
+        for orbits in (product_orbits, oracle_product_orbits):
+            with pytest.raises(OverflowError):
+                orbits([0.5, 0.5], 1030)
 
     @given(st.integers(1, 5), st.integers(1, 14))
     def test_weights_are_the_exact_multinomials(self, s, n):
