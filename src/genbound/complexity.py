@@ -13,6 +13,7 @@ boxes by suprema over nested finite grids, with a convergence trace.
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +47,8 @@ MAX_PRODUCT_CAP = 10**7  # up to 5.0M orbits (s = 3,162, n = 2): about a minute 
 _SIGN_CHUNK = 1 << 14
 _MC_CHUNK = 1 << 13
 _TABLE_VALUES = 1 << 17  # byte-table values alive at once in _sign_sums
+_ORBIT_VALUES = 1 << 17  # term values alive at once in _orbit_sign_averages
+_ORBIT_CELLS = 1 << 14  # index cells of the largest orbit table a draw takes its orbit from
 _INNER_DRAWS = 2000  # sign draws per sampled tuple above the sign cap
 
 
@@ -124,6 +127,127 @@ def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
             sums[:, k : k + per, b] = _tree_sums(values)
     t_abs, t_max, t_neg_min = _tree_sums(sums)
     return np.stack([t_abs + t_abs, t_max + t_neg_min]) / (2 * half)
+
+
+def _orbit_counts(reps: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(counts, points)`` of each sorted representative in a (K, n) array of indices
+    into s support points, as ``_orbit_sign_averages`` takes them.  Where s <= n, the
+    (K, s) count vectors and None; else ``reps`` itself as the points, each run of
+    equal indices counted at its first cell and the rest of it at count 0."""
+    K, n = reps.shape
+    if s <= n:
+        cells = reps + np.arange(0, K * s, s)[:, None]
+        return np.bincount(cells.ravel(), minlength=K * s).reshape(K, s), None
+    starts = np.ones(reps.shape, dtype=bool)
+    starts[:, 1:] = reps[:, 1:] != reps[:, :-1]
+    first = np.flatnonzero(starts)  # every row starts a run, so a run ends where the next one starts
+    counts = np.zeros(K * n, dtype=np.intp)
+    counts[first] = np.append(first[1:], K * n) - first
+    return counts.reshape(K, n), reps
+
+
+def _orbit_sign_averages(table: np.ndarray, counts: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
+    """Exact sign average of each orbit's class: the sample whose count vector is ``counts[k]``.
+
+    ``table`` is the (m, s) class on the support.  Orbit k holds ``counts[k, a]``
+    copies of support point ``points[k, a]``, where each row of ``points`` is
+    nondecreasing and names each point of nonzero count once; without it,
+    ``counts`` is (K, s) and slot a is point a.  The c_a equal columns of a point
+    add (2 j_a - c_a) * table[:, a] for the C(c_a, j_a) sign vectors with j_a plus
+    signs among them, so an orbit's average is
+
+        sum_j prod_a C(c_a, j_a) * max_i |sum_a table[i, a] * (2 j_a - c_a)|  /  (n * 2**n)
+
+    over the vectors j <= c in mixed-radix order, the first slot most significant,
+    each inner sum taken over the slots in order.  The terms of j and c - j are
+    equal.  With h the first slot of odd count, only j_h <= c_h / 2 is kept and each
+    term's weight doubled, which keeps one term of each pair; where every count is
+    even, h is the first slot of nonzero count and its middle slice j_h = c_h / 2
+    keeps weight 1.  An orbit's kept terms are tree-summed on their own: a tree sum
+    padded with trailing zeros has the bits of the unpadded one, so an orbit's value
+    does not depend on the other orbits in the call.  Slots of count 0 add only
+    zeros and change no bit, so every form of an orbit's counts gives its bits.  No
+    BLAS call is made.  Blocks of orbits hold about _ORBIT_VALUES term values (at
+    least one orbit), and no count may exceed MAX_SIGN_CAP.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    if points is None:
+        points = np.broadcast_to(np.arange(counts.shape[1]), counts.shape)
+    K = counts.shape[0]
+    n = counts.sum(axis=1)
+    _check_sign_cap(int(n.max()), MAX_SIGN_CAP)  # every weight is an integer below 2**n, exact as a float
+    halved = np.zeros(counts.shape, dtype=np.intp)  # 1 at the first odd count, else at the first nonzero one
+    halved[np.arange(K), (2 * (counts & 1) + (counts > 0)).argmax(axis=1)] = 1
+    digits = counts + 1 - (counts + 1 >> 1) * halved  # the values of each kept j_a
+    kept = digits.prod(axis=1)
+    scale = np.ldexp(n.astype(np.float64), n)
+    ends = np.cumsum(kept)
+    budget = max(1, _ORBIT_VALUES // table.shape[0])
+    sums = np.empty(K)
+    start = 0
+    while start < K:
+        stop = max(start + 1, int(np.searchsorted(ends, (ends[start - 1] if start else 0) + budget, side="right")))
+        block = slice(start, stop)
+        sums[block] = _orbit_block(table, counts[block], points[block], halved[block], digits[block], kept[block])
+        start = stop
+    return sums / scale
+
+
+def _term_weights(size: int) -> np.ndarray:
+    """(2, size, size) weights of a term's digit j at a point of count c: [0, c, j] is
+    C(c, j), and [1, c, j] the same doubled where j != c - j, for the point whose upper
+    half of digits is dropped.  Pascal's rule adds integers below 2**size, exact floats."""
+    binomial = np.zeros((size, size))
+    binomial[:, 0] = 1.0
+    for c in range(1, size):
+        binomial[c, 1:] = binomial[c - 1, 1:] + binomial[c - 1, :-1]
+    c, j = np.indices(binomial.shape)
+    return np.stack([binomial, np.where(j + j == c, binomial, 2.0 * binomial)])
+
+
+_WEIGHTS = _term_weights(MAX_SIGN_CAP + 1)
+_WEIGHTS.setflags(write=False)
+
+
+def _orbit_block(
+    table: np.ndarray, counts: np.ndarray, points: np.ndarray, halved: np.ndarray, digits: np.ndarray,
+    kept: np.ndarray,
+) -> np.ndarray:
+    """The weighted term sums of ``_orbit_sign_averages`` for one block of orbits, of
+    (K, r) ``counts``, ``points``, ``halved`` flags and ``digits`` kept, kept[k] terms each."""
+    K, r = counts.shape
+    # one item per (point slot, orbit, kept digit j), slot-major: its weight and its column's term
+    sizes = digits.T.ravel()
+    first = np.cumsum(sizes) - sizes
+    cell = np.repeat(np.arange(r * K), sizes)
+    j = np.arange(len(cell)) - first[cell]
+    c = counts.T.ravel()[cell]
+    weight = _WEIGHTS[halved.T.ravel()[cell], c, j]
+    terms = table.take(points.T.ravel()[cell], axis=1) * (j + j - c)
+    # slot 0's items are each orbit's first terms; every later point follows each partial term with its items
+    first, digits = first.reshape(r, K), digits.T.copy()
+    width = int(first[1, 0]) if r > 1 else len(cell)
+    sums, weights, orbit = terms[:, :width], weight[:width], cell[:width]
+    for a in range(1, r):
+        children = digits[a].take(orbit)
+        offset = np.cumsum(children) - children
+        item = np.repeat(first[a].take(orbit) - offset, children)
+        item += np.arange(len(item))
+        orbit = np.repeat(orbit, children)
+        sums = np.repeat(sums, children, axis=1)
+        sums += terms.take(item, axis=1)
+        weights = np.repeat(weights, children)
+        weights *= weight.take(item)
+    np.abs(sums, out=sums)
+    best = sums[0]
+    for row in sums[1:]:
+        np.maximum(best, row, out=best)
+    best *= weights
+    # orbit k's terms fill row k from its start; a power-of-two width makes each tree level one addition
+    width = 1 << (int(kept.max()) - 1).bit_length()
+    padded = np.zeros(K * width)
+    padded.put(np.repeat(np.arange(0, K * width, width) - (np.cumsum(kept) - kept), kept) + np.arange(len(best)), best)
+    return _tree_sums(padded.reshape(K, width))
 
 
 def empirical_rademacher(
@@ -281,6 +405,13 @@ def _check_support_class(cls: EvaluatedClass, dist: DiscreteDistribution) -> Non
         raise DimensionMismatch(f"the support class has {cls.n} columns for {dist.size} support points")
 
 
+def _orbit_table_fits(support_size: int, n: int, cells: int) -> bool:
+    """Whether the C(n + s - 1, n) orbits of ``core.product_orbits``, of n index cells
+    each, hold at most ``cells`` cells.  C(n + s - 1, n) >= s, so s * n is tested
+    first and no large binomial is ever formed."""
+    return support_size * n <= cells and math.comb(n + support_size - 1, n) * n <= cells
+
+
 def _capped_orbits(
     cls: EvaluatedClass, dist: DiscreteDistribution, n: int, cap: int,
     need: str = "product enumeration needs {} tuples", *, per_tuple: int = 1, paired: bool = False,
@@ -306,15 +437,12 @@ def _capped_orbits(
         raise ExactEnumerationLimit(f"{need.format(count)}, above the cap of {cap}")
     if sign_cap is not None:
         _check_sign_cap(n, sign_cap)
-    return product_orbits(np.outer(dist.probs, dist.probs).ravel() if paired else dist.probs, n)
+    return product_orbits(np.outer(dist.probs, dist.probs).ravel(), n) if paired else dist.orbits(n)
 
 
-def _orbit_rademacher(
-    table: np.ndarray, reps: np.ndarray, weights: np.ndarray, sign_cap: int
-) -> float:
+def _orbit_rademacher(table: np.ndarray, reps: np.ndarray, weights: np.ndarray) -> float:
     """Weighted sum over orbits of the exact complexity of table[:, rep]."""
-    values = _sign_averages(table[:, reps].transpose(1, 0, 2), sign_cap)[0]
-    return deterministic_sum(weights * values)
+    return deterministic_sum(weights * _orbit_sign_averages(table, *_orbit_counts(reps, table.shape[1])))
 
 
 def expected_rademacher(
@@ -335,7 +463,7 @@ def expected_rademacher(
     """
     reps, weights = _capped_orbits(cls, dist, n, product_cap, sign_cap=sign_cap)
     return ComplexityResult(
-        _orbit_rademacher(cls.evals, reps, weights, sign_cap), Method.EXACT_ENUMERATION
+        _orbit_rademacher(cls.evals, reps, weights), Method.EXACT_ENUMERATION
     )
 
 
@@ -367,25 +495,38 @@ def expected_rademacher_mc(
 
     ``cls`` is the class on the whole support (``DiscreteInstance.support_class``),
     and every sample's class is read off its columns; this is the estimate for
-    n past ``expected_rademacher``'s caps.  The sign average of each sample is
-    exact up to ``sign_cap``; past it, it is itself the unbiased estimate from
-    ``_INNER_DRAWS`` sign draws.
+    n past ``expected_rademacher``'s caps.  The sign average of a sample depends
+    only on its orbit.  Up to ``sign_cap``, where the orbit table holds no more
+    index cells than the draws it replaces (``_orbit_table_fits`` at
+    min(draws * n, 2**14)), draw j takes its orbit from the one word of
+    ``draw_words`` it owns, by the inverse CDF of the orbit weights
+    (``DiscreteDistribution.orbit_sampler``), and each distinct orbit of a chunk is
+    averaged once by ``_orbit_sign_averages``.  Past the table budget draw j takes
+    its n support indices and each distinct sorted sample the exact ``_sign_averages``;
+    past ``sign_cap``, the unbiased estimate from ``_INNER_DRAWS`` sign draws.
     """
     _check_support_class(cls, dist)
+    if n <= sign_cap and _orbit_table_fits(dist.size, n, min(draws * n, _ORBIT_CELLS)):
+        reps, law = dist.orbit_sampler(n)
+        counts, points = _orbit_counts(reps, dist.size)
 
-    def values_of(start: int, stop: int) -> np.ndarray:
-        idx = dist.draw_index_trials(seed, start, stop - start, n)
-        if n <= sign_cap:
-            # the sign average is permutation invariant: one per drawn orbit
-            orbits, which = _distinct_rows(np.sort(idx, axis=1))
-            return _sign_averages(cls.evals[:, orbits].transpose(1, 0, 2), sign_cap)[0][which]
-        # empirical_rademacher_mc's value from _INNER_DRAWS sign draws, which fit in one of its chunks
-        return np.array([
-            deterministic_sum(_sign_draw_values(
-                cls.evals[:, row], _sign_words(derive_seed(seed, f"inner:{start + j}"), 0, _INNER_DRAWS, n)
-            )) / _INNER_DRAWS
-            for j, row in enumerate(idx)
-        ])
+        def values_of(start: int, stop: int) -> np.ndarray:
+            drawn, which = np.unique(law.draw_index_trials(seed, start, stop - start, 1)[:, 0], return_inverse=True)
+            return _orbit_sign_averages(cls.evals, counts[drawn], None if points is None else points[drawn])[which]
+    else:
+        def values_of(start: int, stop: int) -> np.ndarray:
+            idx = dist.draw_index_trials(seed, start, stop - start, n)
+            if n <= sign_cap:
+                # the sign average is permutation invariant: one per drawn sample's sorted indices
+                orbits, which = _distinct_rows(np.sort(idx, axis=1))
+                return _sign_averages(cls.evals[:, orbits].transpose(1, 0, 2), sign_cap)[0][which]
+            # empirical_rademacher_mc's value from _INNER_DRAWS sign draws, which fit in one of its chunks
+            return np.array([
+                deterministic_sum(_sign_draw_values(
+                    cls.evals[:, row], _sign_words(derive_seed(seed, f"inner:{start + j}"), 0, _INNER_DRAWS, n)
+                )) / _INNER_DRAWS
+                for j, row in enumerate(idx)
+            ])
 
     return _mc_estimate(values_of, draws, seed, threads)
 

@@ -20,15 +20,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .complexity import _MC_CHUNK, _check_support_class, _run_chunks
+from .complexity import _MC_CHUNK, _ORBIT_CELLS, _check_support_class, _orbit_table_fits, _run_chunks
 from .core import (
     DiscreteDistribution,
     EvaluatedClass,
     InvalidDelta,
     InvalidEnvelope,
     InvariantViolation,
-    deterministic_sum,
-    product_orbits,
 )
 from .deviation import _check_count_matrix, _sample_deviations
 
@@ -227,24 +225,11 @@ class TailExperiment:
             raise InvariantViolation("ci_upper must dominate the empirical frequency")
 
 
-_ORBIT_CELLS = 1 << 14  # index cells of the largest orbit table a tail draws from
-
-
 def _draws_orbits(support_size: int, n: int, trials: int) -> bool:
-    """Whether ``simulate_tail`` draws each trial's orbit: the C(n + s - 1, n)
-    orbits hold n index cells each, at most min(trials, 2**14) in all, so the
-    table costs no more than the index draws it replaces.  C(n + s - 1, n) >= s,
-    so s * n is tested first and no large binomial is ever formed."""
-    budget = min(trials, _ORBIT_CELLS)
-    return support_size * n <= budget and math.comb(n + support_size - 1, n) * n <= budget
-
-
-def _orbit_sampler(dist: DiscreteDistribution, n: int) -> tuple[np.ndarray, DiscreteDistribution]:
-    """The representatives of ``product_orbits(dist.probs, n)`` and the law of a sample's orbit
-    over their row indices.  The weights are normalized: they sum to (sum of probs)**n, which
-    may leave 1 by n times the tolerance of ``dist``."""
-    reps, weights = product_orbits(dist.probs, n)
-    return reps, DiscreteDistribution(np.arange(len(weights)), weights / deterministic_sum(weights))
+    """Whether ``simulate_tail`` draws each trial's orbit: the orbit table holds at
+    most min(trials, 2**14) index cells (``_orbit_table_fits``), so it costs no more
+    than the index draws it replaces."""
+    return _orbit_table_fits(support_size, n, min(trials, _ORBIT_CELLS))
 
 
 def check_tail_trials(support_size: int, trials: int) -> None:
@@ -272,7 +257,7 @@ def simulate_tail(
     of ``dist``, whose population means ``dist`` gives, and trials are vectorized.
 
     Within the orbit budget (``_draws_orbits``) the exceedance of each orbit of
-    ``product_orbits`` is computed once, and trial j draws one orbit from the
+    ``dist.orbits(n)`` is computed once, and trial j draws one orbit from the
     word of ``draw_words`` it owns, by the inverse CDF of the orbit weights.
     Above it, trial j draws its n support indices (``draw_index_trials``).
     """
@@ -284,7 +269,7 @@ def simulate_tail(
     means = dist.expectation(cls.evals)
 
     if _draws_orbits(dist.size, n, trials):
-        reps, orbits = _orbit_sampler(dist, n)
+        reps, orbits = dist.orbit_sampler(n)
         exceeds = np.concatenate(_run_chunks(
             lambda start, stop: _sample_deviations(cls, means, reps[start:stop]) >= threshold,
             len(reps), threads,

@@ -124,6 +124,7 @@ class DiscreteDistribution:
         cumulative = np.cumsum(probs)
         cumulative.setflags(write=False)
         object.__setattr__(self, "_cumulative", cumulative)
+        object.__setattr__(self, "_memo", {})  # orbit tables per n, built on first use
 
     @property
     def size(self) -> int:
@@ -133,6 +134,27 @@ class DiscreteDistribution:
         """Exact expectation of values given on the support (last axis)."""
         sums = _tree_sums(self.probs * np.asarray(values, dtype=np.float64))
         return float(sums) if sums.ndim == 0 else sums
+
+    def orbits(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``product_orbits(self.probs, n)``, built once per n for the lifetime of this
+        measure; both arrays are read-only."""
+        key = ("orbits", n)
+        if key not in self._memo:
+            reps, weights = product_orbits(self.probs, n)
+            reps.setflags(write=False)
+            weights.setflags(write=False)
+            self._memo[key] = reps, weights
+        return self._memo[key]
+
+    def orbit_sampler(self, n: int) -> tuple[np.ndarray, "DiscreteDistribution"]:
+        """The representatives of ``orbits(n)`` and the law of a sample's orbit over
+        their row indices, built once per n.  The weights are normalized: they sum to
+        (sum of probs)**n, which may leave 1 by n times the tolerance of this measure."""
+        key = ("sampler", n)
+        if key not in self._memo:
+            reps, weights = self.orbits(n)
+            self._memo[key] = reps, DiscreteDistribution(np.arange(len(weights)), weights / deterministic_sum(weights))
+        return self._memo[key]
 
     def draw_index_trials(self, seed: int, first_trial: int, count: int, n: int) -> np.ndarray:
         """(count, n) support indices; trial j consumes a fixed word window."""
@@ -160,12 +182,10 @@ class DiscreteDistribution:
         """Per top-bits bucket, its one support index, or -1 where a threshold splits it.
 
         The search is monotone in the uniform, so a bucket maps to one index
-        exactly when its smallest and largest uniforms do.
+        exactly when its smallest and largest uniforms do (``_GUIDE_EDGES``).
         """
-        buckets = np.arange(1 << _GUIDE_BITS, dtype=_U64) << _U64(64 - _GUIDE_BITS)
-        low = self._search(words_to_uniforms(buckets))
-        high = self._search(words_to_uniforms(buckets | _U64((1 << (64 - _GUIDE_BITS)) - 1)))
-        return np.where(low == high, low, -1)
+        low = self._search(_GUIDE_EDGES[0])
+        return np.where(low == self._search(_GUIDE_EDGES[1]), low, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,6 +354,14 @@ def draw_words(seed: int, first_draw: int, count: int, words_per_draw: int) -> n
 def words_to_uniforms(words: np.ndarray) -> np.ndarray:
     """53-bit uniforms in [0, 1)."""
     return (words >> _U64(11)).astype(np.float64) * 2.0**-53
+
+
+# the smallest and the largest uniform of each guide-table bucket: its first and its last word
+_GUIDE_EDGES = words_to_uniforms(
+    (np.arange(1 << _GUIDE_BITS, dtype=_U64) << _U64(64 - _GUIDE_BITS))
+    | np.array([[0], [(1 << (64 - _GUIDE_BITS)) - 1]], dtype=_U64)
+)
+_GUIDE_EDGES.setflags(write=False)
 
 
 def words_to_open_uniforms(words: np.ndarray) -> np.ndarray:

@@ -151,8 +151,8 @@ def check_symmetrization_identity(
     # pair value a * s + b stands for (S_k, S'_k) = (a, b)
     pair_diffs = (table[:, :, None] - table[:, None, :]).reshape(table.shape[0], s * s)
     lhs = deterministic_sum(weights * np.abs(pair_diffs[:, reps].sum(axis=2)).max(axis=0))
-    # the cap already bounds the 2**n sign vectors, so the sign cap is n itself
-    rhs = n * _orbit_rademacher(pair_diffs, reps, weights, sign_cap=n)
+    # the cap already bounds the 2**n sign vectors, so no sign cap is tested
+    rhs = n * _orbit_rademacher(pair_diffs, reps, weights)
     gap = abs(lhs - rhs)
     return SymmetrizationReport(lhs, rhs, gap, gap <= tol)
 
@@ -184,5 +184,5 @@ def verify_expectation_bound(
         _check_count_matrix(s, math.comb(n + s - 1, s - 1))
     reps, weights = _capped_orbits(cls, dist, n, product_cap, sign_cap=sign_cap)
     lhs = deterministic_sum(weights * _sample_deviations(cls, dist.expectation(cls.evals), reps))
-    rhs = 2.0 * _orbit_rademacher(cls.evals, reps, weights, sign_cap)
+    rhs = 2.0 * _orbit_rademacher(cls.evals, reps, weights)
     return ExpectationBoundReport(lhs, rhs, rhs - lhs, lhs <= rhs + tol)

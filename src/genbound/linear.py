@@ -17,7 +17,7 @@ each instance's closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
@@ -60,28 +60,26 @@ NormRegime = L2Ball | L1Linf
 
 @dataclass(frozen=True, eq=False)
 class LinearInstance:
-    """m weight vectors and n inputs in R^d under one norm regime."""
+    """m weight vectors and n inputs in R^d under one norm regime.
+
+    ``validate=False`` takes float64 (m, d) and (n, d) arrays as they are, without a
+    copy or a norm check, for a caller that has checked them (``random_linear_instances``).
+    """
 
     weights: np.ndarray  # (m, d)
     inputs: np.ndarray  # (n, d)
     regime: NormRegime
+    _: KW_ONLY
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
+        if not validate:
+            return
         weights = np.atleast_2d(np.array(self.weights, dtype=np.float64))
         inputs = np.atleast_2d(np.array(self.inputs, dtype=np.float64))
         if weights.shape[1] != inputs.shape[1]:
             raise InvariantViolation("weights and inputs must share the dimension d")
-        if isinstance(self.regime, L2Ball):
-            w_norms = np.sqrt((weights**2).sum(axis=1))
-            x_norms = np.sqrt((inputs**2).sum(axis=1))
-        else:
-            w_norms = np.abs(weights).sum(axis=1)
-            x_norms = np.abs(inputs).max(axis=1)
-        for kind, norms, radius in (
-            ("weight", w_norms, self.regime.weight_radius), ("input", x_norms, self.regime.input_radius)
-        ):
-            if not norms.max() <= radius + _NORM_TOL:  # also rejects NaN
-                raise InvariantViolation(f"{kind} norm {float(norms.max())!r} exceeds radius {radius!r}")
+        _check_norms(weights[None], inputs[None], self.regime)
         weights.setflags(write=False)
         inputs.setflags(write=False)
         object.__setattr__(self, "weights", weights)
@@ -102,6 +100,23 @@ class LinearInstance:
     def evaluated_class(self) -> EvaluatedClass:
         evals = self.weights @ self.inputs.T
         return EvaluatedClass(evals, float(np.abs(evals).max(initial=0.0)))
+
+
+def _check_norms(weights: np.ndarray, inputs: np.ndarray, regime: NormRegime) -> None:
+    """Refuse the first of a batch of instances, (count, m, d) weights and (count, n, d)
+    inputs, with a weight norm or else an input norm above its radius (also NaN)."""
+    if isinstance(regime, L2Ball):
+        w_norms = np.sqrt((weights**2).sum(axis=2)).max(axis=1)
+        x_norms = np.sqrt((inputs**2).sum(axis=2)).max(axis=1)
+    else:
+        w_norms = np.abs(weights).sum(axis=2).max(axis=1)
+        x_norms = np.abs(inputs).max(axis=2).max(axis=1)
+    checks = (("weight", w_norms, regime.weight_radius), ("input", x_norms, regime.input_radius))
+    bad = [~(norms <= radius + _NORM_TOL) for _, norms, radius in checks]
+    if np.any(bad):
+        i = int(np.argmax(bad[0] | bad[1]))
+        kind, norms, radius = checks[0] if bad[0][i] else checks[1]
+        raise InvariantViolation(f"{kind} norm {float(norms[i])!r} exceeds radius {radius!r}")
 
 
 def l2_bound(X: float, W: float, n: int) -> float:
@@ -183,7 +198,11 @@ def random_linear_instances(
     kinds = ("l2", "l2") if isinstance(regime, L2Ball) else ("l1", "linf")
     weights = _sample_balls(kinds[0], regime.weight_radius, d, m, [derive_seed(s, "weights") for s in seeds])
     inputs = _sample_balls(kinds[1], regime.input_radius, d, n, [derive_seed(s, "inputs") for s in seeds])
-    return [LinearInstance(w, x, regime) for w, x in zip(weights.reshape(-1, m, d), inputs.reshape(-1, n, d))]
+    weights, inputs = weights.reshape(-1, m, d), inputs.reshape(-1, n, d)
+    _check_norms(weights, inputs, regime)  # the whole batch in one pass, as each instance would check it
+    weights.setflags(write=False)
+    inputs.setflags(write=False)
+    return [LinearInstance(w, x, regime, validate=False) for w, x in zip(weights, inputs)]
 
 
 def random_linear_instance(

@@ -105,6 +105,18 @@ def oracle_product_orbits(probs, n):
     return reps, weights
 
 
+def oracle_orbit_draws(dist, n, seed, draws):
+    """``(reps, orbit)``: the orbit representatives of the n-fold product and the orbit
+    of each of ``draws`` draws, the plain inverse CDF of the orbit weights (normalized
+    by their tree sum) at the one word each draw owns."""
+    from genbound.core import deterministic_sum, draw_words, product_orbits, words_to_uniforms
+
+    reps, weights = product_orbits(dist.probs, n)
+    cumulative = np.cumsum(weights / deterministic_sum(weights))
+    u = words_to_uniforms(draw_words(seed, 0, draws, 1)[:, 0])
+    return reps, np.minimum(np.searchsorted(cumulative, u, side="right"), len(reps) - 1)
+
+
 def oracle_sign_average(evals, absolute=True):
     """Brute-force sign average via itertools; the complexity oracle."""
     evals = np.asarray(evals, dtype=float)

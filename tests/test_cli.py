@@ -31,6 +31,8 @@ from genbound.cli import (
 from genbound.core import EvaluatedClass, derive_seed
 from genbound.instances import DiscreteInstance, random_discrete_instance, random_evaluated_class
 
+from conftest import oracle_orbit_draws
+
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
@@ -177,12 +179,12 @@ class TestCommands:
         assert canonical_report(reports[0]) == canonical_report(reports[1])
         inst = random_discrete_instance(3, m=2, support_size=2)
         draws, rn_seed = config["rademacher_draws"], derive_seed(5, "rn")
-        # each draw's sign average is taken on its sorted orbit representative
-        idx = np.sort(inst.dist.draw_index_trials(rn_seed, 0, draws, 4), axis=1)
+        # each draw takes the orbit its one word picks, and that orbit's exact sign average
+        reps, orbit = oracle_orbit_draws(inst.dist, 4, rn_seed, draws)
         values = np.array(
-            [complexity.empirical_rademacher(EvaluatedClass(inst.table[:, row], 1.0)).value for row in idx]
+            [complexity._orbit_sign_averages(inst.table, np.bincount(rep, minlength=2)[None])[0] for rep in reps]
         )
-        expected = complexity._mc_result(values, draws, rn_seed)
+        expected = complexity._mc_result(values[orbit], draws, rn_seed)
         row = reports[0]["results"][0]
         assert (row["rademacher_value"], row["rademacher_std_error"]) == (expected.value, expected.std_error)
 
@@ -930,6 +932,37 @@ class TestParser:
         assert main(["linear", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
 
 
+def assert_same_reports_under_blas_core_types(commands, method="monte_carlo"):
+    """Each (command, config path) gives the default canonical report, every row with a
+    method taking ``method``, under four OpenBLAS core types, each set in a child
+    process's environment only."""
+    code = """
+import json, sys
+from genbound.cli import canonical_report, main
+method, reports = sys.argv[1], []
+for command, config in zip(sys.argv[2::2], sys.argv[3::2]):
+    assert main([command, "--config", config, "--out", config + ".out"]) == 0
+    report = json.load(open(config + ".out"))
+    assert {row.get("method", method) for row in report["results"]} == {method}, report["results"]
+    reports.append(canonical_report(report))
+print(json.dumps(reports))
+"""
+    src = str(Path(genbound.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = [method, *(item for command in commands for item in command)]
+
+    def reports(coretype=None):
+        child = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=child, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout.splitlines()[-1])
+
+    default = reports()
+    for coretype in ("Prescott", "Nehalem", "SandyBridge", "Haswell"):
+        assert reports(coretype) == default, coretype
+
+
 class TestDeterminism:
     def test_same_config_same_canonical_report(self, tmp_path):
         config = {
@@ -964,35 +997,24 @@ class TestDeterminism:
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64 kernels")
     def test_monte_carlo_rademacher_bits_do_not_depend_on_the_blas_kernel(self, tmp_path):
         # through 0.14.0 a sign matrix times evals.T by GEMM moved the n = 130 value under Prescott
-        configs = []
+        commands = []
         for m, n, seed in ((4, 21, 21), (4, 70, 70), (3, 130, 0)):
             config = {"class": {"random": {"m": m, "n": n, "seed": seed}}, "method": "mc", "seed": 5, "draws": 3000}
-            configs.append(write_config(tmp_path, f"n{n}.json", config))
-        code = """
-import json, sys
-from genbound.cli import canonical_report, main
-reports = []
-for config in sys.argv[1:]:
-    assert main(["rademacher", "--config", config, "--out", config + ".out"]) == 0
-    reports.append(canonical_report(json.load(open(config + ".out"))))
-print(json.dumps(reports))
-"""
-        src = str(Path(genbound.__file__).resolve().parents[1])
-        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+            commands.append(("rademacher", write_config(tmp_path, f"n{n}.json", config)))
+        assert_same_reports_under_blas_core_types(commands)
 
-        def reports(coretype=None):
-            # the core type is set in the child's environment only
-            child = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
-            out = subprocess.run(
-                [sys.executable, "-c", code, *configs], env=child, capture_output=True, text=True, timeout=120
-            )
-            assert out.returncode == 0, out.stderr
-            return json.loads(out.stdout.splitlines()[-1])
-
-        default = reports()
-        for coretype in ("Prescott", "Nehalem", "SandyBridge", "Haswell"):
-            assert reports(coretype) == default, coretype
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64 kernels")
+    def test_exact_orbit_bits_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # through 0.15.0 every exact R_n, and the symmetrization's right side, went through a GEMM
+        instance = {"random": {"m": 4, "support_size": 3, "seed": 7}}
+        commands = [
+            ("deviation", {"instance": instance, "n": 6}),
+            ("symmetrize", {"instance": instance, "n": 3}),
+            ("tail", {"instance": {"random": {"m": 5, "support_size": 2, "seed": 8}}, "n": 9, "seed": 3,
+                      "trials": 3000, "epsilons": [0.2, 0.4]}),
+        ]
+        commands = [(name, write_config(tmp_path, f"{name}.json", config)) for name, config in commands]
+        assert_same_reports_under_blas_core_types(commands, "exact_enumeration")
 
     def test_rerun_from_embedded_config(self, tmp_path):
         cfg = write_config(

@@ -20,6 +20,7 @@ from genbound.complexity import (
     _MC_CHUNK,
     _distinct_rows,
     _mc_result,
+    _orbit_sign_averages,
     _sign_draw_values,
     _sign_sums,
     _sign_words,
@@ -36,7 +37,7 @@ from genbound.core import (
 )
 from genbound.instances import identity_instance, random_discrete_instance, random_evaluated_class
 
-from conftest import oracle_sign_average
+from conftest import oracle_orbit_draws, oracle_sign_average
 
 
 def small_class(st_m=st.integers(1, 5), st_n=st.integers(1, 6)):
@@ -272,12 +273,14 @@ class TestExpectedMonteCarloOnSupport:
     def test_equals_per_draw_values_across_a_chunk_edge(self, threads):
         inst = random_discrete_instance(3, m=2, support_size=2)
         draws, seed = _MC_CHUNK + 9, 12
-        # n at the sign cap still takes exact sign averages
+        # n at the sign cap still takes exact sign averages; the 5 orbits hold 20 index cells
         result = expected_rademacher_mc(inst.support_class, inst.dist, 4, draws, seed, threads=threads, sign_cap=4)
-        # each draw's sign average is taken on its sorted orbit representative
-        idx = np.sort(inst.dist.draw_index_trials(seed, 0, draws, 4), axis=1)
-        values = np.array([empirical_rademacher(EvaluatedClass(inst.table[:, row], 1.0)).value for row in idx])
-        assert result == _mc_result(values, draws, seed)
+        # draw j's value is the orbit kernel's value of the orbit its one word picks, taken alone
+        reps, orbit = oracle_orbit_draws(inst.dist, 4, seed, draws)
+        alone = np.array([_orbit_sign_averages(inst.table, np.bincount(rep, minlength=2)[None])[0] for rep in reps])
+        exact = [empirical_rademacher(EvaluatedClass(inst.table[:, rep], 1.0)).value for rep in reps]
+        np.testing.assert_allclose(alone, exact, rtol=1e-12)
+        assert result == _mc_result(alone[orbit], draws, seed)
 
     def test_above_the_sign_cap(self, monkeypatch):
         monkeypatch.setattr(complexity, "_MC_CHUNK", 64)  # chunk edges at 200 draws

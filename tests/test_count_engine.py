@@ -9,12 +9,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from genbound import concentration
+from genbound import core
 from genbound.complexity import _MC_CHUNK
 from genbound.concentration import (
     _ORBIT_CELLS,
     _draws_orbits,
-    _orbit_sampler,
     clopper_pearson_lower,
     clopper_pearson_upper,
     simulate_tail,
@@ -37,6 +36,14 @@ def search_reference(dist, words):
     u = words_to_uniforms(words)
     idx = np.searchsorted(np.cumsum(dist.probs), u, side="right")
     return np.minimum(idx, dist.size - 1).astype(np.intp)
+
+
+def guide_reference(dist):
+    """The guide table built from each bucket's first and last word, searched per build."""
+    buckets = np.arange(1 << 12, dtype=np.uint64) << np.uint64(52)
+    low = search_reference(dist, buckets)
+    high = search_reference(dist, buckets | np.uint64((1 << 52) - 1))
+    return np.where(low == high, low, -1)
 
 
 def planted_words(dist, rng):
@@ -73,6 +80,21 @@ class TestGuideTable:
         got = dist._indices(words)
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, search_reference(dist, words))
+
+    @given(weights)
+    @example([1.0])  # one point: every bucket maps to it
+    @example([0.0, 1.0, 0.0])
+    @example([0.5, 0.0, 0.0, 0.5])
+    def test_guide_equals_one_built_from_its_own_bucket_words(self, w):
+        probs = np.array(w) / sum(w)
+        dist = DiscreteDistribution(np.arange(len(w), dtype=np.float64), probs)
+        np.testing.assert_array_equal(dist._guide, guide_reference(dist))
+
+    @pytest.mark.parametrize("support_size, n", [(3, 4), (4, 10), (2, 9)])
+    def test_guide_of_an_orbit_law_equals_one_built_from_its_own_bucket_words(self, support_size, n):
+        inst = random_discrete_instance(support_size + n, m=1, support_size=support_size)
+        _, law = inst.dist.orbit_sampler(n)
+        np.testing.assert_array_equal(law._guide, guide_reference(law))
 
     @given(weights, st.integers(0, 2**32), st.integers(0, 50), st.integers(1, 12))
     def test_draws_match_search_on_the_same_words(self, w, seed, first, n):
@@ -156,7 +178,7 @@ class TestTailSimulation:
     @pytest.mark.parametrize("support_size, n", [(3, 4), (4, 10), (2, 7)])
     def test_orbit_draws_follow_the_orbit_weights(self, support_size, n):
         inst = random_discrete_instance(support_size * n, m=1, support_size=support_size)
-        reps, orbits = _orbit_sampler(inst.dist, n)
+        reps, orbits = inst.dist.orbit_sampler(n)
         expected_reps, weights = product_orbits(inst.dist.probs, n)
         np.testing.assert_array_equal(reps, expected_reps)
         draws = 10**6
@@ -196,9 +218,7 @@ class TestTailSimulation:
         monkeypatch.undo()
 
         tables = []
-        monkeypatch.setattr(
-            concentration, "product_orbits", lambda *args: tables.append(args) or product_orbits(*args)
-        )
+        monkeypatch.setattr(core, "product_orbits", lambda *args: tables.append(args) or product_orbits(*args))
         inst = random_discrete_instance(2, m=2, support_size=2)
         for trials, orbit_path in ((1056, True), (1055, False)):
             tables.clear()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genbound import complexity, deviation
+from genbound import core, deviation
 from genbound.complexity import _MC_CHUNK
 from genbound.concentration import check_tail_trials, simulate_tail
 from genbound.core import (
@@ -152,7 +152,7 @@ class TestCountBudget:
         def refuse(*args, **kwargs):
             raise AssertionError("the orbits were built")
 
-        monkeypatch.setattr(complexity, "product_orbits", refuse)
+        monkeypatch.setattr(core, "product_orbits", refuse)
         inst = random_discrete_instance(1, m=2, support_size=1000)
         with pytest.raises(GenboundError) as raised:
             verify_expectation_bound(inst.support_class, inst.dist, 2)

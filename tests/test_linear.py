@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from genbound.complexity import empirical_rademacher, empirical_rademacher_without_abs
 from genbound.cli import run_experiment
-from genbound import core
+from genbound import core, linear
 from genbound.core import (
     DimensionMismatch,
     DrawBudgetExceeded,
@@ -232,6 +232,36 @@ class TestStackedVerification:
             verify_linear_bounds(
                 [random_linear_instance(1, regime, 3, 4, 2), random_linear_instance(2, regime, 3, 5, 2)]
             )
+
+    @pytest.mark.parametrize("regime", [L2Ball(1.0, 1.0), L1Linf(1.0, 1.0)])
+    @pytest.mark.parametrize("kind, at", [("weight", 0), ("input", 2), ("weight", 5)])
+    def test_a_planted_out_of_ball_row_raises_the_per_instance_message(self, monkeypatch, regime, kind, at):
+        seeds = [derive_seed(4, f"linear:{i}") for i in range(6)]
+        d, n, m = 3, 4, 2
+        sample = linear._sample_balls
+        batches = []  # the weights, then the inputs
+
+        def sample_balls(ball, radius, d, count, seeds_of_ball):
+            points = sample(ball, radius, d, count, seeds_of_ball)
+            batches.append(points)
+            if len(batches) == (1 if kind == "weight" else 2):
+                points[at * count + 1] = [1.5, 0.0, 0.0]  # one row of instance ``at`` leaves its ball
+            return points
+
+        monkeypatch.setattr(linear, "_sample_balls", sample_balls)
+        with pytest.raises(InvariantViolation) as raised:
+            random_linear_instances(seeds, regime, d, n, m)
+        weights, inputs = batches[0].reshape(-1, m, d), batches[1].reshape(-1, n, d)
+        assert str(raised.value) == f"{kind} norm 1.5 exceeds radius 1.0"
+        # the checked constructor names the same norm for that instance
+        with pytest.raises(InvariantViolation) as checked:
+            LinearInstance(weights[at], inputs[at], regime)
+        assert str(checked.value) == str(raised.value)
+
+    def test_drawn_instances_are_read_only_views_of_one_checked_batch(self):
+        instances = random_linear_instances([1, 2, 3], L2Ball(1.0, 1.0), 3, 4, 2)
+        for instance in instances:
+            assert not instance.weights.flags.writeable and not instance.inputs.flags.writeable
 
     def test_nan_weights_are_rejected(self):
         with pytest.raises(InvariantViolation):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genbound import complexity
+from genbound import core
 from genbound.complexity import empirical_rademacher, expected_rademacher
 from genbound.concentration import simulate_tail
 from genbound.core import (
@@ -230,7 +230,7 @@ class TestContracts:
         def refuse(probs, n):
             raise AssertionError("the orbits were built")
 
-        monkeypatch.setattr(complexity, "product_orbits", refuse)
+        monkeypatch.setattr(core, "product_orbits", refuse)
         inst = random_discrete_instance(5, m=2, support_size=2)
         args = (inst.support_class, inst.dist, 4)
         for run in (expected_rademacher, verify_expectation_bound):
