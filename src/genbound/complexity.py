@@ -49,6 +49,8 @@ _MC_CHUNK = 1 << 13
 _TABLE_VALUES = 1 << 17  # byte-table values alive at once in _sign_sums
 _ORBIT_VALUES = 1 << 17  # term values alive at once in _orbit_sign_averages
 _ORBIT_CELLS = 1 << 14  # index cells of the largest orbit table a draw takes its orbit from
+_ORBIT_TERM_COST = 10  # sign rows the row kernel sums in the time the count kernel takes a term
+_ORBIT_CALL_COST = 1 << 13  # sign rows in the time of the count kernel's fixed work per call
 _INNER_DRAWS = 2000  # sign draws per sampled tuple above the sign cap
 
 
@@ -406,9 +408,11 @@ def _check_support_class(cls: EvaluatedClass, dist: DiscreteDistribution) -> Non
 
 
 def _orbit_table_fits(support_size: int, n: int, cells: int) -> bool:
-    """Whether the C(n + s - 1, n) orbits of ``core.product_orbits``, of n index cells
-    each, hold at most ``cells`` cells.  C(n + s - 1, n) >= s, so s * n is tested
-    first and no large binomial is ever formed."""
+    """Whether a draw takes its orbit from the C(n + s - 1, n) orbits of
+    ``core.product_orbits``: they hold, at n index cells each, no more than the
+    ``cells`` index cells the draws would take, nor more than _ORBIT_CELLS.
+    C(n + s - 1, n) >= s, so s * n is tested first and no large binomial is ever formed."""
+    cells = min(cells, _ORBIT_CELLS)
     return support_size * n <= cells and math.comb(n + support_size - 1, n) * n <= cells
 
 
@@ -440,9 +444,28 @@ def _capped_orbits(
     return product_orbits(np.outer(dist.probs, dist.probs).ravel(), n) if paired else dist.orbits(n)
 
 
+def _orbit_averages(table: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Exact sign average of the class table[:, rep] of each sorted representative
+    in a (K, n) array of indices into the s columns of ``table``.
+
+    The C(n + s - 1, n) orbits of n points hold C(n + 2s - 1, n) count terms in all
+    (a pair j, c - j is a composition of n into 2s parts), against 2**n sign rows
+    each.  Where the rows cost more than the terms do in the count kernel
+    ``_orbit_sign_averages`` (_ORBIT_TERM_COST rows a term, plus _ORBIT_CALL_COST),
+    it averages each orbit's counts; elsewhere the row kernel ``_sign_averages``
+    averages its gathered columns.  The choice depends on (s, n) alone, so an
+    orbit's value does not depend on the orbits that share its call.
+    """
+    n, s = reps.shape[1], table.shape[1]
+    terms = math.comb(n + 2 * s - 1, n)
+    if _ORBIT_TERM_COST * terms + _ORBIT_CALL_COST <= math.comb(n + s - 1, n) << n:
+        return _orbit_sign_averages(table, *_orbit_counts(reps, s))
+    return _sign_averages(table[:, reps].transpose(1, 0, 2), n)[0]
+
+
 def _orbit_rademacher(table: np.ndarray, reps: np.ndarray, weights: np.ndarray) -> float:
     """Weighted sum over orbits of the exact complexity of table[:, rep]."""
-    return deterministic_sum(weights * _orbit_sign_averages(table, *_orbit_counts(reps, table.shape[1])))
+    return deterministic_sum(weights * _orbit_averages(table, reps))
 
 
 def expected_rademacher(
@@ -497,29 +520,27 @@ def expected_rademacher_mc(
     and every sample's class is read off its columns; this is the estimate for
     n past ``expected_rademacher``'s caps.  The sign average of a sample depends
     only on its orbit.  Up to ``sign_cap``, where the orbit table holds no more
-    index cells than the draws it replaces (``_orbit_table_fits`` at
-    min(draws * n, 2**14)), draw j takes its orbit from the one word of
-    ``draw_words`` it owns, by the inverse CDF of the orbit weights
-    (``DiscreteDistribution.orbit_sampler``), and each distinct orbit of a chunk is
-    averaged once by ``_orbit_sign_averages``.  Past the table budget draw j takes
-    its n support indices and each distinct sorted sample the exact ``_sign_averages``;
-    past ``sign_cap``, the unbiased estimate from ``_INNER_DRAWS`` sign draws.
+    index cells than the draws it replaces (``_orbit_table_fits(s, n, draws * n)``),
+    draw j takes its orbit from the one word of ``draw_words`` it owns, by the
+    inverse CDF of the orbit weights (``DiscreteDistribution.orbit_sampler``).
+    Past the table budget draw j takes its n support indices, sorted into its
+    orbit's representative.  Each distinct orbit of a chunk is averaged once by
+    ``_orbit_averages``.  Past ``sign_cap``, a draw's value is the unbiased
+    estimate from ``_INNER_DRAWS`` sign draws.
     """
     _check_support_class(cls, dist)
-    if n <= sign_cap and _orbit_table_fits(dist.size, n, min(draws * n, _ORBIT_CELLS)):
+    if n <= sign_cap and _orbit_table_fits(dist.size, n, draws * n):
         reps, law = dist.orbit_sampler(n)
-        counts, points = _orbit_counts(reps, dist.size)
 
         def values_of(start: int, stop: int) -> np.ndarray:
             drawn, which = np.unique(law.draw_index_trials(seed, start, stop - start, 1)[:, 0], return_inverse=True)
-            return _orbit_sign_averages(cls.evals, counts[drawn], None if points is None else points[drawn])[which]
+            return _orbit_averages(cls.evals, reps[drawn])[which]
     else:
         def values_of(start: int, stop: int) -> np.ndarray:
             idx = dist.draw_index_trials(seed, start, stop - start, n)
             if n <= sign_cap:
-                # the sign average is permutation invariant: one per drawn sample's sorted indices
                 orbits, which = _distinct_rows(np.sort(idx, axis=1))
-                return _sign_averages(cls.evals[:, orbits].transpose(1, 0, 2), sign_cap)[0][which]
+                return _orbit_averages(cls.evals, orbits)[which]
             # empirical_rademacher_mc's value from _INNER_DRAWS sign draws, which fit in one of its chunks
             return np.array([
                 deterministic_sum(_sign_draw_values(

@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .complexity import _MC_CHUNK, _ORBIT_CELLS, _check_support_class, _orbit_table_fits, _run_chunks
+from .complexity import _MC_CHUNK, _check_support_class, _orbit_table_fits, _run_chunks
 from .core import (
     DiscreteDistribution,
     EvaluatedClass,
@@ -225,13 +225,6 @@ class TailExperiment:
             raise InvariantViolation("ci_upper must dominate the empirical frequency")
 
 
-def _draws_orbits(support_size: int, n: int, trials: int) -> bool:
-    """Whether ``simulate_tail`` draws each trial's orbit: the orbit table holds at
-    most min(trials, 2**14) index cells (``_orbit_table_fits``), so it costs no more
-    than the index draws it replaces."""
-    return _orbit_table_fits(support_size, n, min(trials, _ORBIT_CELLS))
-
-
 def check_tail_trials(support_size: int, trials: int) -> None:
     """Refuse, from the support size alone, the count matrix of a chunk of
     trials that ``simulate_tail`` would refuse: a caller can check an instance
@@ -256,7 +249,8 @@ def simulate_tail(
     caller reports its provenance.  ``cls`` is the class on the whole support
     of ``dist``, whose population means ``dist`` gives, and trials are vectorized.
 
-    Within the orbit budget (``_draws_orbits``) the exceedance of each orbit of
+    Where the orbit table holds no more index cells than there are trials
+    (``_orbit_table_fits(s, n, trials)``) the exceedance of each orbit of
     ``dist.orbits(n)`` is computed once, and trial j draws one orbit from the
     word of ``draw_words`` it owns, by the inverse CDF of the orbit weights.
     Above it, trial j draws its n support indices (``draw_index_trials``).
@@ -268,7 +262,7 @@ def simulate_tail(
     check_tail_trials(dist.size, trials)
     means = dist.expectation(cls.evals)
 
-    if _draws_orbits(dist.size, n, trials):
+    if _orbit_table_fits(dist.size, n, trials):
         reps, orbits = dist.orbit_sampler(n)
         exceeds = np.concatenate(_run_chunks(
             lambda start, stop: _sample_deviations(cls, means, reps[start:stop]) >= threshold,

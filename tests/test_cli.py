@@ -181,9 +181,9 @@ class TestCommands:
         draws, rn_seed = config["rademacher_draws"], derive_seed(5, "rn")
         # each draw takes the orbit its one word picks, and that orbit's exact sign average
         reps, orbit = oracle_orbit_draws(inst.dist, 4, rn_seed, draws)
-        values = np.array(
-            [complexity._orbit_sign_averages(inst.table, np.bincount(rep, minlength=2)[None])[0] for rep in reps]
-        )
+        values = np.array([complexity._orbit_averages(inst.table, rep[None])[0] for rep in reps])
+        exact = [complexity.empirical_rademacher(EvaluatedClass(inst.table[:, rep], 1.0)).value for rep in reps]
+        np.testing.assert_allclose(values, exact, rtol=1e-12)
         expected = complexity._mc_result(values[orbit], draws, rn_seed)
         row = reports[0]["results"][0]
         assert (row["rademacher_value"], row["rademacher_std_error"]) == (expected.value, expected.std_error)
@@ -1005,12 +1005,12 @@ class TestDeterminism:
 
     @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64 kernels")
     def test_exact_orbit_bits_do_not_depend_on_the_blas_kernel(self, tmp_path):
-        # through 0.15.0 every exact R_n, and the symmetrization's right side, went through a GEMM
+        # the tail's s = 2, n = 12 orbits take the count kernel; the row kernel's GEMM serves the other two
         instance = {"random": {"m": 4, "support_size": 3, "seed": 7}}
         commands = [
             ("deviation", {"instance": instance, "n": 6}),
             ("symmetrize", {"instance": instance, "n": 3}),
-            ("tail", {"instance": {"random": {"m": 5, "support_size": 2, "seed": 8}}, "n": 9, "seed": 3,
+            ("tail", {"instance": {"random": {"m": 5, "support_size": 2, "seed": 8}}, "n": 12, "seed": 3,
                       "trials": 3000, "epsilons": [0.2, 0.4]}),
         ]
         commands = [(name, write_config(tmp_path, f"{name}.json", config)) for name, config in commands]

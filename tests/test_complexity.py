@@ -20,7 +20,7 @@ from genbound.complexity import (
     _MC_CHUNK,
     _distinct_rows,
     _mc_result,
-    _orbit_sign_averages,
+    _orbit_averages,
     _sign_draw_values,
     _sign_sums,
     _sign_words,
@@ -273,14 +273,30 @@ class TestExpectedMonteCarloOnSupport:
     def test_equals_per_draw_values_across_a_chunk_edge(self, threads):
         inst = random_discrete_instance(3, m=2, support_size=2)
         draws, seed = _MC_CHUNK + 9, 12
-        # n at the sign cap still takes exact sign averages; the 5 orbits hold 20 index cells
-        result = expected_rademacher_mc(inst.support_class, inst.dist, 4, draws, seed, threads=threads, sign_cap=4)
-        # draw j's value is the orbit kernel's value of the orbit its one word picks, taken alone
-        reps, orbit = oracle_orbit_draws(inst.dist, 4, seed, draws)
-        alone = np.array([_orbit_sign_averages(inst.table, np.bincount(rep, minlength=2)[None])[0] for rep in reps])
-        exact = [empirical_rademacher(EvaluatedClass(inst.table[:, rep], 1.0)).value for rep in reps]
+        # the row kernel serves n = 4 and the count kernel n = 12; n at the sign cap is still exact
+        for n in (4, 12):
+            result = expected_rademacher_mc(inst.support_class, inst.dist, n, draws, seed, threads=threads, sign_cap=n)
+            # draw j's value is that of the orbit its one word picks, taken alone
+            reps, orbit = oracle_orbit_draws(inst.dist, n, seed, draws)
+            alone = np.array([_orbit_averages(inst.table, rep[None])[0] for rep in reps])
+            exact = [empirical_rademacher(EvaluatedClass(inst.table[:, rep], 1.0)).value for rep in reps]
+            np.testing.assert_allclose(alone, exact, rtol=1e-12)
+            assert result == _mc_result(alone[orbit], draws, seed)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_above_the_orbit_budget_equals_per_draw_orbit_values(self, threads, monkeypatch):
+        inst = random_discrete_instance(8, m=3, support_size=6)
+        n, draws, seed = 5, 200, 4
+        # the C(10, 5) = 252 orbits hold 1,260 index cells, more than the 1,000 the draws take
+        assert not complexity._orbit_table_fits(6, n, draws * n)
+        # draw j's value is that of its sorted indices, taken alone
+        idx = np.sort(inst.dist.draw_index_trials(seed, 0, draws, n), axis=1)
+        alone = np.array([_orbit_averages(inst.table, row[None])[0] for row in idx])
+        exact = [empirical_rademacher(EvaluatedClass(inst.table[:, row], 1.0)).value for row in idx]
         np.testing.assert_allclose(alone, exact, rtol=1e-12)
-        assert result == _mc_result(alone[orbit], draws, seed)
+        monkeypatch.setattr(complexity, "_MC_CHUNK", 64)  # the draws span four chunks
+        result = expected_rademacher_mc(inst.support_class, inst.dist, n, draws, seed, threads=threads)
+        assert result == _mc_result(alone, draws, seed)
 
     def test_above_the_sign_cap(self, monkeypatch):
         monkeypatch.setattr(complexity, "_MC_CHUNK", 64)  # chunk edges at 200 draws

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from genbound import core
-from genbound.complexity import _MC_CHUNK
+from genbound.complexity import _MC_CHUNK, _ORBIT_CELLS, _orbit_table_fits
 from genbound.concentration import (
-    _ORBIT_CELLS,
-    _draws_orbits,
     clopper_pearson_lower,
     clopper_pearson_upper,
     simulate_tail,
@@ -156,7 +154,7 @@ class TestTailSimulation:
     def test_exceed_count_matches_oracle_recount(self):
         inst = random_discrete_instance(31, m=3, support_size=4)
         n, trials, seed = 6, 9000, 17  # two chunks of trials, 84 orbits of 6 indices
-        assert _draws_orbits(4, n, trials)
+        assert _orbit_table_fits(4, n, trials)
         reps, weights = product_orbits(inst.dist.probs, n)
         # trial j's orbit is the inverse CDF of the normalized orbit weights at the one word it owns
         cumulative = np.cumsum(weights / weights.sum())
@@ -169,7 +167,7 @@ class TestTailSimulation:
     def test_index_path_exceed_count_matches_oracle_recount(self):
         inst = random_discrete_instance(31, m=3, support_size=4)
         n, trials, seed = 14, 9000, 17  # 680 orbits of 14 indices: 9,520 cells, above the budget
-        assert not _draws_orbits(4, n, trials)
+        assert not _orbit_table_fits(4, n, trials)
         idx = inst.dist.draw_index_trials(seed, 0, trials, n)
         means = inst.dist.expectation(inst.table)
         ud = np.array([oracle_uniform_deviation(inst.table[:, row], means) for row in idx])
@@ -197,7 +195,7 @@ class TestTailSimulation:
     def test_exceed_count_is_the_same_at_any_thread_count(self, support_size, n):
         inst = random_discrete_instance(9, m=3, support_size=support_size)
         trials = 2 * _MC_CHUNK + 5000  # 1,771 orbits of 20 indices are above the budget
-        assert _draws_orbits(support_size, n, trials) == (n == 4)
+        assert _orbit_table_fits(support_size, n, trials) == (n == 4)
         counts = {
             simulate_tail(inst.support_class, inst.dist, n, 0.1, trials, 3, 0.1, threads=threads).exceed_count
             for threads in (1, 2, 8)
@@ -206,21 +204,22 @@ class TestTailSimulation:
 
     def test_budget_edges(self, monkeypatch):
         # C(n + 1, n) * n = 33 * 32 = 1,056 index cells on two support points
-        assert _draws_orbits(2, 32, 1056) and not _draws_orbits(2, 32, 1055)
+        assert _orbit_table_fits(2, 32, 1056) and not _orbit_table_fits(2, 32, 1055)
         # one support point: one orbit of n cells, at most 2**14 at any trial count
-        assert _draws_orbits(1, _ORBIT_CELLS, 10**6) and not _draws_orbits(1, _ORBIT_CELLS + 1, 10**6)
+        assert _orbit_table_fits(1, _ORBIT_CELLS, 10**6) and not _orbit_table_fits(1, _ORBIT_CELLS + 1, 10**6)
 
         def refuse(*args):
             raise AssertionError("a binomial was formed")
 
         monkeypatch.setattr(math, "comb", refuse)
-        assert not _draws_orbits(1 << 24, 2, 10**6)  # s * n alone is above the budget
+        assert not _orbit_table_fits(1 << 24, 2, 10**6)  # s * n alone is above the budget
         monkeypatch.undo()
 
         tables = []
         monkeypatch.setattr(core, "product_orbits", lambda *args: tables.append(args) or product_orbits(*args))
-        inst = random_discrete_instance(2, m=2, support_size=2)
         for trials, orbit_path in ((1056, True), (1055, False)):
+            # a fresh measure each time: its orbit memo is empty
+            inst = random_discrete_instance(2, m=2, support_size=2)
             tables.clear()
             simulate_tail(inst.support_class, inst.dist, 32, 0.1, trials, 1, 0.0)
             assert len(tables) == orbit_path
@@ -229,7 +228,7 @@ class TestTailSimulation:
         # the weights sum to (1 + 5e-13)**127, outside a measure's tolerance unless normalized
         dist = DiscreteDistribution([-1.0, 1.0], [0.5, 0.5 + 5e-13])
         inst = identity_instance(dist)
-        assert _draws_orbits(2, 127, _ORBIT_CELLS)
+        assert _orbit_table_fits(2, 127, _ORBIT_CELLS)
         experiment = simulate_tail(inst.support_class, dist, 127, 0.1, _ORBIT_CELLS, 4, 0.0)
         assert 0 < experiment.exceed_count < _ORBIT_CELLS
 

@@ -108,15 +108,35 @@ class TestOrbitSignAverages:
         # the zero class is +0.0
         assert _orbit_sign_averages(np.zeros((2, 3)), np.array([[2, 0, 1]])).tobytes() == np.zeros(1).tobytes()
 
-    def test_the_orbit_paths_do_not_run_the_row_kernel(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the row kernel ran")
+    @pytest.mark.parametrize(
+        "support_size, n, kernel",
+        # C(n + s - 1, n) * 2**n sign rows against 10 * C(n + 2s - 1, n) + 2**13: 372,736 against 70,072,
+        # 292,864 against 202,672; then 1,792 against 12,812, 2,016 against 21,842 and 5,120 against 10,392
+        [(3, 12, "_orbit_sign_averages"), (4, 10, "_orbit_sign_averages"), (3, 6, "_sign_averages"),
+         (6, 4, "_sign_averages"), (2, 9, "_sign_averages")],
+    )
+    def test_every_orbit_path_takes_the_kernel_its_shape_picks(self, monkeypatch, support_size, n, kernel):
+        other = {"_orbit_sign_averages": "_sign_averages", "_sign_averages": "_orbit_sign_averages"}[kernel]
+        calls = []
+        monkeypatch.setattr(complexity, kernel, lambda *a, _f=getattr(complexity, kernel): calls.append(1) or _f(*a))
+        monkeypatch.setattr(complexity, other, lambda *a: pytest.fail(f"{other} ran"))
+        inst = random_discrete_instance(3, m=3, support_size=support_size)
+        expected_rademacher(inst.support_class, inst.dist, n, product_cap=10**7)
+        verify_expectation_bound(inst.support_class, inst.dist, n, product_cap=10**7)
+        # within the orbit budget; at 100 draws, above it for s = 4 and s = 6
+        expected_rademacher_mc(inst.support_class, inst.dist, n, 2000, 1)
+        expected_rademacher_mc(inst.support_class, inst.dist, n, 100, 1)
+        assert len(calls) == 4
 
-        monkeypatch.setattr(complexity, "_sign_averages", refuse)
-        inst = random_discrete_instance(3, m=3, support_size=3)
-        expected_rademacher(inst.support_class, inst.dist, 5)
-        verify_expectation_bound(inst.support_class, inst.dist, 5)
-        expected_rademacher_mc(inst.support_class, inst.dist, 5, 200, 1, sign_cap=5)
+    @pytest.mark.parametrize("support_size, n, by_counts", [(2, 4, False), (2, 9, False), (2, 12, True), (3, 6, False), (4, 10, True)])
+    def test_both_kernels_agree_where_the_choice_flips(self, support_size, n, by_counts):
+        inst = random_discrete_instance(5, m=4, support_size=support_size)
+        reps, _ = product_orbits(inst.dist.probs, n)
+        rows = _sign_averages(inst.table[:, reps].transpose(1, 0, 2), n)[0]
+        counts = _orbit_sign_averages(inst.table, *_orbit_counts(reps, support_size))
+        np.testing.assert_allclose(counts, rows, rtol=1e-12, atol=0.0)
+        got = complexity._orbit_averages(inst.table, reps)
+        assert got.tobytes() == (counts if by_counts else rows).tobytes()
 
 
 class TestOrbitMemo:
