@@ -364,45 +364,9 @@ _GUIDE_EDGES = words_to_uniforms(
 _GUIDE_EDGES.setflags(write=False)
 
 
-def words_to_open_uniforms(words: np.ndarray) -> np.ndarray:
-    """Uniforms (m + 1/2) / 2**53 of each word's top 53 bits m, rounded: only the top word gives 1."""
-    return ((words >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
 def words_to_signs(words: np.ndarray) -> np.ndarray:
     """Fair signs in {-1.0, +1.0} from the top bit, one sign per word."""
     return (words >> _U64(63)).astype(np.float64) * 2.0 - 1.0
-
-
-# Wichura's AS241 (PPND16): numerator and denominator, highest power first, for |u - 1/2| <= 0.425,
-# then for r = sqrt(-log(min(u, 1 - u))) up to 5 and beyond
-_AS241 = (
-    ((2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
-      13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665),
-     (5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
-      5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0)),
-    ((0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
-      3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835),
-     (1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457, 0.14810397642748008,
-      0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0)),
-    ((2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784, 0.026532189526576124,
-      0.29656057182850487, 1.7848265399172913, 5.463784911164114, 6.657904643501103),
-     (2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05, 0.0007868691311456133,
-      0.014875361290850615, 0.1369298809227358, 0.599832206555888, 1.0)),
-)
-
-
-def words_to_normals(words: np.ndarray) -> np.ndarray:
-    """Standard normals from open uniforms, by Wichura's AS241 inverse normal CDF."""
-    q = words_to_open_uniforms(words) - 0.5
-    mid = np.abs(q) <= 0.425
-    # 0.5 - |q| is min(u, 1 - u) exactly; the top word's u rounds to 1, and 2**-54 is its true 1 - u
-    r = np.sqrt(-np.log(np.maximum(0.5 - np.abs(q), 2.0**-54)))
-    ratio = np.empty_like(q)
-    branches = (mid, 0.180625 - q * q), (~mid & (r <= 5.0), r - 1.6), (r > 5.0, r - 5.0)
-    for (mask, arg), (num, den) in zip(branches, _AS241):
-        ratio[mask] = np.polyval(num, arg[mask]) / np.polyval(den, arg[mask])
-    return np.where(mid, q * ratio, np.copysign(ratio, q))
 
 
 def sign_block(n: int, start: int, stop: int) -> np.ndarray:

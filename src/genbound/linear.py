@@ -9,9 +9,9 @@ and any finite class obeys the Massart bound on the without-abs quantity,
 
     (1/n) * max_i ||evals[i]||_2 * sqrt(2 ln m).
 
-Ball samplers generate valid instances; the verifier pits the exact sign
-enumeration of a whole batch of instances, in one stacked kernel call, against
-each instance's closed form.
+Ball samplers generate valid instances from exactly rounded operations only;
+the verifier pits the exact sign enumeration of a whole batch of instances, in
+one stacked kernel call, against each instance's closed form.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .core import (
     _check_draw_budget,
     derive_seed,
     draw_words,
-    words_to_normals,
-    words_to_open_uniforms,
     words_to_signs,
     words_to_uniforms,
 )
@@ -98,8 +96,17 @@ class LinearInstance:
         return self.inputs.shape[0]
 
     def evaluated_class(self) -> EvaluatedClass:
-        evals = self.weights @ self.inputs.T
+        evals = _dot(self.weights[:, None], self.inputs[None])
         return EvaluatedClass(evals, float(np.abs(evals).max(initial=0.0)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, broadcast over the others: one multiply and
+    one add per coordinate in coordinate order, so no BLAS kernel picks the bits."""
+    total = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j] * b[..., j]
+    return total
 
 
 def _check_norms(weights: np.ndarray, inputs: np.ndarray, regime: NormRegime) -> None:
@@ -147,41 +154,36 @@ def _sample_balls(kind: str, radius: float, d: int, count: int, seeds) -> np.nda
     """``count`` points in the ``kind`` ball ("l2", "l1" or "linf") of ``radius`` from
     each seed's own words, all transformed in one batch.
 
-    l2 scales a Gaussian direction by radius * u**(1/d); l1 scales signed
-    exponentials normalized onto the simplex the same way; linf is
-    coordinatewise uniform.  Points satisfy the norm constraint to within
-    1e-12.  Rows come seed by seed; every row is transformed on its own, so each
-    seed's points are those it would give alone.
+    l2 divides a uniform cube vector 2u - 1 by its norm; l1 signs the spacings
+    of d - 1 sorted uniforms, which are exact and sum to exactly 1.  Both scale
+    by radius times the largest of d uniforms, which has the law of
+    radius * u**(1/d) and stays below radius.  linf is coordinatewise uniform.
+    Only sort, +, -, *, /, sqrt and max are used, which numpy rounds exactly on
+    every CPU.  Points satisfy the norm constraint to within 1e-12.  Rows come
+    seed by seed; every row is transformed on its own, so each seed's points are
+    those it would give alone.
     """
     if radius < 0.0:
         raise InvalidRadius("radius must be nonnegative")
     if d < 1:
         raise InvariantViolation("d must be at least 1")
-    words_per_point = {"l2": d + 1, "l1": 2 * d + 1, "linf": d}[kind]
+    words_per_point = {"l2": 2 * d, "l1": 3 * d - 1, "linf": d}[kind]
     _check_draw_budget(len(seeds) * count, words_per_point)  # the batch over all seeds
     words = np.concatenate([draw_words(seed, 0, count, words_per_point) for seed in seeds])
+    u = words_to_uniforms(words)
+    if kind == "linf":
+        return radius * (2.0 * u - 1.0)
     if kind == "l2":
-        g = words_to_normals(words[:, :d])
-        norms = np.sqrt((g * g).sum(axis=1))
-        flat = norms <= 0.0
-        if np.any(flat):
-            g[flat] = 0.0
-            g[flat, 0] = 1.0
-            norms[flat] = 1.0
-        radial = radius * words_to_uniforms(words[:, d]) ** (1.0 / d)
-        return g * (radial / norms)[:, None]
-    if kind == "l1":
-        exponentials = -np.log(words_to_open_uniforms(words[:, :d]))
-        totals = exponentials.sum(axis=1)
-        flat = totals <= 0.0
-        if np.any(flat):
-            exponentials[flat] = 1.0
-            totals[flat] = float(d)
-        simplex = exponentials / totals[:, None]
-        signs = words_to_signs(words[:, d : 2 * d])
-        radial = radius * words_to_uniforms(words[:, 2 * d]) ** (1.0 / d)
-        return signs * simplex * radial[:, None]
-    return radius * (2.0 * words_to_uniforms(words) - 1.0)
+        cube = 2.0 * u[:, :d] - 1.0
+        norms = np.sqrt(_dot(cube, cube))
+        flat = norms == 0.0  # every coordinate drew u = 1/2
+        cube[flat, 0] = norms[flat] = 1.0
+        direction = cube / norms[:, None]
+    else:
+        cuts = np.sort(u[:, : d - 1], axis=1)
+        spacings = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
+        direction = words_to_signs(words[:, d - 1 : 2 * d - 1]) * spacings
+    return direction * (radius * u[:, -d:].max(axis=1))[:, None]
 
 
 def random_linear_instances(
@@ -230,13 +232,13 @@ def verify_linear_bounds(
     """Exact complexity of each instance's induced class against its regime's closed form.
 
     The instances share one (m, n) shape, and all their classes go through
-    one stacked call of the exact sign kernel.
+    one stacked call of the exact sign kernel; their dimensions d may differ.
     """
     if not instances:
         return []
     if len({(instance.m, instance.n) for instance in instances}) > 1:
         raise DimensionMismatch("stacked linear instances must share m and n")
-    stack = np.stack([instance.weights @ instance.inputs.T for instance in instances])
+    stack = np.stack([_dot(instance.weights[:, None], instance.inputs[None]) for instance in instances])
     reports = []
     for instance, exact in zip(instances, _sign_averages(stack, sign_cap)[0].tolist()):
         regime = instance.regime

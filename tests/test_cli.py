@@ -932,10 +932,16 @@ class TestParser:
         assert main(["linear", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
 
 
-def assert_same_reports_under_blas_core_types(commands, method="monte_carlo"):
-    """Each (command, config path) gives the default canonical report, every row with a
-    method taking ``method``, under four OpenBLAS core types, each set in a child
-    process's environment only."""
+# numpy's AVX-512 loops, which a child process can disable on a host that has them
+AVX512_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
+X86_64 = platform.machine() in ("x86_64", "AMD64")
+
+
+def assert_same_reports_under_other_kernels(commands, method=None):
+    """Each (command, config path) gives the default canonical report under four OpenBLAS
+    core types and, where the host has X86_V4, with numpy's AVX-512 loops disabled, each
+    set in a child process's environment only.  With ``method``, every row that names a
+    method takes it."""
     code = """
 import json, sys
 from genbound.cli import canonical_report, main
@@ -943,24 +949,29 @@ method, reports = sys.argv[1], []
 for command, config in zip(sys.argv[2::2], sys.argv[3::2]):
     assert main([command, "--config", config, "--out", config + ".out"]) == 0
     report = json.load(open(config + ".out"))
-    assert {row.get("method", method) for row in report["results"]} == {method}, report["results"]
+    if method:
+        assert {row.get("method", method) for row in report["results"]} == {method}, report["results"]
     reports.append(canonical_report(report))
 print(json.dumps(reports))
 """
     src = str(Path(genbound.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    unset = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    env = {key: value for key, value in os.environ.items() if key not in unset}
     env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    argv = [method, *(item for command in commands for item in command)]
+    argv = [method or "", *(item for command in commands for item in command)]
 
-    def reports(coretype=None):
-        child = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
-        out = subprocess.run([sys.executable, "-c", code, *argv], env=child, capture_output=True, text=True, timeout=120)
+    def reports(**setting):
+        out = subprocess.run([sys.executable, "-c", code, *argv], env={**env, **setting}, capture_output=True,
+                             text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         return json.loads(out.stdout.splitlines()[-1])
 
     default = reports()
-    for coretype in ("Prescott", "Nehalem", "SandyBridge", "Haswell"):
-        assert reports(coretype) == default, coretype
+    legs = [{"OPENBLAS_CORETYPE": core} for core in ("Prescott", "Nehalem", "SandyBridge", "Haswell")]
+    if np._core._multiarray_umath.__cpu_features__.get("X86_V4"):
+        legs.append({"NPY_DISABLE_CPU_FEATURES": AVX512_FEATURES})
+    for setting in legs:
+        assert reports(**setting) == default, setting
 
 
 class TestDeterminism:
@@ -994,16 +1005,16 @@ class TestDeterminism:
         assert one["results"][0]["method"] == "monte_carlo"
         assert canonical_report(one) == canonical_report(two)
 
-    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64 kernels")
+    @pytest.mark.skipif(not X86_64, reason="OpenBLAS core types are x86-64 kernels")
     def test_monte_carlo_rademacher_bits_do_not_depend_on_the_blas_kernel(self, tmp_path):
         # through 0.14.0 a sign matrix times evals.T by GEMM moved the n = 130 value under Prescott
         commands = []
         for m, n, seed in ((4, 21, 21), (4, 70, 70), (3, 130, 0)):
             config = {"class": {"random": {"m": m, "n": n, "seed": seed}}, "method": "mc", "seed": 5, "draws": 3000}
             commands.append(("rademacher", write_config(tmp_path, f"n{n}.json", config)))
-        assert_same_reports_under_blas_core_types(commands)
+        assert_same_reports_under_other_kernels(commands, "monte_carlo")
 
-    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64 kernels")
+    @pytest.mark.skipif(not X86_64, reason="OpenBLAS core types are x86-64 kernels")
     def test_exact_orbit_bits_do_not_depend_on_the_blas_kernel(self, tmp_path):
         # the tail's s = 2, n = 12 orbits take the count kernel; the row kernel's GEMM serves the other two
         instance = {"random": {"m": 4, "support_size": 3, "seed": 7}}
@@ -1014,7 +1025,20 @@ class TestDeterminism:
                       "trials": 3000, "epsilons": [0.2, 0.4]}),
         ]
         commands = [(name, write_config(tmp_path, f"{name}.json", config)) for name, config in commands]
-        assert_same_reports_under_blas_core_types(commands, "exact_enumeration")
+        assert_same_reports_under_other_kernels(commands, "exact_enumeration")
+
+    @pytest.mark.skipif(not X86_64, reason="OpenBLAS core types and numpy's AVX-512 loops are x86-64 kernels")
+    def test_linear_dudley_and_suite_bits_do_not_depend_on_simd_or_blas(self, tmp_path):
+        # through 0.16.0 the ball samplers' log and power loops and the class GEMM moved linear values
+        commands = [("suite", {"seed": seed}) for seed in (0, 1, 77)]
+        for seed in (0, 1, 77):
+            commands += [("linear", {"seed": seed}), ("linear", {"seed": seed, "regime": "l1", "d": 7})]
+        for cover in ("exact", "greedy"):
+            for grid_points in (256, None):
+                config = {"class": {"random": {"m": 14, "n": 8, "seed": 5}}, "cover": cover, "grid_points": grid_points}
+                commands.append(("dudley", config))
+        commands = [(name, write_config(tmp_path, f"{i}.json", config)) for i, (name, config) in enumerate(commands)]
+        assert_same_reports_under_other_kernels(commands)
 
     def test_rerun_from_embedded_config(self, tmp_path):
         cfg = write_config(

@@ -1,5 +1,4 @@
 import math
-import statistics
 import sys
 import threading
 
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from genbound import complexity, core
 from genbound.core import (
@@ -22,8 +20,6 @@ from genbound.core import (
     deterministic_sum,
     draw_words,
     sign_block,
-    words_to_normals,
-    words_to_open_uniforms,
     words_to_signs,
     words_to_uniforms,
 )
@@ -177,25 +173,6 @@ class TestRandomness:
     def test_signs_are_pm_one(self):
         s = words_to_signs(draw_words(3, 0, 100, 4).ravel())
         assert set(np.unique(s)) <= {-1.0, 1.0}
-
-    def test_normals_agree_with_ndtri(self):
-        words = draw_words(5, 0, 10**5, 1)
-        expected = ndtri(words_to_open_uniforms(words))
-        np.testing.assert_allclose(words_to_normals(words), expected, rtol=1e-14, atol=0)
-
-    def test_normals_agree_with_normal_dist(self):
-        words = draw_words(6, 0, 300, 1).ravel()
-        normal = statistics.NormalDist()
-        expected = [normal.inv_cdf(float(u)) for u in words_to_open_uniforms(words)]
-        np.testing.assert_allclose(words_to_normals(words), expected, rtol=1e-15, atol=0)
-
-    def test_normals_at_the_extreme_words(self):
-        # u = 2**-54 and 1 - 2**-54 at the ends, u = 1/2 for the word 2**63
-        low, high, middle = words_to_normals(np.array([0, 2**64 - 1, 2**63], dtype=np.uint64))
-        assert low == pytest.approx(statistics.NormalDist().inv_cdf(2.0**-54), rel=1e-15)
-        assert low == pytest.approx(-8.2923610758, rel=1e-10)
-        assert high == -low
-        assert middle == 0.0
 
     def test_seed_changes_stream(self):
         assert not np.array_equal(draw_words(1, 0, 4, 4), draw_words(2, 0, 4, 4))

@@ -15,6 +15,7 @@ from genbound.core import (
     EvaluatedClass,
     InvariantViolation,
     derive_seed,
+    draw_words,
 )
 from genbound.linear import (
     L1Linf,
@@ -100,11 +101,51 @@ class TestSampleBall:
         b = _sample_balls("l1", 1.0, 5, 64, [21])
         assert np.array_equal(a, b)
 
-    def test_l2_norm_histogram_sanity(self):
-        pts = _sample_balls("l2", 1.0, 3, 10_000, [5])
-        norms = np.sqrt((pts**2).sum(axis=1))
-        assert norms.max() <= 1.0 + 1e-12
-        assert 0.0 < norms.mean() < 1.0
+    @pytest.mark.parametrize("kind", ["l2", "l1"])
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_radius_law_is_r_to_the_d(self, kind, d):
+        # the largest of d uniforms has P(r <= t) = t**d, the law of a uniform point's radius
+        pts = _sample_balls(kind, 1.0, d, 4000, [5])
+        norms = np.sort(np.sqrt((pts**2).sum(axis=1)) if kind == "l2" else np.abs(pts).sum(axis=1))
+        cdf = norms**d
+        ks = max((np.arange(1, 4001) / 4000 - cdf).max(), (cdf - np.arange(4000) / 4000).max())
+        assert norms[-1] < 1.0
+        assert ks < 1.63 / math.sqrt(4000)  # the 1% critical value
+
+    @pytest.mark.parametrize("kind", ["l2", "l1"])
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_points_are_exact_directions_times_radii(self, kind, d):
+        directions, radials = oracle_ball_directions(kind, d, 300, 8)
+        for direction in directions:
+            if kind == "l1":  # signed spacings of sorted uniforms, summing to exactly 1
+                assert math.fsum(map(abs, direction)) == 1.0 and sum(map(abs, direction)) == 1.0
+            else:
+                assert abs(math.sqrt(math.fsum(x * x for x in direction)) - 1.0) <= 4 * 2.0**-53
+        want = np.array([[x * (1.5 * r) for x in direction] for direction, r in zip(directions, radials)])
+        assert _sample_balls(kind, 1.5, d, 300, [8]).tobytes() == want.tobytes()
+
+    def test_a_zero_cube_vector_takes_the_first_axis(self, monkeypatch):
+        # u = 1/2 in every coordinate gives the cube vector 0
+        monkeypatch.setattr(linear, "draw_words", lambda seed, first, count, width: np.full((count, width), 2**63, np.uint64))
+        assert np.array_equal(_sample_balls("l2", 2.0, 3, 4, [1]), np.tile([1.0, 0.0, 0.0], (4, 1)))
+
+
+def oracle_ball_directions(kind, d, count, seed):
+    """Each l2 or l1 point's direction and radius over 1 from its words, one Python float
+    at a time."""
+    directions, radials = [], []
+    for row in draw_words(seed, 0, count, 2 * d if kind == "l2" else 3 * d - 1).tolist():
+        u = [(word >> 11) * 2.0**-53 for word in row]
+        if kind == "l2":
+            cube = [2.0 * x - 1.0 for x in u[:d]]
+            norm = math.sqrt(sum(x * x for x in cube))
+            directions.append([x / norm for x in cube])
+        else:
+            cuts = sorted(u[: d - 1])
+            signs = [1.0 if word >> 63 else -1.0 for word in row[d - 1 : 2 * d - 1]]
+            directions.append([sign * (b - a) for sign, a, b in zip(signs, [0.0, *cuts], [*cuts, 1.0])])
+        radials.append(max(u[-d:]))
+    return directions, radials
 
 
 class TestLinearInstance:
@@ -144,6 +185,25 @@ class TestLinearInstance:
         instance = random_linear_instance(seed, L1Linf(1.0, 1.0), 6, 5, 4)
         report = verify_linear_bound(instance)
         assert report.slack >= -1e-10
+
+
+class TestProducts:
+    @pytest.mark.parametrize("regime", [L2Ball(1.0, 1.0), L1Linf(1.0, 1.0)])
+    def test_classes_match_fsum_and_the_stack_bitwise(self, monkeypatch, regime):
+        instances = random_linear_instances([3, 4, 5], regime, 7, 6, 5)
+        stacks, sign_averages_of = [], linear._sign_averages
+
+        def sign_averages(stack, cap):
+            stacks.append(stack)
+            return sign_averages_of(stack, cap)
+
+        monkeypatch.setattr(linear, "_sign_averages", sign_averages)
+        verify_linear_bounds(instances)
+        for instance, stacked in zip(instances, stacks[0], strict=True):
+            evals = instance.evaluated_class().evals
+            want = [[math.fsum(w * x) for x in instance.inputs] for w in instance.weights]
+            np.testing.assert_allclose(evals, want, rtol=0, atol=1e-12)
+            assert evals.tobytes() == stacked.tobytes()
 
 
 class TestL1Duality:
@@ -219,9 +279,11 @@ class TestStackedVerification:
         assert random_linear_instances([], L2Ball(1.0, 1.0), 3, 4, 2) == []
 
     def test_draw_budget_counts_the_batch_over_all_seeds(self, monkeypatch):
-        # l2 points in d = 3 take 4 words: 2 seeds of 4 inputs are 32 values, each seed alone 16
-        monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 31)
+        # l2 points in d = 3 take 6 words: 2 seeds of 4 inputs are 48 values, each seed alone 24
         regime = L2Ball(1.0, 1.0)
+        monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 48)
+        assert len(random_linear_instances([1, 2], regime, 3, 4, 2)) == 2
+        monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 47)
         assert len(random_linear_instances([1], regime, 3, 4, 2)) == 1
         with pytest.raises(DrawBudgetExceeded):
             random_linear_instances([1, 2], regime, 3, 4, 2)
@@ -232,6 +294,11 @@ class TestStackedVerification:
             verify_linear_bounds(
                 [random_linear_instance(1, regime, 3, 4, 2), random_linear_instance(2, regime, 3, 5, 2)]
             )
+
+    @pytest.mark.parametrize("regime", [L2Ball(1.0, 1.0), L1Linf(1.0, 1.0)])
+    def test_instances_of_one_shape_and_different_dimensions_verify(self, regime):
+        instances = [random_linear_instance(1, regime, 3, 4, 2), random_linear_instance(2, regime, 6, 4, 2)]
+        assert [bits(r) for r in verify_linear_bounds(instances)] == [bits(reference_report(i)) for i in instances]
 
     @pytest.mark.parametrize("regime", [L2Ball(1.0, 1.0), L1Linf(1.0, 1.0)])
     @pytest.mark.parametrize("kind, at", [("weight", 0), ("input", 2), ("weight", 5)])
