@@ -72,4 +72,4 @@ from .linear import (
     verify_random_linear_bounds,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

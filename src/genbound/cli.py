@@ -623,14 +623,14 @@ def _cmd_suite(cfg: dict, threads: int):
     sample = Sample([[1.0, -0.5], [0.5, 1.0]])
     family = complexity.GridFamily(
         parameter_box=((-1.0, 1.0), (-1.0, 1.0)),
-        evaluator=lambda w, s: s.points @ w,
+        evaluator=lambda w, s: (s.points * w).sum(axis=1),
         envelope_b=2.0,
         levels=8,
         tolerance=1e-9,
     )
     refinement = complexity.grid_restricted_class(family, sample)
     corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-    corner_cls = EvaluatedClass(corners @ sample.points.T, 2.0)
+    corner_cls = EvaluatedClass((corners[:, None] * sample.points).sum(axis=2), 2.0)
     corner_value = complexity.empirical_rademacher(corner_cls).value
     values = refinement.values
     monotone = all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))

@@ -37,16 +37,16 @@ from .core import (
     deterministic_sum,
     draw_words,
     product_orbits,
-    sign_block,
 )
 
 # upper bounds of the caps a config may set
-MAX_SIGN_CAP = 30  # 2**29 sign words: about 20 s for a class of 4 rows
+MAX_SIGN_CAP = 30  # 2**29 sign words: about 12 s for a class of 4 rows on a 2-vCPU x86-64 VM
 MAX_PRODUCT_CAP = 10**7  # up to 5.0M orbits (s = 3,162, n = 2): about a minute and 580 MB
 
 _SIGN_CHUNK = 1 << 14
+_SIGNS = np.array([[-1.0], [1.0]])  # a doubling step's sign of the clear bit, then of the set bit
 _MC_CHUNK = 1 << 13
-_TABLE_VALUES = 1 << 17  # byte-table values alive at once in _sign_sums
+_TABLE_VALUES = 1 << 17  # byte-table and build-buffer values alive at once in _sign_sums
 _ORBIT_VALUES = 1 << 17  # term values alive at once in _orbit_sign_averages
 _ORBIT_CELLS = 1 << 14  # index cells of the largest orbit table a draw takes its orbit from
 _ORBIT_TERM_COST = 10  # sign rows the row kernel sums in the time the count kernel takes a term
@@ -95,12 +95,15 @@ def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
     reversal, and the full tree's last addition is lower half + upper half, so
     the totals T_abs + T_abs and T_max + T_-min are the full enumeration's bits.
 
-    Row i of every class forms one slab, so one GEMM per block gives (m, classes,
-    sign rows) correlations whose max and min over the m slabs are elementwise;
+    A word's correlation adds its signed columns left to right from 0.0, with no
+    BLAS call: one table per call sums the low bits (``_doubling_table``), and
+    each block adds its constant high columns one by one, the top column last
+    and subtracted.  Row i of every class forms one slab, so the max and min
+    over the m slabs are elementwise;
     max_i |c_i| = max(max_i c_i, -min_i c_i).  Max and abs are exact and
     rounding is monotone, so maximizing before dividing by n changes no bit.
-    A block holds at most _SIGN_CHUNK sign rows times classes; tree sums of
-    aligned power-of-two blocks combine into the tree sum over all rows.
+    A block holds at most _SIGN_CHUNK sign words times classes; tree sums of
+    aligned power-of-two blocks combine into the tree sum over all words.
     """
     K, m, n = stack.shape
     _check_sign_cap(n, sign_cap)
@@ -108,27 +111,55 @@ def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
     rows = min(half, _SIGN_CHUNK)
     low = rows.bit_length() - 1  # bits that vary within a block
     per = _SIGN_CHUNK // rows  # classes per block
-    slabs = np.ascontiguousarray(stack.transpose(1, 0, 2), dtype=np.float64)
     # (T_abs, T_max, T_-min) of each class and block
     sums = np.empty((3, K, half // rows))
-    signs = sign_block(n, 0, rows).T  # the signs of block 0, C-contiguous
-    for b in range(half // rows):
-        if b:  # the high bits are constant within a block: those of b, whose top bit is clear
-            signs[low:] = sign_block(n - low, b, b + 1).T
-        for k in range(0, K, per):
-            block = slabs[:, k : k + per].reshape(-1, n)
-            # numpy sends a one-row product to GEMV, which sums in another order than GEMM
-            corr = (np.vstack([block, block]) @ signs)[:1] if len(block) == 1 else block @ signs
-            corr = corr.reshape(m, -1, rows)
-            values = absolute, hi, neg_lo = np.empty((3, corr.shape[1], rows))
+    for k in range(0, K, per):
+        c = min(per, K - k)
+        # -x and +x of column j of every class row, row i of each class in slab i: (n, 2, m * c)
+        signed = np.multiply(stack[k : k + c].transpose(2, 1, 0).reshape(n, 1, m * c), _SIGNS, dtype=np.float64)
+        table, work = _doubling_table(signed[:low], rows)
+        for b in range(half // rows):
+            corr = table
+            # the high bits are constant within a block: those of b, whose top bit is clear
+            for j in range(low, n - 1):
+                corr = np.add(corr, signed[j, b >> (j - low) & 1, :, None], out=work)
+            corr = np.add(corr, signed[n - 1, 0, :, None], out=work).reshape(m, c, rows)
+            values = absolute, hi, neg_lo = np.empty((3, c, rows))
             corr.max(axis=0, out=hi)
             np.negative(corr.min(axis=0, out=neg_lo), out=neg_lo)
             np.maximum(neg_lo, hi, out=absolute)
             np.abs(absolute, out=absolute)  # a -0.0 maximum becomes +0.0, as with abs first
             values /= n
-            sums[:, k : k + per, b] = _tree_sums(values)
+            sums[:, k : k + c, b] = _tree_sums(values)
     t_abs, t_max, t_neg_min = _tree_sums(sums)
     return np.stack([t_abs + t_abs, t_max + t_neg_min]) / (2 * half)
+
+
+def _doubling_table(signed: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, work)``: the (R, rows) sums of a (bits, 2, R) stack of -x and +x over
+    the 2**bits = ``rows`` words, and a second buffer of that shape.
+
+    Word w's sum adds the term of bit b of w for b = 0, 1, ... to a running sum
+    from 0.0: each column doubles the table as [T - x_b, T + x_b], clear bit
+    first, both halves in one call.  While the table has fewer words than the R
+    rows it is word-major, so a step's inner loops run over the rows; it is then
+    turned over once, and the later steps run over the words.
+    """
+    bits, _, width = signed.shape
+    buffers = np.empty((2, rows * width))
+    table = np.zeros((1, width))
+    bit = 0
+    while bit < bits and 1 << bit < width:
+        out = buffers[bit & 1, : 2 * table.size].reshape(2, -1, width)
+        table = np.add(table, signed[bit, :, None], out=out).reshape(-1, width)
+        bit += 1
+    turned = buffers[bit & 1, : table.size].reshape(width, -1)
+    np.copyto(turned, table.T)
+    table = turned
+    for bit in range(bit, bits):
+        out = buffers[(bit + 1) & 1, : 2 * table.size].reshape(width, 2, -1)
+        table = np.add(table[:, None], signed[bit].T[:, :, None], out=out).reshape(width, -1)
+    return table, buffers[(bits + 1) & 1].reshape(width, rows)
 
 
 def _orbit_counts(reps: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -314,31 +345,17 @@ def _sign_words(seed: int, first_draw: int, count: int, n: int) -> np.ndarray:
     return draw_words(seed, first_draw, count, -(-n // 64))
 
 
-def _byte_tables(columns: np.ndarray) -> np.ndarray:
-    """(B, rows, 256) signed sums of the (rows, 8 * B) ``columns``, 8 to a byte position.
-
-    Entry [b, i, v] is the sum over the 8 columns of byte position b of
-    +columns[i, k] where bit k % 8 of v is set and -columns[i, k] where it is
-    clear, added left to right: each column doubles the table, clear bit first.
-    """
-    rows, width = columns.shape
-    per_byte = columns.reshape(rows, width // 8, 8).transpose(1, 0, 2)
-    tables = np.zeros((width // 8, rows, 1))
-    for bit in range(8):
-        column = per_byte[:, :, bit : bit + 1]
-        tables = np.concatenate([tables - column, tables + column], axis=2)
-    return tables
-
-
 def _sign_sums(evals: np.ndarray, words: np.ndarray) -> np.ndarray:
     """(m, draws) sums sum_k sigma_k evals[i, k] of each draw's packed signs (``_sign_words``).
 
     The words are read as little-endian bytes, so the sums do not depend on the
-    platform.  A draw's sum is the rows of its bytes' tables (``_byte_tables``)
-    added in byte order, with no float sign matrix and no BLAS call.  Columns
-    past n are zero, so the bits past sign n of the last byte select +0 or -0.
-    Tables are built per block of rows and byte positions of at most
-    _TABLE_VALUES values, whatever m and n are.
+    platform.  A draw's sum is the rows of its bytes' tables added in byte
+    order, with no float sign matrix and no BLAS call: a byte position's table
+    sums its 8 columns left to right for each of the 256 byte values
+    (``_doubling_table``).  Columns past n are zero, so the bits past sign n of
+    the last byte select +0 or -0.  A block of rows and byte positions holds its
+    tables and their second build buffer in at most _TABLE_VALUES values,
+    whatever m and n are.
     """
     m, n = evals.shape
     width = -(-n // 8)
@@ -346,15 +363,18 @@ def _sign_sums(evals: np.ndarray, words: np.ndarray) -> np.ndarray:
     index = octets[:, :width].T.astype(np.intp, order="C")  # (byte positions, draws)
     padded = np.zeros((m, 8 * width))
     padded[:, :n] = evals
-    rows = min(m, _TABLE_VALUES // 256)
-    span = _TABLE_VALUES // (256 * rows)  # byte positions per block
+    rows = min(m, _TABLE_VALUES // 512)
+    span = _TABLE_VALUES // (512 * rows)  # byte positions per block: 256 table values a row, twice
     sums = np.empty((m, len(words)))
     term = np.empty((rows, len(words)))
     for i in range(0, m, rows):
         out = sums[i : i + rows]
         part = term[: len(out)]
         for b in range(0, width, span):
-            for position, table in enumerate(_byte_tables(padded[i : i + rows, 8 * b : 8 * (b + span)]), b):
+            block = padded[i : i + rows, 8 * b : 8 * (b + span)]
+            # -x and +x of bit k of every byte position's rows, position-major: (8, 2, positions * rows)
+            signed = np.multiply(block.reshape(len(block), -1, 8).T.reshape(8, 1, -1), _SIGNS)
+            for position, table in enumerate(_doubling_table(signed, 256)[0].reshape(-1, len(block), 256), b):
                 # every index is a byte, so "clip" clips none; unlike "raise", it writes to out unbuffered
                 table.take(index[position], axis=1, out=part if position else out, mode="clip")
                 if position:

@@ -119,7 +119,10 @@ def _distance_matrix(evals: np.ndarray) -> np.ndarray:
 def _dedup(dm: np.ndarray) -> np.ndarray:
     """Representatives (lowest index first) of the distance-zero classes: a row
     is kept unless it lies at distance zero from an earlier kept row."""
-    earlier_zero = np.tril(dm == 0.0, -1)
+    zero = dm == 0.0
+    if np.count_nonzero(zero) == len(dm):  # a finite class's diagonal is 0, and no other entry is
+        return np.arange(len(dm))
+    earlier_zero = np.tril(zero, -1)
     keep = ~earlier_zero.any(axis=1)
     for i in np.flatnonzero(~keep):
         keep[i] = not np.any(earlier_zero[i] & keep)

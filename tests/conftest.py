@@ -133,6 +133,39 @@ def oracle_sign_average(evals, absolute=True):
     return math.fsum(sups) / len(sups)
 
 
+def oracle_tree_sum(values):
+    """Pairwise sum of a list of floats: neighbours first, an odd last value carried up."""
+    values = list(values)
+    while len(values) > 1:
+        pairs = [a + b for a, b in zip(values[0::2], values[1::2])]
+        values = pairs + values[-1:] if len(values) % 2 else pairs
+    return values[0] if values else 0.0
+
+
+def oracle_exact_sign_averages(evals):
+    """``(absolute, signed)`` sign averages of an (m, n) class, in Python floats, the bits
+    the exact kernel must give on any host.
+
+    Every one of the 2**n words is built; the sign of column k is + where bit k of the
+    word is set.  A word's correlation with a row adds the row's signed columns left to
+    right, starting from 0.0.  Its absolute value is max_i |c_i| / n and its signed one
+    max_i c_i / n, and each average is the tree sum over the words in ascending order
+    divided by 2**n.
+    """
+    rows = [[float(v) for v in row] for row in np.asarray(evals, dtype=np.float64)]
+    n = len(rows[0])
+    correlations = []
+    for row in rows:
+        sums = [0.0]  # words of the first k columns, column k - 1 the most significant bit
+        for x in row:
+            sums = [s - x for s in sums] + [s + x for s in sums]
+        correlations.append(sums)
+    words = list(zip(*correlations))
+    absolute = oracle_tree_sum(max(abs(c) for c in corr) / n for corr in words)
+    signed = oracle_tree_sum(max(corr) / n for corr in words)
+    return absolute / 2**n, signed / 2**n
+
+
 def oracle_cover(dm, eps):
     """All-subsets minimal cover oracle: (size, lexicographically least centers)."""
     m = dm.shape[0]

@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -1026,6 +1027,19 @@ class TestDeterminism:
         ]
         commands = [(name, write_config(tmp_path, f"{name}.json", config)) for name, config in commands]
         assert_same_reports_under_other_kernels(commands, "exact_enumeration")
+
+    @pytest.mark.skipif(not X86_64, reason="OpenBLAS core types are x86-64 kernels")
+    def test_exact_rademacher_and_linear_bits_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # through 0.17.0 the row kernel's GEMM moved the rademacher reports of sample-exact
+        # requests 1, 15 and 16 (seed 1) under Prescott; linear's stacks went through it too
+        make_request = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["make_request"]
+        configs = [make_request("sample-exact", 1, i).commands[0].config for i in (1, 15, 16)]
+        configs.append({"class": {"random": {"m": 6, "n": 17, "seed": 17}}, "method": "exact"})
+        commands = [("rademacher", write_config(tmp_path, f"r{i}.json", config)) for i, config in enumerate(configs)]
+        assert_same_reports_under_other_kernels(commands, "exact_enumeration")
+        linear_configs = [{"seed": 5}, {"seed": 5, "regime": "l1"}]
+        commands = [("linear", write_config(tmp_path, f"l{i}.json", config)) for i, config in enumerate(linear_configs)]
+        assert_same_reports_under_other_kernels(commands)
 
     @pytest.mark.skipif(not X86_64, reason="OpenBLAS core types and numpy's AVX-512 loops are x86-64 kernels")
     def test_linear_dudley_and_suite_bits_do_not_depend_on_simd_or_blas(self, tmp_path):

@@ -19,7 +19,6 @@ from genbound.core import (
     Sample,
     deterministic_sum,
     draw_words,
-    sign_block,
     words_to_signs,
     words_to_uniforms,
 )
@@ -50,10 +49,11 @@ class TestEnumerateSigns:
         for assignment in enumerate_signs(5):
             assert set(np.unique(assignment.vector())) <= {-1, 1}
 
-    def test_matches_sign_block(self):
-        block = sign_block(3, 0, 8)
+    def test_sign_k_is_plus_where_bit_k_is_set(self):
+        # the word convention of the exact kernel and of oracle_exact_sign_averages
         for word, assignment in enumerate(enumerate_signs(3)):
-            assert np.array_equal(block[word], assignment.vector().astype(float))
+            assert assignment.bits == word
+            assert list(assignment.vector()) == [1 if word >> k & 1 else -1 for k in range(3)]
 
 
 class TestEnumerateProduct:

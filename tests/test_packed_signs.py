@@ -91,22 +91,23 @@ class TestSignSums:
     def test_table_blocks_hold_at_most_2_17_values(self, monkeypatch, m, n):
         built = []
 
-        def spy(columns):
-            tables = build(columns)
-            built.append(tables.size)
-            return tables
+        def spy(signed, rows):
+            tables, work = build(signed, rows)
+            built.append(tables.size + work.size)
+            return tables, work
 
-        build = complexity._byte_tables
-        monkeypatch.setattr(complexity, "_byte_tables", spy)
+        build = complexity._doubling_table
+        monkeypatch.setattr(complexity, "_doubling_table", spy)
         evals = np.random.default_rng(m).uniform(-1.0, 1.0, (m, n))
         words = _sign_words(1, 0, 50, n)
         got = _sign_sums(evals, words)
         assert _TABLE_VALUES == 1 << 17
         assert max(built) <= _TABLE_VALUES
-        # a block is all byte positions of at most 512 rows, or as many positions as fit
-        rows, width = min(m, 512), -(-n // 8)
-        assert max(built) == 256 * rows * min(width, _TABLE_VALUES // (256 * rows))
-        assert sum(built) == 256 * m * width
+        # a block is all byte positions of at most 256 rows, or as many positions as fit,
+        # each with a table and a build buffer of 256 values a row
+        rows, width = min(m, 256), -(-n // 8)
+        assert max(built) == 512 * rows * min(width, _TABLE_VALUES // (512 * rows))
+        assert sum(built) == 512 * m * width
         np.testing.assert_allclose(got, (unpack_signs(words, n) @ evals.T).T, rtol=0, atol=1e-12 * n)
 
 

@@ -22,12 +22,11 @@ from genbound.core import (
     deterministic_sum,
     derive_seed,
     product_orbits,
-    sign_block,
 )
 from genbound.entropy import _dedup, _distance_matrix
 from genbound.instances import random_discrete_instance
 
-from conftest import oracle_sign_average
+from conftest import oracle_exact_sign_averages, oracle_sign_average
 
 SIGN_CAP = 20
 
@@ -41,13 +40,6 @@ def stacks(draw, n=st.integers(1, 12)):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, (k, m, n))
 
 
-def sign_average_reference(evals, absolute):
-    """The per-class computation the kernel replaced: divide, abs, max, one tree sum."""
-    n = evals.shape[1]
-    corr = sign_block(n, 0, 1 << n) @ evals.T / n
-    return deterministic_sum((np.abs(corr) if absolute else corr).max(axis=1)) / (1 << n)
-
-
 def reference_sign_rows(n, start, stop):
     """Rows [start, stop) of the 2**n-by-n sign matrix, from a (rows, n) table of word bits."""
     words = np.arange(start, stop, dtype=np.uint64)
@@ -56,15 +48,23 @@ def reference_sign_rows(n, start, stop):
 
 
 def reference_sign_averages(stack):
-    """The kernel before sign-flip halving: every one of the 2**n sign words, the
-    classes' rows one after another, and the max and min over each class's rows
-    along the middle axis."""
+    """The kernel before sign-flip halving: every one of the 2**n sign words, each
+    word's columns added left to right, the classes' rows one after another, and the
+    max and min over each class's rows along the middle axis."""
     K, m, n = stack.shape
     total = 1 << n
     rows = min(total, 1 << 14)
     low = rows.bit_length() - 1
     per = (1 << 14) // rows
     flat = np.ascontiguousarray(stack, dtype=np.float64).reshape(K * m, n)
+
+    def correlations(block, signs):
+        # each word's signed columns added left to right from 0.0, with no BLAS call
+        corr = np.zeros((len(block), signs.shape[1]))
+        for k in range(n):
+            corr += block[:, k, None] * signs[k]
+        return corr
+
     sums = np.empty((2, K, total // rows))
     signs = np.empty((n, rows))
     signs[:low] = reference_sign_rows(low, 0, rows).T
@@ -73,8 +73,7 @@ def reference_sign_averages(stack):
             signs[low:] = reference_sign_rows(n - low, b, b + 1).T
         for k in range(0, K, per):
             block = flat[k * m : (k + per) * m]
-            corr = (np.vstack([block, block]) @ signs)[:1] if len(block) == 1 else block @ signs
-            corr = corr.reshape(-1, m, rows)
+            corr = correlations(block, signs).reshape(-1, m, rows)
             absolute, hi = both = np.empty((2, corr.shape[0], rows))
             np.negative(corr.min(axis=1, out=absolute), out=absolute)
             np.maximum(absolute, corr.max(axis=1, out=hi), out=absolute)
@@ -153,13 +152,22 @@ class TestKernel:
             assert (one_abs[0], one_signed[0]) == (absolute[k], signed[k])
         assert_matches_oracle(stack[0], absolute[0], signed[0])
 
-    @pytest.mark.parametrize("n", [3, 9, 15, 16])
+    @pytest.mark.parametrize("n", [3, 9, 15, 16, 17])
     def test_bit_identical_to_per_class_reference(self, n):
-        stack = np.random.default_rng(100 + n).uniform(-1.0, 1.0, (4, 3, n))
+        stack = np.random.default_rng(100 + n).uniform(-1.0, 1.0, (2 if n > 15 else 4, 3, n))
         absolute, signed = _sign_averages(stack, SIGN_CAP)
         for k, evals in enumerate(stack):
-            assert absolute[k] == sign_average_reference(evals, absolute=True)
-            assert signed[k] == sign_average_reference(evals, absolute=False)
+            assert (absolute[k], signed[k]) == oracle_exact_sign_averages(evals)
+
+    @given(st.integers(1, 11), st.integers(1, 6), st.integers(1, 5), st.sampled_from(VALUE_KINDS),
+           st.integers(-3, 5), st.integers(0, 2**32 - 1))
+    def test_randomized_stacks_match_the_python_oracle_bitwise(self, n, m, K, kind, scale, seed):
+        # the oracle adds each word's columns in Python floats, so the bits hold on any BLAS or SIMD level
+        stack = kernel_values(np.random.default_rng(seed), kind, (K, m, n)) * 10.0**scale
+        got = _sign_averages(stack, SIGN_CAP)
+        for k, evals in enumerate(stack):
+            want = np.array(oracle_exact_sign_averages(evals))
+            assert got[:, k].tobytes() == want.tobytes()
 
     def test_block_sums_combine_as_one_tree(self):
         # two dominant columns among the high sign bits make the four block sums of
@@ -169,8 +177,7 @@ class TestKernel:
         stack[:, :, 14:] = rng.uniform(0.5, 1.0, (16, 2, 2))
         absolute, signed = _sign_averages(stack, SIGN_CAP)
         for k, evals in enumerate(stack):
-            assert absolute[k] == sign_average_reference(evals, absolute=True)
-            assert signed[k] == sign_average_reference(evals, absolute=False)
+            assert (absolute[k], signed[k]) == oracle_exact_sign_averages(evals)
 
     @pytest.mark.parametrize("n", [8, 10, 12, 14])
     def test_single_row_classes_do_not_depend_on_the_stack(self, n):
@@ -244,17 +251,27 @@ class TestSignFlipHalving:
     def test_only_words_with_the_top_bit_clear_are_built(self, n, monkeypatch):
         import genbound.complexity as module
 
-        built = []
+        tables, reduced = [], []
 
-        def counting(bits, start, stop):
-            built.append(stop - start)
-            return sign_block(bits, start, stop)
+        def doubling_table(signed, rows):
+            tables.append(rows)
+            return doubling_table_of(signed, rows)
 
-        monkeypatch.setattr(module, "sign_block", counting)
+        def tree_sums(arr):
+            reduced.append(arr.shape)
+            return tree_sums_of(arr)
+
+        doubling_table_of, tree_sums_of = module._doubling_table, module._tree_sums
+        monkeypatch.setattr(module, "_doubling_table", doubling_table)
+        monkeypatch.setattr(module, "_tree_sums", tree_sums)
         _sign_averages(np.ones((1, 2, n)), SIGN_CAP)
-        # the 2**(n-1) low words of block 0, then one row of high bits per further block
+        # one table of the low words, then one tree sum of its (3, classes, words) values per
+        # block, and the last of the (3, classes, blocks) block sums: 2**(n-1) words in all
         rows = min(1 << (n - 1), 1 << 14)
-        assert built == [rows] + [1] * ((1 << (n - 1)) // rows - 1)
+        *blocks, last = reduced
+        assert tables == [rows]
+        assert blocks == [(3, 1, rows)] * ((1 << (n - 1)) // rows)
+        assert last == (3, 1, len(blocks))
 
 
 class TestTreeSums:
@@ -308,6 +325,19 @@ class TestDedup:
         evals = base[rng.integers(0, distinct, rows)]
         dm = _distance_matrix(evals)
         assert list(_dedup(dm)) == list(dedup_reference(dm))
+
+    def test_a_class_without_repeated_rows_skips_the_scan(self, monkeypatch):
+        dm = _distance_matrix(np.random.default_rng(8).uniform(-1.0, 1.0, (300, 8)))
+        want = list(dedup_reference(dm))
+        monkeypatch.setattr(np, "tril", None)  # the scan of the lower triangle is not reached
+        assert list(_dedup(dm)) == want == list(range(300))
+
+    def test_a_class_with_repeated_rows_keeps_the_first_of_each(self):
+        rng = np.random.default_rng(9)
+        base = rng.uniform(-1.0, 1.0, (5, 8))
+        evals = base[[3, 0, 3, 1, 4, 0, 2, 2]]
+        dm = _distance_matrix(evals)
+        assert list(_dedup(dm)) == list(dedup_reference(dm)) == [0, 1, 3, 4, 6]
 
     def test_zero_distance_that_is_not_transitive(self):
         # d(0, 1) and d(1, 2) underflow to zero but d(0, 2) does not: row 2 is kept
