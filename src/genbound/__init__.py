@@ -6,8 +6,6 @@ confidence intervals otherwise.  See the README for the CLI and config schema.
 
 from .complexity import (
     ComplexityResult,
-    GridFamily,
-    GridRefinement,
     Method,
     check_without_abs_le_abs,
     empirical_rademacher,
@@ -15,7 +13,6 @@ from .complexity import (
     empirical_rademacher_without_abs,
     expected_rademacher,
     expected_rademacher_mc,
-    grid_restricted_class,
 )
 from .concentration import (
     TailExperiment,
@@ -41,7 +38,6 @@ from .core import (
     InvalidRadius,
     InvariantViolation,
     MAX_DRAW_ELEMENTS,
-    Sample,
     deterministic_sum,
     product_orbits,
 )
@@ -72,4 +68,4 @@ from .linear import (
     verify_random_linear_bounds,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"

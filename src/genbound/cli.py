@@ -33,7 +33,6 @@ from .core import (
     EvaluatedClass,
     ExactEnumerationLimit,
     GenboundError,
-    Sample,
     derive_seed,
 )
 from .instances import (
@@ -312,12 +311,13 @@ def _build_instance(form: str, spec: dict, seed, path: str) -> DiscreteInstance:
 def _check_batches(command: str, cfg: dict) -> None:
     """Refuse, from a random spec's shape alone, a batch that the command would
     refuse only after drawing the spec's table: the count matrix of a tail
-    chunk on the support, or the sign batch of a Monte Carlo rademacher."""
+    chunk on the support, or the signs and sums of a Monte Carlo rademacher."""
     if command == "tail" and cfg["instance"][0] == "random":
         concentration.check_tail_trials(cfg["instance"][1]["random"]["support_size"], cfg["trials"])
-    # "auto" may fall back to Monte Carlo; a class narrow enough for the exact kernel passes
+    # "auto" may fall back to Monte Carlo; a class that the exact kernel takes passes
     if command == "rademacher" and cfg["class"][0] == "random" and cfg["method"] != "exact":
-        complexity.check_mc_draws(cfg["class"][1]["random"]["n"], cfg["draws"])
+        shape, auto = cfg["class"][1]["random"], cfg["method"] == "auto"
+        complexity.check_mc_draws(shape["m"], shape["n"], cfg["draws"], sign_cap=cfg["caps"]["sign"] if auto else None)
 
 
 def _parse(config: dict) -> dict:
@@ -370,6 +370,7 @@ _MESSAGES = {
     "rademacher_mc_consistency": (
         "MC estimate {mc!r} is more than 5 std_error {std_error!r} from the exact {exact!r}"
     ),
+    "box_vertices": "vertex class value {vertices!r} differs from the dual-norm closed form {dual_norm!r}",
 }
 
 
@@ -528,6 +529,16 @@ def _cmd_dudley(cfg: dict, threads: int):
     ]
 
 
+def _box_closed_form(points: list[list[float]]) -> float:
+    """The exact Rademacher complexity on ``points`` of the linear class with weights in
+    [-1, 1]^d: the mean over sign vectors of the dual (l1) norm of (1/n) sum_k sigma_k x_k."""
+    n = len(points)
+    return math.fsum(
+        math.fsum(abs(math.fsum(s * x for s, x in zip(signs, column)) / n) for column in zip(*points))
+        for signs in itertools.product((-1.0, 1.0), repeat=n)
+    ) / 2**n
+
+
 def _cmd_suite(cfg: dict, threads: int):
     """A bundled smoke corpus exercising every verification harness.
 
@@ -619,27 +630,12 @@ def _cmd_suite(cfg: dict, threads: int):
         dudley_config = {"command": "dudley", "class": random_spec("dudley", m=6, n=6), "epsilon_count": 6}
         check(f"dudley_{cover}", {**dudley_config, "cover": cover})
 
-    # grid refinement of a linear family against its corner class
-    sample = Sample([[1.0, -0.5], [0.5, 1.0]])
-    family = complexity.GridFamily(
-        parameter_box=((-1.0, 1.0), (-1.0, 1.0)),
-        evaluator=lambda w, s: (s.points * w).sum(axis=1),
-        envelope_b=2.0,
-        levels=8,
-        tolerance=1e-9,
-    )
-    refinement = complexity.grid_restricted_class(family, sample)
-    corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-    corner_cls = EvaluatedClass((corners[:, None] * sample.points).sum(axis=2), 2.0)
-    corner_value = complexity.empirical_rademacher(corner_cls).value
-    values = refinement.values
-    monotone = all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))
-    record(
-        "grid_refinement",
-        refinement.converged and monotone and abs(values[-1] - corner_value) <= 1e-6,
-        final=values[-1],
-        corner=corner_value,
-    )
+    # the box [-1, 1]^2 of linear weights on two points: its vertex class against the closed form
+    points = [[1.0, -0.5], [0.5, 1.0]]
+    vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=2)))
+    vertex_cls = EvaluatedClass((vertices[:, None] * np.array(points)).sum(axis=2), 2.0)
+    value, closed = complexity.empirical_rademacher(vertex_cls).value, _box_closed_form(points)
+    record("box_vertices", abs(value - closed) <= cfg["tol"], vertices=value, dual_norm=closed)
 
     # thread-count independence of the seeded estimators
     mc1, mc4, tail1, tail4 = (run(c, t) for c in (mc_config, tail_config) for t in (1, 4))

@@ -6,8 +6,7 @@ The empirical quantity averages, over all 2**n sign vectors, the largest
     (1 / 2**n) * sum_sigma  max_i | (1/n) * sum_k sigma_k * evals[i, k] |
 
 The expected quantity integrates it over the n-fold product of a finite data
-measure.  A dyadic grid refinement replaces suprema over continuous parameter
-boxes by suprema over nested finite grids, with a convergence trace.
+measure.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .core import (
     EvaluatedClass,
     ExactEnumerationLimit,
     InvariantViolation,
-    Sample,
+    MAX_DRAW_ELEMENTS,
     _check_draw_budget,
     _tree_sums,
     derive_seed,
@@ -103,7 +102,8 @@ def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
     max_i |c_i| = max(max_i c_i, -min_i c_i).  Max and abs are exact and
     rounding is monotone, so maximizing before dividing by n changes no bit.
     A block holds at most _SIGN_CHUNK sign words times classes; tree sums of
-    aligned power-of-two blocks combine into the tree sum over all words.
+    aligned power-of-two blocks combine into the tree sum over all words.  Block
+    buffers of more than MAX_DRAW_ELEMENTS values each are refused before allocation.
     """
     K, m, n = stack.shape
     _check_sign_cap(n, sign_cap)
@@ -111,6 +111,9 @@ def _sign_averages(stack: np.ndarray, sign_cap: int) -> np.ndarray:
     rows = min(half, _SIGN_CHUNK)
     low = rows.bit_length() - 1  # bits that vary within a block
     per = _SIGN_CHUNK // rows  # classes per block
+    if rows * m * min(per, K) > MAX_DRAW_ELEMENTS:
+        block = f"a block of {rows} sign words over {m * min(per, K)} class rows"
+        raise ExactEnumerationLimit(f"{block} exceeds the budget of {MAX_DRAW_ELEMENTS} values")
     # (T_abs, T_max, T_-min) of each class and block
     sums = np.empty((3, K, half // rows))
     for k in range(0, K, per):
@@ -355,9 +358,10 @@ def _sign_sums(evals: np.ndarray, words: np.ndarray) -> np.ndarray:
     (``_doubling_table``).  Columns past n are zero, so the bits past sign n of
     the last byte select +0 or -0.  A block of rows and byte positions holds its
     tables and their second build buffer in at most _TABLE_VALUES values,
-    whatever m and n are.
+    whatever m and n are; the (m, draws) sums are under the draw budget.
     """
     m, n = evals.shape
+    _check_draw_budget(len(words), m)
     width = -(-n // 8)
     octets = np.ascontiguousarray(words).astype("<u8", copy=False).view(np.uint8)
     index = octets[:, :width].T.astype(np.intp, order="C")  # (byte positions, draws)
@@ -414,11 +418,15 @@ def empirical_rademacher_mc(
     )
 
 
-def check_mc_draws(n: int, draws: int) -> None:
-    """Refuse, from the class width alone, the chunk of signs that
-    ``empirical_rademacher_mc`` would refuse first: a caller can check a class
-    before building it."""
-    _check_draw_budget(min(draws, _MC_CHUNK), n)
+def check_mc_draws(m: int, n: int, draws: int, *, sign_cap: int | None = None) -> None:
+    """Refuse, from the class shape alone, the chunk of signs or sums that
+    ``empirical_rademacher_mc`` would refuse first, unless the exact kernel under
+    ``sign_cap`` takes the class: a caller can check a class before building it."""
+    if sign_cap is not None and n <= sign_cap and min(1 << (n - 1), _SIGN_CHUNK) * m <= MAX_DRAW_ELEMENTS:
+        return
+    chunk = min(draws, _MC_CHUNK)
+    _check_draw_budget(chunk, n)
+    _check_draw_budget(chunk, m)
 
 
 def _check_support_class(cls: EvaluatedClass, dist: DiscreteDistribution) -> None:
@@ -570,79 +578,6 @@ def expected_rademacher_mc(
             ])
 
     return _mc_estimate(values_of, draws, seed, threads)
-
-
-# ---------------------------------------------------------------------------
-# Nested-grid restriction of a continuously parameterized family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GridFamily:
-    """A function family indexed by a box of parameters, evaluated on samples.
-
-    ``evaluator(theta, sample)`` returns the length-n row of values of the
-    theta-indexed function on the sample.  The caller owns the envelope bound.
-    """
-
-    parameter_box: tuple[tuple[float, float], ...]
-    evaluator: Callable[[np.ndarray, Sample], np.ndarray]
-    envelope_b: float
-    levels: int = 12
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        box = tuple((float(lo), float(hi)) for lo, hi in self.parameter_box)
-        if not box:
-            raise InvariantViolation("parameter box needs at least one axis")
-        for lo, hi in box:
-            if not lo < hi:
-                raise InvariantViolation(f"box axis ({lo}, {hi}) must have low < high")
-        if self.levels < 1:
-            raise InvariantViolation("levels must be at least 1")
-        # tolerance 0 is allowed and disables early convergence
-        if self.tolerance < 0.0:
-            raise InvariantViolation("tolerance must be nonnegative")
-        object.__setattr__(self, "parameter_box", box)
-
-
-@dataclass(frozen=True)
-class GridRefinement:
-    """The complexity of the grid class at each depth, from depth 1 on."""
-
-    values: tuple[float, ...]
-    converged: bool
-
-
-def _dyadic_grid(box: tuple[tuple[float, float], ...], depth: int) -> np.ndarray:
-    axes = [
-        lo + (hi - lo) * np.arange((1 << depth) + 1, dtype=np.float64) / (1 << depth)
-        for lo, hi in box
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([axis.ravel() for axis in mesh], axis=-1)
-
-
-def grid_restricted_class(
-    family: GridFamily, sample: Sample, *, sign_cap: int = DEFAULT_SIGN_CAP
-) -> GridRefinement:
-    """Restrict the family to nested dyadic parameter grids of increasing depth.
-
-    Grids are nested, so the values are monotone nondecreasing; the
-    refinement stops early once successive depths differ by less than the
-    family tolerance, else runs to the depth cap with converged=False.
-    """
-    values: list[float] = []
-    converged = False
-    for depth in range(1, family.levels + 1):
-        params = _dyadic_grid(family.parameter_box, depth)
-        rows = np.stack([np.asarray(family.evaluator(p, sample), dtype=np.float64) for p in params])
-        cls = EvaluatedClass(rows, family.envelope_b)
-        values.append(empirical_rademacher(cls, sign_cap=sign_cap).value)
-        if len(values) > 1 and abs(values[-1] - values[-2]) < family.tolerance:
-            converged = True
-            break
-    return GridRefinement(tuple(values), converged)
 
 
 # ---------------------------------------------------------------------------

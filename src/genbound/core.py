@@ -71,34 +71,6 @@ class InvalidRadius(GenboundError):
 # ---------------------------------------------------------------------------
 
 
-def _as_point_array(points, what: str) -> np.ndarray:
-    try:
-        arr = np.array(points, dtype=np.float64)
-    except ValueError as exc:
-        raise DimensionMismatch(f"{what} must share one dimensionality: {exc}") from None
-    if arr.ndim not in (1, 2):
-        raise DimensionMismatch(f"{what} must be scalars or fixed-length vectors")
-    if arr.shape[0] < 1:
-        raise InvariantViolation(f"{what} must contain at least one point")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """An ordered sample of n data points with identical dimensionality."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = _as_point_array(self.points, "sample points")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Finite-support probability measure; expectations over it (and over its
@@ -108,7 +80,14 @@ class DiscreteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        support = _as_point_array(self.support, "support points")
+        try:
+            support = np.array(self.support, dtype=np.float64)
+        except ValueError as exc:
+            raise DimensionMismatch(f"support points must share one dimensionality: {exc}") from None
+        if support.ndim not in (1, 2):
+            raise DimensionMismatch("support points must be scalars or fixed-length vectors")
+        if support.shape[0] < 1:
+            raise InvariantViolation("support points must contain at least one point")
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.shape[0] != support.shape[0]:
             raise DimensionMismatch("probs must be a vector matching the support length")

@@ -227,14 +227,18 @@ def covering_number_greedy(cls: EvaluatedClass, epsilon: float) -> CoverResult:
 
 @dataclass(frozen=True, eq=False)
 class _CoverProfile:
-    """N(u) as a step function: sizes[j] holds on [thresholds[j], thresholds[j+1])."""
+    """N(u) as a step function: sizes[j] holds on [thresholds[j], thresholds[j+1]),
+    where the integrand sqrt(ln N) is roots[j], from libm (numpy's log loops depend on the CPU)."""
 
     thresholds: np.ndarray  # ascending, starting at 0
     sizes: np.ndarray
 
-    def size_at(self, radii) -> np.ndarray:
-        idx = np.searchsorted(self.thresholds, np.asarray(radii, dtype=np.float64), side="right")
-        return self.sizes[np.maximum(idx - 1, 0)]
+    def __post_init__(self):
+        root = {k: math.sqrt(math.log(k)) for k in set(self.sizes.tolist())}
+        object.__setattr__(self, "roots", np.array([root[k] for k in self.sizes.tolist()]))
+
+    def step_at(self, radii) -> np.ndarray:
+        return np.maximum(np.searchsorted(self.thresholds, np.asarray(radii, dtype=np.float64), side="right") - 1, 0)
 
 
 def _cover_profile(cls: EvaluatedClass, method: CoverMethod, cap: int) -> _CoverProfile:
@@ -303,8 +307,8 @@ def _breakpoints(
     """The step function's pieces on [eps, c/2]: left endpoints, N there, and the exact integral."""
     inner = [float(v) for v in profile.thresholds if epsilon < v < c / 2.0]
     knots = np.asarray([epsilon, *inner, c / 2.0])
-    sizes = profile.size_at(knots[:-1])
-    return knots[:-1], sizes, deterministic_sum(np.sqrt(np.log(sizes)) * np.diff(knots))
+    steps = profile.step_at(knots[:-1])
+    return knots[:-1], profile.sizes[steps], deterministic_sum(profile.roots[steps] * np.diff(knots))
 
 
 def _riemann(
@@ -317,8 +321,8 @@ def _riemann(
     """
     width = (c / 2.0 - eps) / grid_points
     grid = eps[:, None] + width[:, None] * np.arange(grid_points, dtype=np.float64)
-    counts = profile.size_at(grid)
-    return grid, counts, _tree_sums(np.sqrt(np.log(counts))) * width
+    steps = profile.step_at(grid)
+    return grid, profile.sizes[steps], _tree_sums(profile.roots[steps]) * width
 
 
 def _integrals(

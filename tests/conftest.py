@@ -133,6 +133,19 @@ def oracle_sign_average(evals, absolute=True):
     return math.fsum(sups) / len(sups)
 
 
+def oracle_box_rademacher(points):
+    """Closed-form Rademacher complexity of the linear class with weights in the box
+    [-1, 1]^d on an (n, d) sample: the mean over sign vectors of the dual (l1) norm
+    of (1/n) sum_k sigma_k x_k, in Python floats."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    norms = [
+        math.fsum(abs(math.fsum(s * x for s, x in zip(sigma, column)) / n) for column in points.T)
+        for sigma in itertools.product((-1.0, 1.0), repeat=n)
+    ]
+    return math.fsum(norms) / len(norms)
+
+
 def oracle_tree_sum(values):
     """Pairwise sum of a list of floats: neighbours first, an odd last value carried up."""
     values = list(values)

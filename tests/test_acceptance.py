@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in captured
 output) and asserts both the criterion and its runtime limit.
 """
 
+import itertools
 import json
 import time
 
@@ -12,12 +13,10 @@ import pytest
 
 from genbound.cli import canonical_report, main, run_experiment
 from genbound.complexity import (
-    GridFamily,
     empirical_rademacher,
     empirical_rademacher_mc,
     empirical_rademacher_without_abs,
     expected_rademacher,
-    grid_restricted_class,
 )
 from genbound.concentration import (
     high_probability_epsilon,
@@ -25,7 +24,7 @@ from genbound.concentration import (
     simulate_tail,
     verify_tail_bound,
 )
-from genbound.core import DiscreteDistribution, EvaluatedClass, Sample, derive_seed
+from genbound.core import DiscreteDistribution, EvaluatedClass, derive_seed
 from genbound.deviation import (
     audit_bounded_difference,
     check_symmetrization_identity,
@@ -42,7 +41,7 @@ from genbound.entropy import (
 from genbound.instances import identity_instance, random_discrete_instance, random_evaluated_class
 from genbound.linear import L1Linf, L2Ball, massart_bound, random_linear_instance, verify_linear_bound
 
-from conftest import oracle_cover
+from conftest import oracle_box_rademacher, oracle_cover
 
 MASTER = 20260809
 
@@ -315,28 +314,28 @@ def test_11_determinism(tmp_path):
     finish(11, "determinism", 120, started, identical and code1 == 0 and code8 == 0, "")
 
 
-def test_12_grid_restriction():
+def test_12_box_vertices():
+    # the class of weights filling the box [-1, 1]^d is separable; its supremum is
+    # attained on the 2**d vertices and equals the dual (l1) norm in closed form
     started = time.perf_counter()
-    sample = Sample([[0.8, -0.3], [0.2, 0.9], [-0.5, 0.4]])
-    family = GridFamily(
-        parameter_box=((-1.0, 1.0), (-1.0, 1.0)),
-        evaluator=lambda w, s: s.points @ w,
-        envelope_b=2.0,
-        levels=12,
-        tolerance=1e-6,
-    )
-    refinement = grid_restricted_class(family, sample)
-    corners = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
-    corner_cls = EvaluatedClass(corners @ sample.points.T, 2.0)
-    corner_value = empirical_rademacher(corner_cls).value
-    values = refinement.values
-    monotone = all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-    close = abs(values[-1] - corner_value) <= 1e-6
+    rng = np.random.default_rng(derive_seed(MASTER, "c12"))
+    samples = [np.array([[0.8, -0.3], [0.2, 0.9], [-0.5, 0.4]])]
+    samples += [rng.uniform(-1.0, 1.0, (rng.integers(1, 9), rng.integers(1, 5))) for _ in range(100)]
+    worst_gap, worst_excess = 0.0, -np.inf
+    for points in samples:
+        d = points.shape[1]
+        vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+        vertex_value = empirical_rademacher(EvaluatedClass(vertices @ points.T, float(d))).value
+        closed = oracle_box_rademacher(points)
+        worst_gap = max(worst_gap, abs(vertex_value - closed) / closed)
+        interior = rng.uniform(-1.0, 1.0, (20, d))
+        interior_value = empirical_rademacher(EvaluatedClass(interior @ points.T, float(d))).value
+        worst_excess = max(worst_excess, interior_value - vertex_value)
     finish(
         12,
-        "grid-restriction",
+        "box-vertices",
         10,
         started,
-        refinement.converged and monotone and close,
-        f"converged={refinement.converged} final={values[-1]} corner={corner_value}",
+        worst_gap <= 1e-12 and worst_excess <= 1e-12,
+        f"relative gap to the closed form {worst_gap} interior excess {worst_excess}",
     )

@@ -1,6 +1,8 @@
 import copy
 import functools
+import itertools
 import json
+import math
 import os
 import platform
 import resource
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import genbound
-from genbound import cli, complexity, concentration, deviation, entropy, linear
+from genbound import cli, complexity, concentration, core, deviation, entropy, linear
 from genbound.cli import (
     UsageError,
     _parse,
@@ -373,6 +375,25 @@ class TestViolations:
         report = self.run_failing(tmp_path, capsys, "dudley", config, "dudley_bound")
         assert [r["x"] for r in report["results"]] == epsilons
         assert sum(not r["passed"] for r in report["results"]) == 1
+
+    def test_box_vertices_refuses_a_wrong_closed_form(self, tmp_path, capsys, monkeypatch):
+        # the l2 norm in place of the dual (l1) norm of the box's mean sign-weighted point
+        def l2_closed_form(points):
+            n = len(points)
+            norms = [
+                math.sqrt(math.fsum((math.fsum(s * x for s, x in zip(signs, column)) / n) ** 2
+                                    for column in zip(*points)))
+                for signs in itertools.product((-1.0, 1.0), repeat=n)
+            ]
+            return math.fsum(norms) / 2**n
+
+        monkeypatch.setattr(cli, "_box_closed_form", l2_closed_form)
+        report = self.run_failing(tmp_path, capsys, "suite", {"seed": 1}, "box_vertices")
+        row = report["violations"][0]["payload"]
+        assert row["vertices"] == 1.0 and row["dual_norm"] < 1.0
+        assert report["violations"][0]["message"] == (
+            f"vertex class value 1.0 differs from the dual-norm closed form {row['dual_norm']!r}"
+        )
 
     def test_suite_reports_nested_and_inline_failures_in_row_order(self, tmp_path, capsys, monkeypatch):
         # one failure inside the symmetrize handler's rows, one in the suite's own epsilon_roundtrip row
@@ -853,6 +874,14 @@ class TestLargeSampleSize:
         "Monte Carlo rademacher on a random 1 x 2^24 class": (
             "rademacher", {"class": {"random": {"m": 1, "n": 1 << 24, "seed": 1}}, "seed": 1, "draws": 100}
         ),
+        # 2^20 rows at n = 16: the exact kernel's two block buffers would hold 2^34 values
+        # each, and the Monte Carlo sums of a chunk 2^33
+        "exact rademacher on a random 2^20 x 16 class": (
+            "rademacher", {"class": {"random": {"m": 1 << 20, "n": 16, "seed": 1}}, "method": "exact", "seed": 1}
+        ),
+        "auto rademacher on a random 2^20 x 16 class": (
+            "rademacher", {"class": {"random": {"m": 1 << 20, "n": 16, "seed": 1}}, "seed": 1}
+        ),
     }
 
     @staticmethod
@@ -877,13 +906,33 @@ class TestLargeSampleSize:
         assert out.stderr.startswith("genbound: ") and "Traceback" not in out.stderr
 
     @pytest.mark.parametrize(
-        "case", ["tail on a random support of 2^24 points", "Monte Carlo rademacher on a random 1 x 2^24 class"]
+        "case",
+        [
+            "tail on a random support of 2^24 points", "Monte Carlo rademacher on a random 1 x 2^24 class",
+            "auto rademacher on a random 2^20 x 16 class",
+        ],
     )
     def test_wide_random_specs_are_refused_before_their_tables_are_drawn(self, tmp_path, case):
         started = time.perf_counter()
         out = self.run_in_three_gigabytes(tmp_path, *self.CASES[case])
         elapsed = time.perf_counter() - started
         assert out.returncode == 1 and elapsed < 1.0, (elapsed, out.stderr)
+
+    @pytest.mark.parametrize("method", ["exact", "auto"])
+    def test_sign_kernels_refuse_buffers_above_the_budget(self, tmp_path, capsys, monkeypatch, method):
+        # 200 rows at n = 2: exact blocks of 2 words hold 400 values, Monte Carlo sums 100 * 200;
+        # an inline class reaches both kernels, past the check of a random spec's shape
+        for module in (core, complexity):
+            monkeypatch.setattr(module, "MAX_DRAW_ELEMENTS", 256)
+        evals = np.resize([0.5, -0.25, 1.0], (200, 2)).tolist()
+        config = {"class": {"evals": evals}, "method": method, "seed": 1, "draws": 100}
+        cfg = write_config(tmp_path, "c.json", config)
+        assert main(["rademacher", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+        refused = {
+            "exact": "a block of 2 sign words over 200 class rows exceeds the budget of 256 values",
+            "auto": "a batch of 100 draws of 200 values exceeds the budget of 256 values",
+        }
+        assert capsys.readouterr().err == f"genbound: {refused[method]}\n"
 
     def test_linear_refuses_n_above_the_sign_cap_before_drawing(self, tmp_path):
         started = time.perf_counter()

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from genbound import complexity, core
 from genbound.complexity import (
     ComplexityResult,
-    GridFamily,
     Method,
     check_mc_draws,
     check_without_abs_le_abs,
@@ -16,7 +15,6 @@ from genbound.complexity import (
     empirical_rademacher_without_abs,
     expected_rademacher,
     expected_rademacher_mc,
-    grid_restricted_class,
     _MC_CHUNK,
     _distinct_rows,
     _mc_result,
@@ -32,7 +30,6 @@ from genbound.core import (
     EvaluatedClass,
     ExactEnumerationLimit,
     InvariantViolation,
-    Sample,
     derive_seed,
 )
 from genbound.instances import identity_instance, random_discrete_instance, random_evaluated_class
@@ -78,6 +75,19 @@ class TestEmpiricalExact:
     def test_cap(self):
         with pytest.raises(ExactEnumerationLimit):
             empirical_rademacher(EvaluatedClass(np.zeros((1, 6)), 1.0), sign_cap=5)
+
+    def test_block_budget(self, monkeypatch):
+        # a block of 4 sign words at n = 3 fits over 2 rows
+        for module in (core, complexity):
+            monkeypatch.setattr(module, "MAX_DRAW_ELEMENTS", 8)
+        empirical_rademacher(EvaluatedClass(np.ones((2, 3)), 1.0))
+        with pytest.raises(ExactEnumerationLimit, match="^a block of 4 sign words over 3 class rows exceeds"):
+            empirical_rademacher(EvaluatedClass(np.ones((3, 3)), 1.0))
+        # so "auto" passes the Monte Carlo check of a class the exact kernel takes, and only that
+        check_mc_draws(2, 3, 100, sign_cap=20)
+        for m, sign_cap in ((3, 20), (2, 2)):
+            with pytest.raises(DrawBudgetExceeded):
+                check_mc_draws(m, 3, 100, sign_cap=sign_cap)
 
     def test_exact_provenance(self):
         result = empirical_rademacher(EvaluatedClass([[1.0]], 1.0))
@@ -175,12 +185,14 @@ class TestEmpiricalMonteCarlo:
             got = _sign_draw_values(evals, words)
             assert got.tobytes() == row_maximum(evals, words).tobytes()
 
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
     @pytest.mark.parametrize("draws", [100, 101, _MC_CHUNK + 1])
-    def test_draws_checked_from_the_width_as_the_estimate_checks_them(self, monkeypatch, draws):
-        monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 3 * 100)  # 100 draws of 3 signs fit
-        cls = random_evaluated_class(1, m=2, n=3)
+    def test_draws_checked_from_the_shape_as_the_estimate_checks_them(self, monkeypatch, m, n, draws):
+        # 100 draws of 3 signs and 2 sums, or of 2 signs and 3 sums, fit
+        monkeypatch.setattr(core, "MAX_DRAW_ELEMENTS", 3 * 100)
+        cls = random_evaluated_class(1, m=m, n=n)
         outcomes = []
-        for check in (lambda: check_mc_draws(3, draws), lambda: empirical_rademacher_mc(cls, draws, 1)):
+        for check in (lambda: check_mc_draws(m, n, draws), lambda: empirical_rademacher_mc(cls, draws, 1)):
             try:
                 check()
                 outcomes.append(None)
@@ -333,48 +345,6 @@ class TestExpectedMonteCarloOnSupport:
         dist = DiscreteDistribution([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
         with pytest.raises(DimensionMismatch):
             expected_rademacher_mc(EvaluatedClass([[1.0, -1.0]], 1.0), dist, 3, 200, 1)
-
-
-class TestGridRefinement:
-    @staticmethod
-    def linear_family(**kwargs):
-        return GridFamily(
-            parameter_box=((-1.0, 1.0),),
-            evaluator=lambda w, s: s.points * w[0],
-            envelope_b=1.0,
-            **kwargs,
-        )
-
-    def test_constant_family_converges_at_depth_two(self):
-        family = GridFamily(
-            parameter_box=((-1.0, 1.0),),
-            evaluator=lambda w, s: np.ones(s.n) * 0.5,
-            envelope_b=1.0,
-        )
-        refinement = grid_restricted_class(family, Sample([1.0, 1.0]))
-        assert refinement.converged
-        assert len(refinement.values) == 2
-
-    def test_linear_family_hits_corner_value(self):
-        refinement = grid_restricted_class(self.linear_family(), Sample([1.0, 1.0]))
-        corner = empirical_rademacher(EvaluatedClass([[1.0, 1.0], [-1.0, -1.0]], 1.0)).value
-        assert refinement.converged
-        assert refinement.values[-1] == pytest.approx(corner, abs=1e-12)
-
-    def test_zero_tolerance_never_converges(self):
-        family = self.linear_family(levels=3, tolerance=0.0)
-        refinement = grid_restricted_class(family, Sample([1.0, -0.5]))
-        assert not refinement.converged
-        assert len(refinement.values) == 3
-
-    def test_trace_monotone(self):
-        family = self.linear_family(levels=4, tolerance=0.0)
-        values = grid_restricted_class(family, Sample([0.3, -0.9, 0.4])).values
-        assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-
-    def test_box_validation(self):
-        with pytest.raises(InvariantViolation):
-            GridFamily(parameter_box=((1.0, 1.0),), evaluator=lambda w, s: s.points, envelope_b=1.0)
 
 
 class TestWithoutAbsComparison:

@@ -16,7 +16,6 @@ from genbound.core import (
     EvaluatedClass,
     ExactEnumerationLimit,
     InvariantViolation,
-    Sample,
     deterministic_sum,
     draw_words,
     words_to_signs,
@@ -111,17 +110,13 @@ class TestDeterministicSum:
 
 
 class TestDomainTypes:
-    def test_sample_requires_points(self):
+    def test_support_requires_points(self):
         with pytest.raises(InvariantViolation):
-            Sample([])
+            DiscreteDistribution([], [])
 
-    def test_sample_rejects_ragged(self):
+    def test_support_rejects_ragged(self):
         with pytest.raises(DimensionMismatch):
-            Sample([[1.0, 2.0], [3.0]])
-
-    def test_sample_dimensions(self):
-        assert Sample([1.0, 2.0]).n == 2
-        assert Sample([[1.0, 2.0]]).points.shape == (1, 2)
+            DiscreteDistribution([[1.0, 2.0], [3.0]], [0.5, 0.5])
 
     def test_distribution_validates_sum(self):
         with pytest.raises(InvariantViolation):

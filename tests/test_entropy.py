@@ -25,7 +25,10 @@ from genbound.entropy import (
     dudley_bound,
     largest_norm,
     verify_dudley,
+    _CoverProfile,
+    _breakpoints,
     _cover_profile,
+    _riemann,
     _distance_matrix,
     _distinct,
 )
@@ -301,6 +304,17 @@ class TestDudley:
             dudley_bound(cls, eps, grid_points=g).bound for g in (16, 64, 256)
         ]
         assert bounds[0] >= bounds[1] >= bounds[2]
+
+    def test_integrand_comes_from_libm(self):
+        # sqrt(log(9170)) is the first integer value at which numpy's log loops may round
+        # differently from libm; a profile of 9,170 centers below radius 0.5, one above
+        profile = _CoverProfile(np.array([0.0, 0.5]), np.array([9170, 1]))
+        root = math.sqrt(math.log(9170))
+        grid, sizes, integrals = _riemann(profile, 2.0, np.array([0.25]), 4)
+        assert sizes.tolist() == [[9170, 9170, 1, 1]]
+        assert integrals.tolist() == [(root + root) * 0.1875]
+        radii, sizes, integral = _breakpoints(profile, 2.0, 0.25)
+        assert sizes.tolist() == [9170, 1] and integral == root * 0.25
 
     def test_exact_breakpoint_integration_below_grid_sums(self):
         cls = random_evaluated_class(23, m=5, n=5)
